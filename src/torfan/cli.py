@@ -42,10 +42,9 @@ PARAM_FLAGS = ("r", "n", "k", "l", "m")
 
 @dataclass(frozen=True)
 class Command:
-    """One validated invocation: a single verb plus its raw inputs."""
+    """One validated invocation: a single verb and where its output goes."""
 
     verb: str
-    inputs: tuple[str, ...]
     out: str | None
     format: str
 
@@ -611,11 +610,6 @@ def run(argv: list[str]) -> int:
         return int(status.code or 0)
     cmd = Command(
         verb=ns.verb,
-        inputs=tuple(
-            str(getattr(ns, name))
-            for name in ("poly", "cone", "input", "family", "fan", "action")
-            if getattr(ns, name, None) is not None
-        ),
         out=ns.out,
         format="svg" if ns.verb == "render" else ns.format,
     )

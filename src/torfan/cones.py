@@ -3,8 +3,8 @@
 Cones are strongly convex (pointed) rational polyhedral cones given by their
 primitive extremal rays.  Everything is decided with integer determinants or
 exact fractions; cones handed to the semigroup routines (irreducibility,
-Hilbert bases) must live in the non-negative octant, which is where the
-componentwise decomposition search is valid.
+Hilbert bases) must live in the non-negative octant, where the coordinate
+sum is a positive grading that orders the reduction of candidates.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -302,46 +302,93 @@ def triangulate(c: Cone, apex: str = "lexmin") -> tuple[Cone, ...]:
     return tuple(sorted(pieces, key=lambda p: p.generators))
 
 
-def _box_range(gens: Sequence[Vec], coordinate: int) -> range:
-    lo = sum(min(0, g[coordinate]) for g in gens)
-    hi = sum(max(0, g[coordinate]) for g in gens)
-    return range(lo, hi + 1)
+def _half_open_points(
+    g1: Vec, g2: Vec, g3: Vec
+) -> tuple[int, tuple[Vec, Vec, Vec], list[tuple[Vec, Vec]]]:
+    """Elements of the group Z^3/<g1,g2,g3> as half-open parallelepiped points.
+
+    Returns ``(D, rows, pairs)``.  D = |det(g1,g2,g3)|, and ``rows`` are the
+    adjugate rows g2 x g3, g3 x g1, g1 x g2 times sign(det), so that
+    u = sum t_i g_i has u.rows[i] = D*t_i.  There is one pair ``(u, q)`` per
+    group element: u = (q1*g1 + q2*g2 + q3*g3)/D with integers 0 <= q_i < D.
+    The group is walked as a chain of cyclic subgroups generated by the
+    residues of e1, e2, e3, so the cost is D, not the volume of a box.
+    """
+    d = unimodular_det(g1, g2, g3)
+    s = 1 if d > 0 else -1
+    big = s * d
+    rows = tuple(
+        (s * n[0], s * n[1], s * n[2])
+        for n in (cross(g2, g3), cross(g3, g1), cross(g1, g2))
+    )
+    group = [ZERO]
+    for j in range(3):
+        r0, r1, r2 = (row[j] % big for row in rows)
+        members = set(group)
+        order, step = 1, (r0, r1, r2)
+        while step not in members:
+            order += 1
+            step = ((step[0] + r0) % big, (step[1] + r1) % big, (step[2] + r2) % big)
+        if order > 1:
+            group = [
+                ((a + m * r0) % big, (b + m * r1) % big, (c + m * r2) % big)
+                for m in range(order)
+                for a, b, c in group
+            ]
+    pairs = []
+    for q1, q2, q3 in group:
+        u = tuple((q1 * g1[i] + q2 * g2[i] + q3 * g3[i]) // big for i in range(3))
+        pairs.append((u, (q1, q2, q3)))
+    return big, rows, pairs
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _unit_dual(n: Vec) -> Vec:
+    """An integer vector w with n.w = 1, for a primitive n."""
+    g, x, y = _xgcd(n[0], n[1])
+    _, u, z = _xgcd(g, n[2])
+    return (u * x, u * y, z)
+
+
+def _parallelepiped(c: Cone) -> tuple[int, Vec, set[Vec]]:
+    """Closed parallelepiped of a 2- or 3-dimensional simplicial cone.
+
+    Returns ``(D, w, points)``: for u = sum t_i g_i, w.u = D * sum t_i, so
+    w.u <= D cuts out the simplex conv(0, g_1, ..., g_k).  A 2-dimensional
+    cone is completed by a vector w3 with n.w3 = 1 for its primitive normal
+    n; then Z^3/<g1,g2,w3> is the group of its plane lattice, |det| is the
+    plane index, and every half-open point has t3 = 0.
+    The closed points are u + sum(g_i for i in S), for S within {i: q_i = 0}.
+    """
+    gens = c.generators
+    frame = gens if c.dim == 3 else (*gens, _unit_dual(c.plane_normal))
+    big, rows, pairs = _half_open_points(*frame)
+    points: set[Vec] = set()
+    for u, q in pairs:
+        corners = [u]
+        for g, qi in zip(gens, q):
+            if qi == 0:
+                corners += [vadd(p, g) for p in corners]
+        points.update(corners)
+    return big, vadd(vadd(rows[0], rows[1]), rows[2]), points
 
 
 def parallelepiped_points(c: Cone) -> tuple[Vec, ...]:
     """Lattice points of {sum t_i * g_i : 0 <= t_i <= 1} for a simplicial cone."""
     if not c.is_simplicial():
         raise ValueError("parallelepiped needs a simplicial cone; triangulate first")
-    gens = c.generators
     if c.dim == 1:
-        return tuple(sorted({ZERO, gens[0]}))
-    boxes = [_box_range(gens, i) for i in range(3)]
-    points: list[Vec] = []
-    if c.dim == 3:
-        g1, g2, g3 = gens
-        d = unimodular_det(g1, g2, g3)
-        s = 1 if d > 0 else -1
-        bound = s * d
-        n1, n2, n3 = cross(g2, g3), cross(g3, g1), cross(g1, g2)
-        for u in product(*boxes):
-            if (
-                0 <= s * dot(u, n1) <= bound
-                and 0 <= s * dot(u, n2) <= bound
-                and 0 <= s * dot(u, n3) <= bound
-            ):
-                points.append(u)
-    else:
-        g1, g2 = gens
-        n = cross(g1, g2)
-        k = dot(n, n)  # cross(g1,g2).n, positive
-        for u in product(*boxes):
-            if dot(n, u) != 0:
-                continue
-            a = dot(cross(u, g2), n)
-            b = dot(cross(g1, u), n)
-            if 0 <= a <= k and 0 <= b <= k:
-                points.append(u)
-    return tuple(sorted(points))
+        return tuple(sorted({ZERO, c.generators[0]}))
+    return tuple(sorted(_parallelepiped(c)[2]))
 
 
 def _require_octant_semigroup(c: Cone) -> None:
@@ -354,8 +401,9 @@ def _require_octant_semigroup(c: Cone) -> None:
 def is_irreducible(c: Cone, v: Sequence[int]) -> bool:
     """No way to write v as a sum of two nonzero lattice points of the cone.
 
-    Valid for cones in the octant: both summands of any decomposition are then
-    componentwise between 0 and v, so a bounded search is complete.
+    For a cone in the octant this is membership of v in the Hilbert basis,
+    which is the set of irreducible points; callers checking many points
+    of one cone should compute ``hilbert_basis`` once instead.
     """
     t = (int(v[0]), int(v[1]), int(v[2]))
     if t == ZERO:
@@ -363,13 +411,7 @@ def is_irreducible(c: Cone, v: Sequence[int]) -> bool:
     if not c.contains(t):
         raise ValueError(f"{t} is not in the cone")
     _require_octant_semigroup(c)
-    half = sum(t)  # decompositions have a part of weight <= sum(v)/2
-    for a in product(range(t[0] + 1), range(t[1] + 1), range(t[2] + 1)):
-        if a == ZERO or a == t or 2 * sum(a) > half:
-            continue
-        if c.contains(a) and c.contains(vsub(t, a)):
-            return False
-    return True
+    return t in hilbert_basis(c).elements
 
 
 @dataclass(frozen=True)
@@ -400,34 +442,16 @@ def hilbert_basis(c: Cone, apex: str = "lexmin") -> HilbertBasis:
         candidates.update(parallelepiped_points(piece))
     candidates.discard(ZERO)
 
-    # Reducibility is checked against all cone points in the candidate box;
-    # any decomposition v = a + b has a, b <= v componentwise, and the box
-    # [0, componentwise sum of generators] contains every candidate.
-    box = [_box_range(c.generators, i) for i in range(3)]
-    cone_points = [u for u in product(*box) if u != ZERO and c.contains(u)]
-    by_weight: dict[int, list[Vec]] = {}
-    for u in cone_points:
-        by_weight.setdefault(sum(u), []).append(u)
-    point_set = set(cone_points)
-
-    elements = []
-    for v in sorted(candidates):
-        w = sum(v)
-        reducible = False
-        for weight in sorted(by_weight):
-            if 2 * weight > w:
-                break
-            for a in by_weight[weight]:
-                if a != v and a[0] <= v[0] and a[1] <= v[1] and a[2] <= v[2]:
-                    rest = vsub(v, a)
-                    if rest != ZERO and rest in point_set:
-                        reducible = True
-                        break
-            if reducible:
-                break
-        if not reducible:
-            elements.append(v)
-    return HilbertBasis(c, tuple(elements))
+    # Reduction by degree (Bruns-Ichim): the coordinate sum is a positive
+    # grading on the octant, and a reducible v is v = h + w with h an
+    # irreducible point of smaller degree and w in the cone.  Irreducible
+    # points are candidates, so by induction on the degree the points kept
+    # before v are exactly the Hilbert elements of smaller degree.
+    kept: list[Vec] = []
+    for v in sorted(candidates, key=lambda u: (u[0] + u[1] + u[2], u)):
+        if not any(c.contains(vsub(v, h)) for h in kept):
+            kept.append(v)
+    return HilbertBasis(c, tuple(sorted(kept)))
 
 
 _CONE_TEXT = re.compile(r"^\s*<\s*(.*?)\s*>\s*$", re.S)

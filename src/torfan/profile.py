@@ -11,11 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from .cones import Cone, Vec, ZERO, _solve_exact, cross, dot, vsub
+from .cones import (
+    Cone,
+    Vec,
+    ZERO,
+    _parallelepiped,
+    _solve_exact,
+    cross,
+    dot,
+    triangulate,
+    vsub,
+)
 from .polyparse import parse_polynomial
 
 _ONE = Fraction(1)
@@ -163,11 +173,32 @@ def contains_point(p: Profile, v: Sequence[int]) -> bool:
 
 
 def profile_lattice_points(p: Profile) -> list[Vec]:
-    box = [max(g[i] for g in p.cone.generators) for i in range(3)]
-    out = []
-    for v in product(*(range(b + 1) for b in box)):
-        if v != ZERO and contains_point(p, v):
-            out.append(v)
+    """Nonzero lattice points of the profile conv(0, generators).
+
+    A simplicial profile is the simplex conv(0, g_1, ..., g_k), whose lattice
+    points are the points of the closed parallelepiped (from the lattice
+    group Z^3/<g>) with l <= 1.  Otherwise every generator is a vertex of
+    the hull, so the profile is the union of such simplices over a
+    triangulation of the generators on each off-origin hull facet.
+    """
+    c = p.cone
+    if c.dim == 1:
+        return [c.generators[0]]
+    if c.is_simplicial():
+        simplices: tuple[Cone, ...] = (c,)
+    else:
+        simplices = tuple(
+            piece
+            for f in p.bounding
+            for piece in triangulate(
+                Cone.from_generators([g for g in c.generators if f(g) == 0])
+            )
+        )
+    out: set[Vec] = set()
+    for sigma in simplices:
+        big, level, points = _parallelepiped(sigma)
+        out.update(v for v in points if dot(level, v) <= big)
+    out.discard(ZERO)
     return sorted(out)
 
 

@@ -25,7 +25,6 @@ from .cones import (
     cross,
     dot,
     hilbert_basis,
-    is_irreducible,
     primitive,
     triangulate,
     unimodular_det,
@@ -114,6 +113,19 @@ def _boundary_face_points(c: Cone, candidates: Iterable[Vec]) -> list[Vec]:
     return sorted(set(out))
 
 
+class _HilbertSets(dict):
+    """Hilbert basis of each cone as a set, computed on first lookup.
+
+    A ray of a cone is irreducible there exactly when it is in this set.
+    One instance serves one report, and in ``regular_refinement`` also
+    the insertions, so a cone's basis is computed once there.
+    """
+
+    def __missing__(self, c: Cone) -> set[Vec]:
+        basis = self[c] = set(hilbert_basis(c).elements)
+        return basis
+
+
 @dataclass(frozen=True)
 class RefinementReport:
     source: tuple[Cone, ...]
@@ -179,6 +191,7 @@ def _build_report(
     pieces: Sequence[Cone],
     det_history: Sequence[tuple[int, ...]],
     used_fallback: bool,
+    hilbert: _HilbertSets,
 ) -> RefinementReport:
     pieces = sorted(pieces, key=lambda p: p.generators)
     fan = Fan.from_cones(pieces)
@@ -194,7 +207,7 @@ def _build_report(
     face_ok = _face_pairing_ok(pieces, sources)
     source_rays = {g for s in sources for g in s.generators}
     irreducible = all(
-        is_irreducible(s, ray)
+        ray in hilbert[s]
         for ray in fan.rays
         for s in sources
         if s.contains(ray)
@@ -213,7 +226,9 @@ def _build_report(
     )
 
 
-def _low_dim_refinement(c: Cone, inserted: Sequence[Vec]) -> RefinementReport:
+def _low_dim_refinement(
+    c: Cone, inserted: Sequence[Vec], hilbert: _HilbertSets
+) -> RefinementReport:
     """Chain refinement of a ray or planar cone; covering and fitting hold
     by construction (consecutive pieces share exactly their common ray)."""
     if c.dim == 1 or not inserted:
@@ -233,7 +248,7 @@ def _low_dim_refinement(c: Cone, inserted: Sequence[Vec]) -> RefinementReport:
         (tuple(sorted(index[g] for g in p.generators)), _piece_certificate(p))
         for p in sorted(pieces, key=lambda p: p.generators)
     )
-    irreducible = all(is_irreducible(c, ray) for ray in fan.rays)
+    irreducible = all(ray in hilbert[c] for ray in fan.rays)
     new_rays = tuple(sorted(set(fan.rays) - set(c.generators)))
     return RefinementReport(
         (c,), fan, certificates, True, True, irreducible, new_rays,
@@ -248,12 +263,12 @@ def regular_refinement(c: Cone) -> RefinementReport:
     identically), then the lexicographically first non-regular piece is
     split at the Hilbert element of least l-value until none remain.
     """
+    hilbert = _HilbertSets()
+    basis = sorted(hilbert[c])
     if c.dim != 3:
-        basis = hilbert_basis(c).elements
         return _low_dim_refinement(
-            c, [h for h in basis if h not in c.generators]
+            c, [h for h in basis if h not in c.generators], hilbert
         )
-    basis = hilbert_basis(c).elements
     level = _gauge_level(c)
     pieces: list[Cone] = [c]
     history: list[tuple[int, ...]] = []
@@ -305,7 +320,7 @@ def regular_refinement(c: Cone) -> RefinementReport:
         pieces, changed = stellar_insert(pieces, chosen)
         assert changed
         history.append(_det_snapshot(pieces))
-    return _build_report([c], pieces, history, used_fallback)
+    return _build_report([c], pieces, history, used_fallback, hilbert)
 
 
 def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
@@ -327,7 +342,7 @@ def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
         cleaned.append(v)
     if c.dim != 3:
         return _low_dim_refinement(
-            c, [v for v in cleaned if v not in c.generators]
+            c, [v for v in cleaned if v not in c.generators], _HilbertSets()
         )
 
     level = _gauge_level(c)
@@ -348,7 +363,7 @@ def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
     if any(not p.is_simplicial() for p in pieces):
         pieces = [q for p in pieces for q in triangulate(p)]
         snapshot()
-    return _build_report([c], pieces, history, False)
+    return _build_report([c], pieces, history, False, _HilbertSets())
 
 
 def refine_fan(
@@ -366,7 +381,7 @@ def refine_fan(
         all_pieces.extend(report.result.cone_objects())
         history.extend(report.det_history)
         used_fallback = used_fallback or report.used_fallback
-    return _build_report(cones, all_pieces, history, used_fallback)
+    return _build_report(cones, all_pieces, history, used_fallback, _HilbertSets())
 
 
 def refinement_rays(f: Fan) -> set[Vec]:
@@ -382,10 +397,9 @@ def check_minimal_embedded(r: RefinementReport) -> MinimalityReport:
     """
     if not r.all_unimodular():
         raise ValueError("minimality check expects a regular refinement")
+    hilbert = _HilbertSets()
     entries = []
     for ray in r.result.rays:
-        flags = [
-            is_irreducible(s, ray) for s in r.source if s.contains(ray)
-        ]
+        flags = [ray in hilbert[s] for s in r.source if s.contains(ray)]
         entries.append((ray, bool(flags) and all(flags)))
     return MinimalityReport(tuple(entries), all(ok for _, ok in entries))

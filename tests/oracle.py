@@ -4,6 +4,10 @@ The Hilbert-basis oracle decides cone membership through the inequality
 description (adjugate rows) instead of generator combinations, enumerates all
 cone points in the bounding box of the generator sum, and filters by pairwise
 sums.  It shares no code path with torfan.cones.hilbert_basis.
+
+The ``box_*`` oracles test every lattice point of a bounding box, so their
+cost is the volume of that box.  torfan enumerates the lattice group
+Z^3/<g> instead; these searches share no code with it.
 """
 
 from __future__ import annotations
@@ -60,6 +64,109 @@ def brute_force_hilbert_simplicial(g1: Vec, g2: Vec, g3: Vec) -> tuple[Vec, ...]
         if not reducible:
             basis.append(u)
     return tuple(sorted(basis))
+
+
+def _box(gens) -> list[range]:
+    """Per coordinate, the range spanned by all partial sums of gens."""
+    return [
+        range(
+            sum(min(0, g[i]) for g in gens), sum(max(0, g[i]) for g in gens) + 1
+        )
+        for i in range(3)
+    ]
+
+
+def supporting_normals(gens) -> list[Vec]:
+    """Inner normals of the planes through two rays of a 3-D cone that
+    leave every ray on one side; the cone is where all are >= 0."""
+    out = []
+    for i, a in enumerate(gens):
+        for b in gens[i + 1:]:
+            n = _cross(a, b)
+            if n == (0, 0, 0):
+                continue
+            values = [_dot(n, g) for g in gens]
+            if all(v >= 0 for v in values):
+                out.append(n)
+            elif all(v <= 0 for v in values):
+                out.append((-n[0], -n[1], -n[2]))
+    return out
+
+
+def box_parallelepiped_points(gens) -> tuple[Vec, ...]:
+    """Lattice points of {sum t_i g_i : 0 <= t_i <= 1} for 2 or 3
+    independent generators, by testing every point of the box."""
+    points = []
+    if len(gens) == 3:
+        g1, g2, g3 = gens
+        det = _dot(g1, _cross(g2, g3))
+        s = 1 if det > 0 else -1
+        rows = (_cross(g2, g3), _cross(g3, g1), _cross(g1, g2))
+        for u in product(*_box(gens)):
+            if all(0 <= s * _dot(u, n) <= s * det for n in rows):
+                points.append(u)
+    else:
+        g1, g2 = gens
+        n = _cross(g1, g2)
+        k = _dot(n, n)
+        for u in product(*_box(gens)):
+            if _dot(n, u) != 0:
+                continue
+            a = _dot(_cross(u, g2), n)
+            b = _dot(_cross(g1, u), n)
+            if 0 <= a <= k and 0 <= b <= k:
+                points.append(u)
+    return tuple(sorted(points))
+
+
+def box_profile_points(gens) -> list[Vec]:
+    """Nonzero lattice points of conv(0, gens) for the extremal rays of a
+    3-D cone, by box search.
+
+    A point is in the hull exactly when it is in some simplex
+    conv(0, a, b, c) over independent rays a, b, c: coning the hull's
+    off-origin facets from 0 covers it with such simplices.
+    """
+    simplices = []
+    for i, a in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            for c in gens[j + 1:]:
+                b = gens[j]
+                det = _dot(a, _cross(b, c))
+                if det:
+                    rows = (_cross(b, c), _cross(c, a), _cross(a, b))
+                    simplices.append((det, rows))
+    box = [
+        range(min(0, min(g[i] for g in gens)), max(0, max(g[i] for g in gens)) + 1)
+        for i in range(3)
+    ]
+    out = []
+    for u in product(*box):
+        if u == (0, 0, 0):
+            continue
+        for det, rows in simplices:
+            lam = [Fraction(_dot(u, n), det) for n in rows]
+            if all(x >= 0 for x in lam) and sum(lam) <= 1:
+                out.append(u)
+                break
+    return out
+
+
+def box_is_irreducible(gens, v: Vec) -> bool:
+    """Is v, a nonzero point of the 3-D octant cone over gens, a sum of two
+    nonzero lattice points of the cone?  Searched componentwise below v."""
+    normals = supporting_normals(gens)
+    inside = lambda u: all(_dot(n, u) >= 0 for n in normals)
+    if any(c < 0 for g in gens for c in g):
+        raise ValueError("oracle assumes the octant")
+    if v == (0, 0, 0) or not inside(v):
+        raise ValueError("oracle needs a nonzero point of the cone")
+    for a in product(range(v[0] + 1), range(v[1] + 1), range(v[2] + 1)):
+        if a == (0, 0, 0) or a == v or 2 * sum(a) > sum(v):
+            continue
+        if inside(a) and inside((v[0] - a[0], v[1] - a[1], v[2] - a[2])):
+            return False
+    return True
 
 
 def det3(a: Vec, b: Vec, c: Vec) -> int:

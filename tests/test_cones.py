@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,12 @@ from torfan.cones import (
     vsub,
 )
 
-from oracle import brute_force_hilbert_simplicial, random_simplicial_octant_cones
+from oracle import (
+    box_is_irreducible,
+    box_parallelepiped_points,
+    brute_force_hilbert_simplicial,
+    random_simplicial_octant_cones,
+)
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 SIGMA3 = Cone.from_generators([E2, E3, (6, 8, 9)])
@@ -112,6 +119,25 @@ def test_parallelepiped_two_dimensional():
         assert dot(cross(E2, (6, 8, 9)), p) == 0 or p == (0, 0, 0)
 
 
+def test_parallelepiped_matches_box_oracle_with_negative_entries():
+    rng = random.Random(20261017)
+    counts = {2: 0, 3: 0}
+    negative = 0
+    while min(counts.values()) < 30:
+        k = rng.choice((2, 3))
+        vectors = [tuple(rng.randint(-6, 9) for _ in range(3)) for _ in range(k)]
+        try:
+            c = Cone.from_generators(vectors)
+        except ValueError:
+            continue
+        if c.dim != k or not c.is_simplicial():
+            continue
+        counts[k] += 1
+        negative += any(x < 0 for g in c.generators for x in g)
+        assert parallelepiped_points(c) == box_parallelepiped_points(c.generators), c
+    assert negative >= 30
+
+
 def test_parallelepiped_needs_simplicial():
     c = Cone.from_generators([(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 7, 4)])
     with pytest.raises(ValueError):
@@ -126,6 +152,25 @@ def test_is_irreducible():
         is_irreducible(SIGMA3, (1, 1, 2))  # outside
     with pytest.raises(ValueError):
         is_irreducible(SIGMA3, (0, 0, 0))
+
+
+def test_is_irreducible_matches_box_oracle_on_every_candidate():
+    rng = random.Random(4242)
+    cones = []
+    while len(cones) < 20:
+        k = rng.randint(3, 5)
+        vectors = [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(k)]
+        if (0, 0, 0) in vectors:
+            continue
+        c = Cone.from_generators(vectors)
+        if c.dim == 3:
+            cones.append(c)
+    assert sum(not c.is_simplicial() for c in cones) >= 5
+    for c in cones:
+        candidates = {v for piece in triangulate(c) for v in parallelepiped_points(piece)}
+        candidates.discard((0, 0, 0))
+        for v in sorted(candidates):
+            assert is_irreducible(c, v) == box_is_irreducible(c.generators, v), (c, v)
 
 
 def test_hilbert_basis_sigma3():

@@ -1,10 +1,11 @@
 """Profiles, l functionals, and subprofile hyperplane checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracle import random_simplicial_octant_cones
+from oracle import box_profile_points, random_simplicial_octant_cones
 from torfan.cones import Cone, hilbert_basis
 from torfan.profile import (
     AffineFunctional,
@@ -112,6 +113,32 @@ def test_profile_lattice_points_subset_of_hilbert_b_cones():
     for cone in (B22_S1, B22_S2, B22_S3):
         points = set(profile_lattice_points(profile(cone)))
         assert points <= set(hilbert_basis(cone).elements)
+
+
+def test_profile_lattice_points_outside_octant_keep_every_ray():
+    # conv(0, e1, e2, (-1,-1,3)) holds (0,0,1) = the mean of its three rays;
+    # a search over [0, max] per coordinate would miss the ray (-1,-1,3)
+    c = Cone.from_generators([(1, 0, 0), (0, 1, 0), (-1, -1, 3)])
+    expected = [(-1, -1, 3), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert profile_lattice_points(profile(c)) == expected
+    assert box_profile_points(c.generators) == expected
+
+
+def test_profile_lattice_points_match_box_oracle():
+    rng = random.Random(31337)
+    cones = []
+    while len(cones) < 60:
+        k = rng.randint(3, 6)
+        vectors = [tuple(rng.randint(0, 9) for _ in range(3)) for _ in range(k)]
+        if (0, 0, 0) in vectors:
+            continue
+        c = Cone.from_generators(vectors)
+        if c.dim == 3:
+            cones.append(c)
+    non_simplicial = sum(not c.is_simplicial() for c in cones)
+    assert 20 <= non_simplicial <= 40
+    for c in cones:
+        assert profile_lattice_points(profile(c)) == box_profile_points(c.generators), c
 
 
 def test_profile_points_can_contain_reducible_vectors():

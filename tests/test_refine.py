@@ -1,6 +1,9 @@
 import pytest
 
 from torfan.cones import Cone, hilbert_basis, is_irreducible
+from torfan.newton import dual_newton_cones
+from torfan.polyparse import parse_polynomial
+from torfan.profile import profile, profile_lattice_points
 from torfan.refine import (
     check_minimal_embedded,
     refine_fan,
@@ -10,7 +13,12 @@ from torfan.refine import (
     stellar_insert,
 )
 
-from oracle import det3, octant_slice_volume, random_simplicial_octant_cones
+from oracle import (
+    det3,
+    octant_slice_volume,
+    random_simplicial_octant_cones,
+    supporting_normals,
+)
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 OCTANT = Cone.from_generators([E1, E2, E3])
@@ -248,3 +256,23 @@ def test_random_cones_every_new_ray_irreducible():
             continue
         for ray in rep.new_rays:
             assert is_irreducible(c, ray)
+
+
+def test_extended_brieskorn_rung_resolves_with_sound_cones():
+    # determinant 31*37*41 on each dual-fan cone: far past what a
+    # bounding-box search over the cone can reach in test time
+    cones = [c for c, _ in dual_newton_cones(parse_polynomial("x^31+y^37+z^41"))]
+    assert len(cones) == 3
+    rep = refine_fan(cones)
+    assert rep.all_unimodular()
+    assert rep.covering_ok and rep.face_fitting_ok
+    for c in cones:
+        normals = supporting_normals(c.generators)
+        inside = lambda v: all(sum(a * b for a, b in zip(n, v)) >= 0 for n in normals)
+        basis = hilbert_basis(c).elements
+        assert set(c.generators) <= set(basis)
+        assert all(inside(h) for h in basis)
+        prof = profile(c)
+        points = profile_lattice_points(prof)
+        assert set(c.generators) <= set(points)
+        assert all(inside(v) and all(f(v) <= 0 for f in prof.bounding) for v in points)
