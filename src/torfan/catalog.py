@@ -11,8 +11,6 @@ Hilbert bases for the instances shipped in ``data/appendix_fixtures.json``.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Mapping, Sequence
@@ -643,15 +641,6 @@ class VerificationReport:
         }
 
 
-def _thread_count(requested: int | None, jobs: int) -> int:
-    if requested is None:
-        env = os.environ.get("TORFAN_THREADS", "")
-        requested = int(env) if env.strip() else 0
-    if requested <= 0:
-        requested = min(jobs, os.cpu_count() or 1)
-    return max(1, min(requested, jobs))
-
-
 def _check_cone(c: Cone, vertex: Vec, insert: list[Vec], rtp: bool) -> dict:
     h = sorted(hilbert_basis(c))
     rep = refinement_from_rays(c, insert if insert else h)
@@ -702,9 +691,7 @@ def _shared_face_sets(maximal: Sequence[Cone]) -> set[frozenset[Vec]]:
 
 
 def verify(
-    family: str,
-    params: Mapping[str, int] | None = None,
-    threads: int | None = None,
+    family: str, params: Mapping[str, int] | None = None
 ) -> VerificationReport:
     """Run every applicable check on one catalog instance.
 
@@ -740,23 +727,10 @@ def verify(
         else:
             per_cone_insert.append([])
 
-    workers = _thread_count(threads, len(computed))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            cone_reports = list(
-                ex.map(
-                    lambda args: _check_cone(*args),
-                    [
-                        (c, vtx, ins, ent.rtp)
-                        for (c, vtx), ins in zip(computed, per_cone_insert)
-                    ],
-                )
-            )
-    else:
-        cone_reports = [
-            _check_cone(c, vtx, ins, ent.rtp)
-            for (c, vtx), ins in zip(computed, per_cone_insert)
-        ]
+    cone_reports = [
+        _check_cone(c, vtx, ins, ent.rtp)
+        for (c, vtx), ins in zip(computed, per_cone_insert)
+    ]
 
     stages["hilbert"] = {
         "status": "ok",
@@ -953,10 +927,8 @@ def verify(
     return VerificationReport(family, ps, str(p), stages, public_cones, overall)
 
 
-def verify_grid(
-    family: str, threads: int | None = None
-) -> list[VerificationReport]:
-    return [verify(family, ps, threads=threads) for ps in default_grid(family)]
+def verify_grid(family: str) -> list[VerificationReport]:
+    return [verify(family, ps) for ps in default_grid(family)]
 
 
 def groebner_meet(family: str, params: Mapping[str, int] | None = None) -> dict:

@@ -1,8 +1,10 @@
 """Exact lattice-cone algebra in 3-space.
 
 Cones are strongly convex (pointed) rational polyhedral cones given by their
-primitive extremal rays.  Everything is decided with integer determinants or
-exact fractions; cones handed to the semigroup routines (irreducibility,
+primitive extremal rays.  Every cone decision (pointedness, extremal rays,
+facets, membership) is made with integer cross products and determinants;
+``Fraction`` appears only in the profile functionals and volumes built on
+these cones elsewhere.  Cones handed to the semigroup routines (irreducibility,
 Hilbert bases) must live in the non-negative octant, where the coordinate
 sum is a positive grading that orders the reduction of candidates.
 """
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
@@ -72,89 +73,42 @@ def _rank(vectors: Sequence[Vec]) -> int:
     return 1
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination; unique solution of rows*x=rhs or None."""
-    m, n = len(rows), len(rows[0])
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    if len(pivots) < n:
-        return None  # underdetermined; caller relies on smaller subsets
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
-    return sol
-
-
-def _zero_in_convex_hull(points: Sequence[Vec]) -> bool:
-    """Exact test, by Caratheodory over affinely independent subsets."""
-    pts = list(dict.fromkeys(points))
-    if ZERO in pts:
-        return True
-    for k in (2, 3, 4):
-        for subset in combinations(pts, k):
-            rows = [[Fraction(p[i]) for p in subset] for i in range(3)]
-            rows.append([Fraction(1)] * k)
-            lam = _solve_exact(rows, [Fraction(0), Fraction(0), Fraction(0), Fraction(1)])
-            if lam is not None and all(l >= 0 for l in lam):
-                return True
-    return False
-
-
-def _in_cone_span(v: Vec, gens: Sequence[Vec]) -> bool:
-    """Is v a non-negative rational combination of gens?  (Caratheodory.)"""
-    if v == ZERO:
-        return True
-    for g in gens:
-        if cross(v, g) == ZERO and dot(v, g) > 0:
-            return True
-    for g1, g2 in combinations(gens, 2):
+def _supporting_pairs(gens: Sequence[Vec]) -> dict[Vec, tuple[int, int]]:
+    """Primitive inner normals of the planes through two of gens that leave
+    every generator on their non-negative side, each with the first index
+    pair (i, j), i < j, that spans it."""
+    out: dict[Vec, tuple[int, int]] = {}
+    for (i, g1), (j, g2) in combinations(enumerate(gens), 2):
         n = cross(g1, g2)
-        if n == ZERO or dot(n, v) != 0:
+        if n == ZERO:
             continue
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            d = g1[i] * g2[j] - g1[j] * g2[i]
-            if d:
-                da = v[i] * g2[j] - v[j] * g2[i]
-                db = g1[i] * v[j] - g1[j] * v[i]
-                if da * d >= 0 and db * d >= 0:
-                    return True
-                break  # representation in this pair is unique
-    for g1, g2, g3 in combinations(gens, 3):
-        d = unimodular_det(g1, g2, g3)
-        if d == 0:
+        values = [dot(n, g) for g in gens]
+        if all(v >= 0 for v in values):
+            pass
+        elif all(v <= 0 for v in values):
+            n = vneg(n)
+        else:
             continue
-        d1 = unimodular_det(v, g2, g3)
-        d2 = unimodular_det(g1, v, g3)
-        d3 = unimodular_det(g1, g2, v)
-        if d > 0:
-            if d1 >= 0 and d2 >= 0 and d3 >= 0:
-                return True
-        elif d1 <= 0 and d2 <= 0 and d3 <= 0:
-            return True
-    return False
+        out.setdefault(primitive(n), (i, j))
+    return out
+
+
+def _between(v: Vec, a: Vec, b: Vec) -> bool:
+    """Is v a non-negative combination of a and b, given a x b != 0?"""
+    n = cross(a, b)
+    return dot(v, n) == 0 and dot(cross(a, v), n) >= 0 and dot(cross(v, b), n) >= 0
 
 
 def extremal_rays(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
-    """Minimal primitive generating set of the pointed cone spanned by vectors."""
+    """Sorted primitive extremal rays of the pointed cone spanned by vectors.
+
+    Decided with integers only.  In rank 3 the facets are the supporting
+    planes through two rays: the cone is pointed exactly when their normals
+    span 3-space, and a ray is extremal exactly when two of them vanish on
+    it.  In rank 2 the cone is pointed exactly when two independent rays
+    hold every ray between them, and those two are the answer; in rank 1,
+    when one primitive ray is left.  Raises ValueError on a non-pointed cone.
+    """
     rays: list[Vec] = []
     for v in vectors:
         t = (int(v[0]), int(v[1]), int(v[2]))
@@ -163,12 +117,20 @@ def extremal_rays(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
         p = primitive(t)
         if p not in rays:
             rays.append(p)
-    if not rays:
-        return ()
-    if _zero_in_convex_hull(rays):
-        raise ValueError("generators span a non-pointed cone")
-    kept = [g for g in rays if not _in_cone_span(g, [h for h in rays if h != g])]
-    return tuple(sorted(kept))
+    rank = _rank(rays)
+    if rank == 3:
+        normals = list(_supporting_pairs(rays))
+        if _rank(normals) == 3:
+            return tuple(
+                sorted(g for g in rays if sum(dot(n, g) == 0 for n in normals) >= 2)
+            )
+    elif rank == 2:
+        for a, b in combinations(rays, 2):
+            if cross(a, b) != ZERO and all(_between(g, a, b) for g in rays):
+                return tuple(sorted((a, b)))
+    elif len(rays) < 2:
+        return tuple(rays)
+    raise ValueError("generators span a non-pointed cone")
 
 
 @dataclass(frozen=True)
@@ -194,7 +156,7 @@ class Cone:
             raise ValueError("a cone needs at least one nonzero generator")
         dim = _rank(gens)
         if dim == 3:
-            normals, pairs = _facet_data(gens)
+            normals, pairs = zip(*sorted(_supporting_pairs(gens).items()))
             return cls(gens, dim, normals, pairs, None)
         if dim == 2:
             n = primitive(cross(gens[0], gens[1]))
@@ -211,11 +173,7 @@ class Cone:
         if self.dim == 3:
             return all(dot(n, t) >= 0 for n in self.facet_normals)
         if self.dim == 2:
-            n = self.plane_normal
-            if dot(n, t) != 0:
-                return False
-            g1, g2 = self.generators
-            return dot(cross(g1, t), n) >= 0 and dot(cross(t, g2), n) >= 0
+            return _between(t, *self.generators)
         g = self.generators[0]
         return cross(t, g) == ZERO and dot(t, g) > 0
 
@@ -232,32 +190,6 @@ class Cone:
     def __str__(self) -> str:
         inner = ",".join("(%d,%d,%d)" % g for g in self.generators)
         return f"<{inner}>"
-
-
-def _facet_data(gens: tuple[Vec, ...]) -> tuple[tuple[Vec, ...], tuple[tuple[int, int], ...]]:
-    normals: list[Vec] = []
-    pairs: list[tuple[int, int]] = []
-    for (i, g1), (j, g2) in combinations(enumerate(gens), 2):
-        n = cross(g1, g2)
-        if n == ZERO:
-            continue
-        values = [dot(n, g) for g in gens]
-        if all(v >= 0 for v in values):
-            pass
-        elif all(v <= 0 for v in values):
-            n = vneg(n)
-        else:
-            continue
-        n = primitive(n)
-        if n in normals:
-            continue
-        normals.append(n)
-        pairs.append((i, j))
-    order = sorted(range(len(normals)), key=lambda k: normals[k])
-    return (
-        tuple(normals[k] for k in order),
-        tuple(pairs[k] for k in order),
-    )
 
 
 def contains(c: Cone, v: Sequence[int]) -> bool:

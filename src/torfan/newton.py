@@ -19,13 +19,11 @@ from .cones import (
     Vec,
     ZERO,
     _rank,
-    cross,
+    _supporting_pairs,
     dot,
-    primitive,
     triangulate,
     unimodular_det,
     vadd,
-    vneg,
     vsub,
 )
 from .polyparse import Polynomial
@@ -109,15 +107,9 @@ class Fan:
 def _normal_cone_rays(s: Vec, support: Sequence[Vec]) -> list[Vec]:
     """Extremal rays of {w >= 0 : w·a >= w·s for all support points a}."""
     constraints = [E1, E2, E3] + [vsub(a, s) for a in support if a != s]
-    rays: set[Vec] = set()
-    for n1, n2 in combinations(constraints, 2):
-        d = cross(n1, n2)
-        if d == ZERO:
-            continue
-        for cand in (d, vneg(d)):
-            if all(dot(n, cand) >= 0 for n in constraints):
-                rays.add(primitive(cand))
-    return sorted(rays)
+    # the rays of this cone are the facet normals of the cone over the
+    # constraints, which span 3-space because E1, E2, E3 are among them
+    return sorted(_supporting_pairs(constraints))
 
 
 def dual_newton_cones(p: Polynomial) -> list[tuple[Cone, Vec]]:

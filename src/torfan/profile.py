@@ -20,15 +20,14 @@ from .cones import (
     Vec,
     ZERO,
     _parallelepiped,
-    _solve_exact,
     cross,
     dot,
     triangulate,
+    unimodular_det,
+    vadd,
     vsub,
 )
 from .polyparse import parse_polynomial
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -113,29 +112,33 @@ class Profile:
     kind: str  # "simplicial" | "convex-hull"
 
 
+def _over(num: Vec, det: int) -> AffineFunctional:
+    return AffineFunctional(tuple(Fraction(x, det) for x in num))
+
+
 def l_functional(c: Cone) -> AffineFunctional:
-    """The linear functional with value 1 on every generator (simplicial, 3-D)."""
+    """The linear functional with value 1 on every generator (simplicial, 3-D).
+
+    The adjugate rows b x c, c x a, a x b each take the value det(a, b, c)
+    on one generator and 0 on the others, so l is their sum over det.
+    """
     if c.dim != 3 or not c.is_simplicial():
         raise ValueError("l functional requires a full-dimensional simplicial cone")
-    rows = [[Fraction(x) for x in g] for g in c.generators]
-    sol = _solve_exact(rows, [_ONE, _ONE, _ONE])
-    assert sol is not None  # rows are linearly independent
-    return AffineFunctional(tuple(sol))
+    a, b, g = c.generators
+    num = vadd(vadd(cross(b, g), cross(g, a)), cross(a, b))
+    return _over(num, unimodular_det(a, b, g))
 
 
 def _l_any_dim(c: Cone) -> AffineFunctional:
     if c.dim == 3:
         return l_functional(c)
     if c.dim == 2:
-        g1, g2 = c.generators
-        n = cross(g1, g2)
-        rows = [[Fraction(x) for x in v] for v in (g1, g2, n)]
-        sol = _solve_exact(rows, [_ONE, _ONE, Fraction(0)])
-        assert sol is not None
-        return AffineFunctional(tuple(sol))
+        # as above for the frame (a, b, n), with value 0 on the normal n
+        a, b = c.generators
+        n = cross(a, b)
+        return _over(vadd(cross(b, n), cross(n, a)), dot(n, n))
     (g,) = c.generators
-    scale = Fraction(1, dot(g, g))
-    return AffineFunctional(tuple(Fraction(x) * scale for x in g))
+    return _over(g, dot(g, g))
 
 
 def _hull_facets_off_origin(points: Sequence[Vec]) -> list[AffineFunctional]:

@@ -30,19 +30,7 @@ from .cones import (
     unimodular_det,
 )
 from .newton import Fan, octant_solid_volume
-from .profile import profile
-
-
-def _barycentric(gens: Sequence[Vec], v: Vec) -> tuple[Fraction, ...] | None:
-    """Coordinates of v in a simplicial generator triple, or None if outside."""
-    a, b, c = gens
-    det = unimodular_det(a, b, c)
-    lam = (
-        Fraction(unimodular_det(v, b, c), det),
-        Fraction(unimodular_det(a, v, c), det),
-        Fraction(unimodular_det(a, b, v), det),
-    )
-    return lam if all(x >= 0 for x in lam) else None
+from .profile import l_functional, profile
 
 
 def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
@@ -81,10 +69,24 @@ def _det_snapshot(pieces: Sequence[Cone]) -> tuple[int, ...]:
     return tuple(sorted((_piece_certificate(p) for p in pieces), reverse=True))
 
 
-def _l_value(piece: Cone, v: Vec) -> Fraction:
-    lam = _barycentric(piece.generators, v)
-    assert lam is not None
-    return sum(lam, Fraction(0))
+def _snapshot(history: list[tuple[int, ...]], pieces: Sequence[Cone]) -> None:
+    """Record the determinants once every piece is simplicial."""
+    if all(p.is_simplicial() for p in pieces):
+        history.append(_det_snapshot(pieces))
+
+
+def _certified_fan(
+    pieces: Sequence[Cone],
+) -> tuple[Fan, tuple[tuple[tuple[int, ...], int], ...]]:
+    """The fan of the pieces and, per piece in generator order, its ray
+    indices in that fan with its lattice index."""
+    pieces = sorted(pieces, key=lambda p: p.generators)
+    fan = Fan.from_cones(pieces)
+    index = {r: i for i, r in enumerate(fan.rays)}
+    return fan, tuple(
+        (tuple(sorted(index[g] for g in p.generators)), _piece_certificate(p))
+        for p in pieces
+    )
 
 
 def _gauge_level(c: Cone) -> Callable[[Vec], Fraction]:
@@ -193,16 +195,7 @@ def _build_report(
     used_fallback: bool,
     hilbert: _HilbertSets,
 ) -> RefinementReport:
-    pieces = sorted(pieces, key=lambda p: p.generators)
-    fan = Fan.from_cones(pieces)
-    index = {r: i for i, r in enumerate(fan.rays)}
-    certificates = tuple(
-        (
-            tuple(sorted(index[g] for g in p.generators)),
-            _piece_certificate(p),
-        )
-        for p in pieces
-    )
+    fan, certificates = _certified_fan(pieces)
     covering_ok = octant_solid_volume(sources) == octant_solid_volume(pieces)
     face_ok = _face_pairing_ok(pieces, sources)
     source_rays = {g for s in sources for g in s.generators}
@@ -242,12 +235,7 @@ def _low_dim_refinement(
             return Fraction(toward_b, toward_a + toward_b)
         chain = [a, *sorted(inserted, key=along), b]
         pieces = [Cone.from_generators(pair) for pair in zip(chain, chain[1:])]
-    fan = Fan.from_cones(pieces)
-    index = {r: i for i, r in enumerate(fan.rays)}
-    certificates = tuple(
-        (tuple(sorted(index[g] for g in p.generators)), _piece_certificate(p))
-        for p in sorted(pieces, key=lambda p: p.generators)
-    )
+    fan, certificates = _certified_fan(pieces)
     irreducible = all(ray in hilbert[c] for ray in fan.rays)
     new_rays = tuple(sorted(set(fan.rays) - set(c.generators)))
     return RefinementReport(
@@ -273,17 +261,12 @@ def regular_refinement(c: Cone) -> RefinementReport:
     pieces: list[Cone] = [c]
     history: list[tuple[int, ...]] = []
     used_fallback = False
-
-    def snapshot() -> None:
-        if all(p.is_simplicial() for p in pieces):
-            history.append(_det_snapshot(pieces))
-
-    snapshot()
+    _snapshot(history, pieces)
     boundary = _boundary_face_points(c, basis)
     for v in sorted(boundary, key=lambda v: (level(v), v)):
         pieces, changed = stellar_insert(pieces, v)
         if changed:
-            snapshot()
+            _snapshot(history, pieces)
 
     # A cone whose Hilbert basis meets no boundary 2-face can still be
     # non-simplicial here; split at interior basis elements, or fan out.
@@ -301,7 +284,7 @@ def regular_refinement(c: Cone) -> RefinementReport:
         else:
             pieces = [q for p in pieces for q in
                       (triangulate(p) if p is tau else (p,))]
-        snapshot()
+        _snapshot(history, pieces)
 
     while True:
         worst = [p for p in pieces if abs(unimodular_det(*p.generators)) != 1]
@@ -316,7 +299,8 @@ def regular_refinement(c: Cone) -> RefinementReport:
                 if h not in tau.generators
             ]
             used_fallback = True
-        chosen = min(pool, key=lambda h: (_l_value(tau, h), h))
+        l = l_functional(tau)
+        chosen = min(pool, key=lambda h: (l(h), h))
         pieces, changed = stellar_insert(pieces, chosen)
         assert changed
         history.append(_det_snapshot(pieces))
@@ -348,21 +332,16 @@ def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
     level = _gauge_level(c)
     pieces: list[Cone] = [c]
     history: list[tuple[int, ...]] = []
-
-    def snapshot() -> None:
-        if all(p.is_simplicial() for p in pieces):
-            history.append(_det_snapshot(pieces))
-
-    snapshot()
+    _snapshot(history, pieces)
     to_insert = [v for v in cleaned if v not in c.generators]
     for v in sorted(to_insert, key=lambda v: (level(v), v)):
         pieces, changed = stellar_insert(pieces, v)
         if changed:
-            snapshot()
+            _snapshot(history, pieces)
     # no prescribed ray may have landed inside a non-simplicial piece
     if any(not p.is_simplicial() for p in pieces):
         pieces = [q for p in pieces for q in triangulate(p)]
-        snapshot()
+        _snapshot(history, pieces)
     return _build_report([c], pieces, history, False, _HilbertSets())
 
 

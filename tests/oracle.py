@@ -8,12 +8,17 @@ sums.  It shares no code path with torfan.cones.hilbert_basis.
 The ``box_*`` oracles test every lattice point of a bounding box, so their
 cost is the volume of that box.  torfan enumerates the lattice group
 Z^3/<g> instead; these searches share no code with it.
+
+``caratheodory_extremal_rays`` decides pointedness and extremality by
+Caratheodory subset searches (Fraction elimination, Cramer's rule); torfan
+decides both from the integer supporting planes through pairs of rays.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 Vec = tuple[int, int, int]
 
@@ -171,6 +176,96 @@ def box_is_irreducible(gens, v: Vec) -> bool:
 
 def det3(a: Vec, b: Vec, c: Vec) -> int:
     return _dot(a, _cross(b, c))
+
+
+def _solve_exact(rows, rhs):
+    """Gaussian elimination over Q; the unique solution of rows*x = rhs,
+    or None when there is none or it is not unique."""
+    m, n = len(rows), len(rows[0])
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][col]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    if len(pivots) < n or any(aug[i][n] != 0 for i in range(r, m)):
+        return None
+    sol = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        sol[col] = aug[i][n]
+    return sol
+
+
+def _zero_in_convex_hull(points) -> bool:
+    """Is 0 a convex combination of at most four of the points?"""
+    if (0, 0, 0) in points:
+        return True
+    for k in (2, 3, 4):
+        for subset in combinations(points, k):
+            rows = [[Fraction(p[i]) for p in subset] for i in range(3)]
+            rows.append([Fraction(1)] * k)
+            lam = _solve_exact(rows, [Fraction(0)] * 3 + [Fraction(1)])
+            if lam is not None and all(x >= 0 for x in lam):
+                return True
+    return False
+
+
+def _in_cone_span(v: Vec, gens) -> bool:
+    """Is v a non-negative combination of one, two or three of gens?
+    Decided by Cramer's rule on each independent subset."""
+    for g in gens:
+        if _cross(v, g) == (0, 0, 0) and _dot(v, g) > 0:
+            return True
+    for g1, g2 in combinations(gens, 2):
+        n = _cross(g1, g2)
+        if n == (0, 0, 0) or _dot(n, v) != 0:
+            continue
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            d = g1[i] * g2[j] - g1[j] * g2[i]
+            if d:
+                da = v[i] * g2[j] - v[j] * g2[i]
+                db = g1[i] * v[j] - g1[j] * v[i]
+                if da * d >= 0 and db * d >= 0:
+                    return True
+                break  # the representation in this pair is unique
+    for g1, g2, g3 in combinations(gens, 3):
+        d = det3(g1, g2, g3)
+        if d and all(x * d >= 0 for x in (det3(v, g2, g3), det3(g1, v, g3), det3(g1, g2, v))):
+            return True
+    return False
+
+
+def caratheodory_extremal_rays(vectors) -> tuple[Vec, ...]:
+    """Sorted primitive extremal rays of the cone over vectors.
+
+    The cone is pointed exactly when 0 is not in the convex hull of the
+    nonzero generators, and a generator is extremal exactly when it is not
+    in the cone of the others; both are searched over Caratheodory subsets.
+    Raises the ValueError torfan raises on a non-pointed cone.
+    """
+    rays: list[Vec] = []
+    for v in vectors:
+        t = (int(v[0]), int(v[1]), int(v[2]))
+        g = gcd(gcd(abs(t[0]), abs(t[1])), abs(t[2]))
+        if g and (t[0] // g, t[1] // g, t[2] // g) not in rays:
+            rays.append((t[0] // g, t[1] // g, t[2] // g))
+    if _zero_in_convex_hull(rays):
+        raise ValueError("generators span a non-pointed cone")
+    return tuple(
+        sorted(g for g in rays if not _in_cone_span(g, [h for h in rays if h != g]))
+    )
 
 
 def octant_slice_volume(triples) -> Fraction:

@@ -220,14 +220,6 @@ def test_verify_unknown_family():
         verify("Z9")
 
 
-def test_verify_thread_count_does_not_change_report(monkeypatch):
-    monkeypatch.setenv("TORFAN_THREADS", "1")
-    one = verify("B-odd", B22).to_obj()
-    monkeypatch.setenv("TORFAN_THREADS", "3")
-    three = verify("B-odd", B22).to_obj()
-    assert one == three
-
-
 def test_groebner_meet_sources_and_walls():
     gm = groebner_meet("ELLIPTIC-1")
     assert gm["source"] == "hilbert-basis"

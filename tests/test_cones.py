@@ -23,7 +23,9 @@ from oracle import (
     box_is_irreducible,
     box_parallelepiped_points,
     brute_force_hilbert_simplicial,
+    caratheodory_extremal_rays,
     random_simplicial_octant_cones,
+    supporting_normals,
 )
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -78,6 +80,45 @@ def test_extremal_rays_non_pointed():
         extremal_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
     with pytest.raises(ValueError):
         extremal_rays([(1, 1, 0), (-1, 1, 0), (0, -1, 0)])
+
+
+def _random_generators(rng: random.Random) -> list[tuple[int, int, int]]:
+    """1-7 vectors: 10 % on one line, 20 % in one plane, the rest with
+    entries in [-3, 9]."""
+    k = rng.randint(1, 7)
+    draw = lambda: tuple(rng.randint(-3, 9) for _ in range(3))
+    kind = rng.random()
+    if kind < 0.1:
+        d = draw()
+        return [tuple(rng.randint(-1, 3) * x for x in d) for _ in range(k)]
+    if kind < 0.3:
+        a, b = draw(), draw()
+        return [
+            tuple(s * x + t * y for x, y in zip(a, b))
+            for s, t in ((rng.randint(-1, 3), rng.randint(-1, 3)) for _ in range(k))
+        ]
+    return [draw() for _ in range(k)]
+
+
+def _rays_or_error(f, vectors):
+    try:
+        return f(vectors)
+    except ValueError as e:
+        return str(e)
+
+
+def test_extremal_rays_match_caratheodory_oracle():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        vectors = _random_generators(rng)
+        got = _rays_or_error(extremal_rays, vectors)
+        assert got == _rays_or_error(caratheodory_extremal_rays, vectors), vectors
+        if isinstance(got, tuple) and len(got) >= 3:
+            c = Cone.from_generators(vectors)
+            if c.dim == 3:
+                assert set(c.facet_normals) == {
+                    primitive(n) for n in supporting_normals(vectors)
+                }, vectors
 
 
 def test_is_regular():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracle import box_profile_points, random_simplicial_octant_cones
-from torfan.cones import Cone, hilbert_basis
+from torfan.cones import Cone, cross, dot, hilbert_basis
 from torfan.profile import (
     AffineFunctional,
     SubprofileSpec,
@@ -59,6 +59,27 @@ def test_profile_simplicial_facet_equation():
     assert p.kind == "simplicial"
     assert len(p.bounding) == 1
     assert facet_equation(p.bounding[0]) == "8x-3y-3z+3"
+
+
+def test_simplicial_profile_vanishes_on_generators_in_every_dimension():
+    rng = random.Random(60)
+    draw = lambda: tuple(rng.randint(-4, 7) for _ in range(3))
+    cones = []
+    for dim in (1, 2, 3):
+        while sum(c.dim == dim for c in cones) < 20:
+            try:
+                c = Cone.from_generators([draw() for _ in range(dim)])
+            except ValueError:
+                continue
+            if c.dim == dim:
+                cones.append(c)
+    for c in cones:
+        p = profile(c)
+        assert p.kind == "simplicial"
+        (bound,) = p.bounding
+        assert all(bound(g) == 0 for g in c.generators), c
+        if c.dim == 2:
+            assert dot(bound.coeffs, cross(*c.generators)) == 0, c
 
 
 def test_profile_single_hull_facet():
