@@ -642,7 +642,7 @@ class VerificationReport:
 
 
 def _check_cone(c: Cone, vertex: Vec, insert: list[Vec], rtp: bool) -> dict:
-    h = sorted(hilbert_basis(c))
+    h = list(c.hilbert)
     rep = refinement_from_rays(c, insert if insert else h)
     prof = profile(c)
     points = profile_lattice_points(prof)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
@@ -105,9 +106,10 @@ def extremal_rays(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
     Decided with integers only.  In rank 3 the facets are the supporting
     planes through two rays: the cone is pointed exactly when their normals
     span 3-space, and a ray is extremal exactly when two of them vanish on
-    it.  In rank 2 the cone is pointed exactly when two independent rays
-    hold every ray between them, and those two are the answer; in rank 1,
-    when one primitive ray is left.  Raises ValueError on a non-pointed cone.
+    it; three independent rays are always extremal, so they skip this.  In
+    rank 2 the cone is pointed exactly when two independent rays hold every
+    ray between them, and those two are the answer; in rank 1, when one
+    primitive ray is left.  Raises ValueError on a non-pointed cone.
     """
     rays: list[Vec] = []
     for v in vectors:
@@ -119,6 +121,8 @@ def extremal_rays(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
             rays.append(p)
     rank = _rank(rays)
     if rank == 3:
+        if len(rays) == 3:
+            return tuple(sorted(rays))
         normals = list(_supporting_pairs(rays))
         if _rank(normals) == 3:
             return tuple(
@@ -140,7 +144,8 @@ class Cone:
     For 3-dimensional cones ``facet_normals[i]`` is the primitive inner normal
     of the 2-face spanned by the ray pair ``facets[i]`` (indices into
     ``generators``); membership is the conjunction of those inequalities.
-    ``plane_normal`` is set for 2-dimensional cones only.
+    ``plane_normal`` is set for 2-dimensional cones only.  ``hilbert`` is
+    the cone's Hilbert basis, computed on first use and then kept.
     """
 
     generators: tuple[Vec, ...]
@@ -162,6 +167,10 @@ class Cone:
             n = primitive(cross(gens[0], gens[1]))
             return cls(gens, dim, (), ((0, 1),), n)
         return cls(gens, dim, (), (), None)
+
+    @cached_property
+    def hilbert(self) -> "HilbertBasis":
+        return hilbert_basis(self)
 
     def is_simplicial(self) -> bool:
         return len(self.generators) == self.dim
@@ -334,8 +343,8 @@ def is_irreducible(c: Cone, v: Sequence[int]) -> bool:
     """No way to write v as a sum of two nonzero lattice points of the cone.
 
     For a cone in the octant this is membership of v in the Hilbert basis,
-    which is the set of irreducible points; callers checking many points
-    of one cone should compute ``hilbert_basis`` once instead.
+    which is the set of irreducible points; the basis is computed once per
+    cone object (``Cone.hilbert``).
     """
     t = (int(v[0]), int(v[1]), int(v[2]))
     if t == ZERO:
@@ -343,7 +352,7 @@ def is_irreducible(c: Cone, v: Sequence[int]) -> bool:
     if not c.contains(t):
         raise ValueError(f"{t} is not in the cone")
     _require_octant_semigroup(c)
-    return t in hilbert_basis(c).elements
+    return t in c.hilbert.elements
 
 
 @dataclass(frozen=True)
@@ -378,11 +387,21 @@ def hilbert_basis(c: Cone, apex: str = "lexmin") -> HilbertBasis:
     # grading on the octant, and a reducible v is v = h + w with h an
     # irreducible point of smaller degree and w in the cone.  Irreducible
     # points are candidates, so by induction on the degree the points kept
-    # before v are exactly the Hilbert elements of smaller degree.
-    kept: list[Vec] = []
+    # before v are exactly the Hilbert elements of smaller degree.  All
+    # candidates lie in the span of c, where w = v - h is in the cone
+    # exactly when no support form is smaller on v than on h.
+    if c.dim == 3:
+        forms = c.facet_normals
+    elif c.dim == 2:
+        a, b = c.generators
+        forms = (cross(c.plane_normal, a), cross(b, c.plane_normal))
+    else:
+        forms = c.generators
+    kept: dict[Vec, tuple[int, ...]] = {}
     for v in sorted(candidates, key=lambda u: (u[0] + u[1] + u[2], u)):
-        if not any(c.contains(vsub(v, h)) for h in kept):
-            kept.append(v)
+        height = tuple(dot(n, v) for n in forms)
+        if not any(all(x <= y for x, y in zip(hh, height)) for hh in kept.values()):
+            kept[v] = height
     return HilbertBasis(c, tuple(sorted(kept)))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from typing import Sequence
@@ -32,7 +33,11 @@ from .polyparse import parse_polynomial
 
 @dataclass(frozen=True)
 class AffineFunctional:
-    """a·x + b·y + c·z + d with exact rational coefficients."""
+    """a·x + b·y + c·z + d with exact rational coefficients.
+
+    ``integer_form`` is (a', b', c', d', q): integers with q > 0, the least
+    common denominator, such that the functional is (a'x + b'y + c'z + d')/q.
+    """
 
     coeffs: tuple[Fraction, Fraction, Fraction]
     constant: Fraction = Fraction(0)
@@ -41,9 +46,17 @@ class AffineFunctional:
     def from_integers(cls, a: int, b: int, c: int, d: int = 0) -> "AffineFunctional":
         return cls((Fraction(a), Fraction(b), Fraction(c)), Fraction(d))
 
+    @cached_property
+    def integer_form(self) -> tuple[int, int, int, int, int]:
+        parts = (*self.coeffs, self.constant)
+        q = 1
+        for p in parts:
+            q = q * p.denominator // gcd(q, p.denominator)
+        return (*(p.numerator * (q // p.denominator) for p in parts), q)
+
     def __call__(self, v: Sequence) -> Fraction:
-        a, b, c = self.coeffs
-        return a * v[0] + b * v[1] + c * v[2] + self.constant
+        a, b, c, d, q = self.integer_form
+        return Fraction(a * v[0] + b * v[1] + c * v[2] + d, q)
 
     def negated(self) -> "AffineFunctional":
         a, b, c = self.coeffs
@@ -51,11 +64,7 @@ class AffineFunctional:
 
     def integer_primitive(self) -> "AffineFunctional":
         """Smallest positive multiple with integer coefficients."""
-        parts = list(self.coeffs) + [self.constant]
-        scale = 1
-        for p in parts:
-            scale = scale * p.denominator // gcd(scale, p.denominator)
-        ints = [int(p * scale) for p in parts]
+        ints = self.integer_form[:4]
         g = 0
         for x in ints:
             g = gcd(g, abs(x))

@@ -24,7 +24,6 @@ from .cones import (
     Vec,
     cross,
     dot,
-    hilbert_basis,
     primitive,
     triangulate,
     unimodular_det,
@@ -95,11 +94,10 @@ def _gauge_level(c: Cone) -> Callable[[Vec], Fraction]:
     Agrees with the l-functional on simplicial cones and is defined without
     reference to any triangulation otherwise.
     """
-    scaled = [(b.coeffs, -b.constant) for b in profile(c).bounding]
+    forms = [b.integer_form for b in profile(c).bounding]
     def level(v: Vec) -> Fraction:
         return max(
-            sum((co * x for co, x in zip(coeffs, v)), Fraction(0)) / denom
-            for coeffs, denom in scaled
+            Fraction(a * v[0] + b * v[1] + e * v[2], -d) for a, b, e, d, _ in forms
         )
     return level
 
@@ -113,19 +111,6 @@ def _boundary_face_points(c: Cone, candidates: Iterable[Vec]) -> list[Vec]:
             if h not in face.generators and face.contains(h):
                 out.append(h)
     return sorted(set(out))
-
-
-class _HilbertSets(dict):
-    """Hilbert basis of each cone as a set, computed on first lookup.
-
-    A ray of a cone is irreducible there exactly when it is in this set.
-    One instance serves one report, and in ``regular_refinement`` also
-    the insertions, so a cone's basis is computed once there.
-    """
-
-    def __missing__(self, c: Cone) -> set[Vec]:
-        basis = self[c] = set(hilbert_basis(c).elements)
-        return basis
 
 
 @dataclass(frozen=True)
@@ -164,14 +149,17 @@ class MinimalityReport:
     curve_check: str = "not checked"
 
 
-def _face_pairing_ok(pieces: Sequence[Cone], sources: Sequence[Cone]) -> bool:
-    """Every interior 2-face shared by exactly two pieces, the rest on the boundary."""
+def _face_pairing_ok(
+    pieces: Sequence[Cone], sources: Sequence[Cone], source_volume: Fraction
+) -> bool:
+    """Every interior 2-face shared by exactly two pieces, the rest on the
+    boundary; ``source_volume`` is the octant solid volume of the sources."""
     counts: dict[tuple[Vec, Vec], int] = {}
     for p in pieces:
         for i, j in p.facets:
             key = tuple(sorted((p.generators[i], p.generators[j])))
             counts[key] = counts.get(key, 0) + 1
-    complete = octant_solid_volume(sources) == Fraction(1, 6)
+    complete = source_volume == Fraction(1, 6)
     for (a, b), count in counts.items():
         if count == 2:
             continue
@@ -193,14 +181,14 @@ def _build_report(
     pieces: Sequence[Cone],
     det_history: Sequence[tuple[int, ...]],
     used_fallback: bool,
-    hilbert: _HilbertSets,
 ) -> RefinementReport:
     fan, certificates = _certified_fan(pieces)
-    covering_ok = octant_solid_volume(sources) == octant_solid_volume(pieces)
-    face_ok = _face_pairing_ok(pieces, sources)
+    volume = octant_solid_volume(sources)
+    covering_ok = volume == octant_solid_volume(pieces)
+    face_ok = _face_pairing_ok(pieces, sources, volume)
     source_rays = {g for s in sources for g in s.generators}
     irreducible = all(
-        ray in hilbert[s]
+        ray in s.hilbert.elements
         for ray in fan.rays
         for s in sources
         if s.contains(ray)
@@ -219,9 +207,7 @@ def _build_report(
     )
 
 
-def _low_dim_refinement(
-    c: Cone, inserted: Sequence[Vec], hilbert: _HilbertSets
-) -> RefinementReport:
+def _low_dim_refinement(c: Cone, inserted: Sequence[Vec]) -> RefinementReport:
     """Chain refinement of a ray or planar cone; covering and fitting hold
     by construction (consecutive pieces share exactly their common ray)."""
     if c.dim == 1 or not inserted:
@@ -236,7 +222,7 @@ def _low_dim_refinement(
         chain = [a, *sorted(inserted, key=along), b]
         pieces = [Cone.from_generators(pair) for pair in zip(chain, chain[1:])]
     fan, certificates = _certified_fan(pieces)
-    irreducible = all(ray in hilbert[c] for ray in fan.rays)
+    irreducible = all(ray in c.hilbert.elements for ray in fan.rays)
     new_rays = tuple(sorted(set(fan.rays) - set(c.generators)))
     return RefinementReport(
         (c,), fan, certificates, True, True, irreducible, new_rays,
@@ -251,12 +237,9 @@ def regular_refinement(c: Cone) -> RefinementReport:
     identically), then the lexicographically first non-regular piece is
     split at the Hilbert element of least l-value until none remain.
     """
-    hilbert = _HilbertSets()
-    basis = sorted(hilbert[c])
+    basis = c.hilbert.elements
     if c.dim != 3:
-        return _low_dim_refinement(
-            c, [h for h in basis if h not in c.generators], hilbert
-        )
+        return _low_dim_refinement(c, [h for h in basis if h not in c.generators])
     level = _gauge_level(c)
     pieces: list[Cone] = [c]
     history: list[tuple[int, ...]] = []
@@ -293,18 +276,14 @@ def regular_refinement(c: Cone) -> RefinementReport:
         tau = min(worst, key=lambda p: p.generators)
         pool = [h for h in basis if h not in tau.generators and tau.contains(h)]
         if not pool:
-            pool = [
-                h
-                for h in hilbert_basis(tau).elements
-                if h not in tau.generators
-            ]
+            pool = [h for h in tau.hilbert.elements if h not in tau.generators]
             used_fallback = True
         l = l_functional(tau)
         chosen = min(pool, key=lambda h: (l(h), h))
         pieces, changed = stellar_insert(pieces, chosen)
         assert changed
         history.append(_det_snapshot(pieces))
-    return _build_report([c], pieces, history, used_fallback, hilbert)
+    return _build_report([c], pieces, history, used_fallback)
 
 
 def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
@@ -325,9 +304,7 @@ def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
             raise ValueError(f"duplicate prescribed ray {v}")
         cleaned.append(v)
     if c.dim != 3:
-        return _low_dim_refinement(
-            c, [v for v in cleaned if v not in c.generators], _HilbertSets()
-        )
+        return _low_dim_refinement(c, [v for v in cleaned if v not in c.generators])
 
     level = _gauge_level(c)
     pieces: list[Cone] = [c]
@@ -342,7 +319,7 @@ def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
     if any(not p.is_simplicial() for p in pieces):
         pieces = [q for p in pieces for q in triangulate(p)]
         _snapshot(history, pieces)
-    return _build_report([c], pieces, history, False, _HilbertSets())
+    return _build_report([c], pieces, history, False)
 
 
 def refine_fan(
@@ -360,7 +337,7 @@ def refine_fan(
         all_pieces.extend(report.result.cone_objects())
         history.extend(report.det_history)
         used_fallback = used_fallback or report.used_fallback
-    return _build_report(cones, all_pieces, history, used_fallback, _HilbertSets())
+    return _build_report(cones, all_pieces, history, used_fallback)
 
 
 def refinement_rays(f: Fan) -> set[Vec]:
@@ -376,9 +353,8 @@ def check_minimal_embedded(r: RefinementReport) -> MinimalityReport:
     """
     if not r.all_unimodular():
         raise ValueError("minimality check expects a regular refinement")
-    hilbert = _HilbertSets()
     entries = []
     for ray in r.result.rays:
-        flags = [ray in hilbert[s] for s in r.source if s.contains(ray)]
+        flags = [ray in s.hilbert.elements for s in r.source if s.contains(ray)]
         entries.append((ray, bool(flags) and all(flags)))
     return MinimalityReport(tuple(entries), all(ok for _, ok in entries))

@@ -9,6 +9,11 @@ The ``box_*`` oracles test every lattice point of a bounding box, so their
 cost is the volume of that box.  torfan enumerates the lattice group
 Z^3/<g> instead; these searches share no code with it.
 
+``brute_force_hilbert_planar`` does the same for a cone over two rays: a
+box point is in the cone when it lies in the rays' plane and its
+coordinates in the rays, by Cramer's rule on one 2x2 minor, are both
+non-negative.
+
 ``caratheodory_extremal_rays`` decides pointedness and extremality by
 Caratheodory subset searches (Fraction elimination, Cramer's rule); torfan
 decides both from the integer supporting planes through pairs of rays.
@@ -67,6 +72,41 @@ def brute_force_hilbert_simplicial(g1: Vec, g2: Vec, g3: Vec) -> tuple[Vec, ...]
                     reducible = True
                     break
         if not reducible:
+            basis.append(u)
+    return tuple(sorted(basis))
+
+
+def brute_force_hilbert_planar(g1: Vec, g2: Vec) -> tuple[Vec, ...]:
+    """Hilbert basis of the planar cone over two independent octant rays."""
+    n = _cross(g1, g2)
+    if n == (0, 0, 0):
+        raise ValueError("generators are dependent")
+    if any(c < 0 for g in (g1, g2) for c in g):
+        raise ValueError("oracle assumes the octant")
+    i, j = next(
+        (i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if g1[i] * g2[j] != g1[j] * g2[i]
+    )
+    d = g1[i] * g2[j] - g1[j] * g2[i]
+
+    def between(u):
+        s = u[i] * g2[j] - u[j] * g2[i]  # d times the coefficient of g1
+        t = g1[i] * u[j] - g1[j] * u[i]  # d times the coefficient of g2
+        return s * d >= 0 and t * d >= 0
+
+    bound = [g1[k] + g2[k] for k in range(3)]
+    points = {
+        u
+        for u in product(*(range(b + 1) for b in bound))
+        if u != (0, 0, 0) and _dot(n, u) == 0 and between(u)
+    }
+    basis = []
+    for u in points:
+        if not any(
+            a != u
+            and all(a[k] <= u[k] for k in range(3))
+            and (u[0] - a[0], u[1] - a[1], u[2] - a[2]) in points
+            for a in points
+        ):
             basis.append(u)
     return tuple(sorted(basis))
 

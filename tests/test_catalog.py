@@ -215,6 +215,14 @@ def test_verify_d_appendix_coverage_fails_on_reducible_points():
     assert (2, 2, 4) in uncovered  # midpoint of generators (1,0,0) and (3,4,8)
 
 
+@pytest.mark.parametrize("family, params", [("E60", None), ("B-odd", B22)])
+def test_verify_computes_each_cone_basis_once(hilbert_calls, family, params):
+    report = verify(family, params)
+    assert sorted(c.generators for c in hilbert_calls) == sorted(
+        tuple(tuple(r) for r in cr["rays"]) for cr in report.cones
+    )
+
+
 def test_verify_unknown_family():
     with pytest.raises(CatalogError):
         verify("Z9")

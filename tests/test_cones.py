@@ -22,6 +22,7 @@ from torfan.cones import (
 from oracle import (
     box_is_irreducible,
     box_parallelepiped_points,
+    brute_force_hilbert_planar,
     brute_force_hilbert_simplicial,
     caratheodory_extremal_rays,
     random_simplicial_octant_cones,
@@ -238,6 +239,29 @@ def test_hilbert_basis_two_dimensional_face():
     assert E2 in hb and (6, 8, 9) in hb
     for v in hb:
         assert c.contains(v)
+
+
+def test_planar_hilbert_basis_matches_box_oracle():
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 40:
+        g1, g2 = (tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(2))
+        if cross(g1, g2) == (0, 0, 0):
+            continue
+        c = Cone.from_generators([g1, g2])
+        assert c.dim == 2
+        expected = brute_force_hilbert_planar(*c.generators)
+        assert hilbert_basis(c).elements == expected, c
+        checked += 1
+
+
+def test_cone_hilbert_is_computed_once_per_cone(hilbert_calls):
+    c = Cone.from_generators([E2, (3, 1, 0), (6, 8, 9)])
+    assert c.hilbert is c.hilbert
+    assert is_irreducible(c, (2, 3, 3))
+    assert hilbert_calls == [c]
+    fresh = hilbert_basis(c)  # the function itself keeps nothing
+    assert fresh == c.hilbert and fresh is not c.hilbert
 
 
 def test_hilbert_basis_requires_octant():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -184,6 +185,28 @@ def test_functional_str_and_primitive():
     f = AffineFunctional((Fraction(-8, 3), Fraction(1), Fraction(1)), Fraction(-1))
     assert str(f.negated().integer_primitive()) == "8x-3y-3z+3"
     assert str(AffineFunctional.from_integers(0, 0, 0, 2).integer_primitive()) == "1"
+
+
+def test_integer_form_matches_fraction_arithmetic():
+    rng = random.Random(20261018)
+
+    def rational():
+        return Fraction(rng.choice([0, rng.randint(-30, 30)]), rng.randint(1, 12))
+
+    for _ in range(600):
+        parts = [rational() for _ in range(4)]
+        f = AffineFunctional(tuple(parts[:3]), parts[3])
+        v = tuple(rng.randint(-20, 20) for _ in range(3))
+        assert f(v) == parts[0] * v[0] + parts[1] * v[1] + parts[2] * v[2] + parts[3]
+
+        scale = lcm(*(p.denominator for p in parts))
+        ints = [p.numerator * scale // p.denominator for p in parts]
+        g = gcd(*ints) or 1
+        ints = [x // g for x in ints]
+        assert f.integer_primitive() == AffineFunctional.from_integers(*ints)
+        sign = next((1 if x > 0 else -1 for x in ints if x), 1)
+        expected = AffineFunctional.from_integers(*(sign * x for x in ints))
+        assert facet_equation(f) == str(expected)
 
 
 def test_subprofile_incidence_validation():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from torfan.cones import Cone, hilbert_basis, is_irreducible
@@ -256,6 +258,27 @@ def test_random_cones_every_new_ray_irreducible():
             continue
         for ray in rep.new_rays:
             assert is_irreducible(c, ray)
+
+
+def test_regular_refinement_reuses_the_cone_basis(hilbert_calls):
+    rng = random.Random(20261018)
+    plain = 0
+    while plain < 20:
+        k = rng.randint(3, 5)
+        vs = [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(k)]
+        if (0, 0, 0) in vs:
+            continue
+        c = Cone.from_generators(vs)
+        basis = c.hilbert
+        hilbert_calls.clear()
+        rep = regular_refinement(c)
+        assert c.hilbert is basis
+        if rep.used_fallback:
+            # only the pieces split by the fallback get a basis of their own
+            assert hilbert_calls and c not in hilbert_calls
+        else:
+            assert hilbert_calls == []
+            plain += 1
 
 
 def test_extended_brieskorn_rung_resolves_with_sound_cones():
