@@ -159,7 +159,7 @@ class Cone:
         gens = extremal_rays(vectors)
         if not gens:
             raise ValueError("a cone needs at least one nonzero generator")
-        dim = _rank(gens)
+        dim = min(len(gens), 3)
         if dim == 3:
             normals, pairs = zip(*sorted(_supporting_pairs(gens).items()))
             return cls(gens, dim, normals, pairs, None)
@@ -171,6 +171,21 @@ class Cone:
     @cached_property
     def hilbert(self) -> "HilbertBasis":
         return hilbert_basis(self)
+
+    @cached_property
+    def multiplicity(self) -> int:
+        """Index of the lattice the generators span in the lattice points of
+        their span: |det| for a 3-dimensional cone, the gcd of the 2x2 minors
+        for a planar one, 1 for a ray.  The cone is regular exactly when it
+        is 1.  Raises ValueError on a non-simplicial cone."""
+        if not self.is_simplicial():
+            raise ValueError("multiplicity needs a simplicial cone; triangulate first")
+        if self.dim == 3:
+            return abs(unimodular_det(*self.generators))
+        if self.dim == 2:
+            m = cross(*self.generators)
+            return gcd(gcd(abs(m[0]), abs(m[1])), abs(m[2]))
+        return 1  # a primitive ray extends to a lattice basis
 
     def is_simplicial(self) -> bool:
         return len(self.generators) == self.dim
@@ -201,21 +216,9 @@ class Cone:
         return f"<{inner}>"
 
 
-def contains(c: Cone, v: Sequence[int]) -> bool:
-    return c.contains(v)
-
-
 def is_regular(c: Cone) -> bool:
     """Unimodularity; non-simplicial cones are reported as not regular."""
-    if not c.is_simplicial():
-        return False
-    if c.dim == 3:
-        return abs(unimodular_det(*c.generators)) == 1
-    if c.dim == 2:
-        g1, g2 = c.generators
-        minors = cross(g1, g2)  # the three 2x2 minors up to sign
-        return gcd(gcd(abs(minors[0]), abs(minors[1])), abs(minors[2])) == 1
-    return True  # a primitive ray extends to a lattice basis
+    return c.is_simplicial() and c.multiplicity == 1
 
 
 def triangulate(c: Cone, apex: str = "lexmin") -> tuple[Cone, ...]:

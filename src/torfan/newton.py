@@ -22,7 +22,6 @@ from .cones import (
     _supporting_pairs,
     dot,
     triangulate,
-    unimodular_det,
     vadd,
     vsub,
 )
@@ -170,20 +169,13 @@ def dual_newton_fan(p: Polynomial) -> Fan:
     )
 
 
-def _functional_value(v: Vec) -> int:
-    return v[0] + v[1] + v[2]
-
-
 def octant_solid_volume(cones: Iterable[Cone]) -> Fraction:
     """Exact volume of union-of-cones truncated by x+y+z <= 1 (tiling assumed)."""
     total = Fraction(0)
     for c in cones:
         for piece in triangulate(c):
             a, b, d = piece.generators
-            det = abs(unimodular_det(a, b, d))
-            total += Fraction(
-                det, 6 * _functional_value(a) * _functional_value(b) * _functional_value(d)
-            )
+            total += Fraction(piece.multiplicity, 6 * sum(a) * sum(b) * sum(d))
     return total
 
 

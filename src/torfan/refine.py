@@ -7,7 +7,7 @@ non-simplicial cone is handled directly, without choosing a starting
 triangulation first.  That matters: a forced starting diagonal can be an
 edge that no unimodular subdivision through the prescribed rays contains,
 which would make regularity unreachable no matter the insertion order.
-Every report carries exact certificates (per-piece determinants), a
+Every report carries exact certificates (per-piece multiplicities), a
 volume-conservation check, and a face-pairing check, so regularity never
 rests on the construction being correct.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .cones import (
@@ -26,7 +25,6 @@ from .cones import (
     dot,
     primitive,
     triangulate,
-    unimodular_det,
 )
 from .newton import Fan, octant_solid_volume
 from .profile import l_functional, profile
@@ -54,24 +52,10 @@ def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
     return out, changed
 
 
-def _piece_certificate(p: Cone) -> int:
-    """Lattice index of the piece: 1 exactly when it is regular."""
-    if p.dim == 3:
-        return abs(unimodular_det(*p.generators))
-    if p.dim == 2:
-        m = cross(*p.generators)
-        return gcd(gcd(abs(m[0]), abs(m[1])), abs(m[2]))
-    return 1
-
-
-def _det_snapshot(pieces: Sequence[Cone]) -> tuple[int, ...]:
-    return tuple(sorted((_piece_certificate(p) for p in pieces), reverse=True))
-
-
 def _snapshot(history: list[tuple[int, ...]], pieces: Sequence[Cone]) -> None:
-    """Record the determinants once every piece is simplicial."""
+    """Record the sorted multiplicities once every piece is simplicial."""
     if all(p.is_simplicial() for p in pieces):
-        history.append(_det_snapshot(pieces))
+        history.append(tuple(sorted((p.multiplicity for p in pieces), reverse=True)))
 
 
 def _certified_fan(
@@ -83,7 +67,7 @@ def _certified_fan(
     fan = Fan.from_cones(pieces)
     index = {r: i for i, r in enumerate(fan.rays)}
     return fan, tuple(
-        (tuple(sorted(index[g] for g in p.generators)), _piece_certificate(p))
+        (tuple(sorted(index[g] for g in p.generators)), p.multiplicity)
         for p in pieces
     )
 
@@ -102,15 +86,20 @@ def _gauge_level(c: Cone) -> Callable[[Vec], Fraction]:
     return level
 
 
-def _boundary_face_points(c: Cone, candidates: Iterable[Vec]) -> list[Vec]:
-    """Candidate rays lying on 2-dimensional boundary faces of c."""
-    out = []
-    for i, j in c.facets:
-        face = Cone.from_generators([c.generators[i], c.generators[j]])
-        for h in candidates:
-            if h not in face.generators and face.contains(h):
-                out.append(h)
-    return sorted(set(out))
+def _insert_by_level(
+    c: Cone, rays: Iterable[Vec]
+) -> tuple[Callable[[Vec], Fraction], list[Cone], list[tuple[int, ...]]]:
+    """Insert the rays into c by increasing (level, lexicographic) order;
+    return the gauge level of c, the pieces and the determinant history."""
+    level = _gauge_level(c)
+    pieces: list[Cone] = [c]
+    history: list[tuple[int, ...]] = []
+    _snapshot(history, pieces)
+    for v in sorted(rays, key=lambda v: (level(v), v)):
+        pieces, changed = stellar_insert(pieces, v)
+        if changed:
+            _snapshot(history, pieces)
+    return level, pieces, history
 
 
 @dataclass(frozen=True)
@@ -183,9 +172,14 @@ def _build_report(
     used_fallback: bool,
 ) -> RefinementReport:
     fan, certificates = _certified_fan(pieces)
-    volume = octant_solid_volume(sources)
-    covering_ok = volume == octant_solid_volume(pieces)
-    face_ok = _face_pairing_ok(pieces, sources, volume)
+    if all(s.dim == 3 for s in sources):
+        volume = octant_solid_volume(sources)
+        covering_ok = volume == octant_solid_volume(pieces)
+        face_ok = _face_pairing_ok(pieces, sources, volume)
+    else:
+        # a chain of a ray or planar cone: consecutive pieces share exactly
+        # their common ray, so covering and fitting hold by construction
+        covering_ok = face_ok = True
     source_rays = {g for s in sources for g in s.generators}
     irreducible = all(
         ray in s.hilbert.elements
@@ -207,9 +201,12 @@ def _build_report(
     )
 
 
-def _low_dim_refinement(c: Cone, inserted: Sequence[Vec]) -> RefinementReport:
-    """Chain refinement of a ray or planar cone; covering and fitting hold
-    by construction (consecutive pieces share exactly their common ray)."""
+# The pieces of one cone, its determinant history and whether the fallback ran.
+_Subdivision = tuple[list[Cone], list[tuple[int, ...]], bool]
+
+
+def _chain_pieces(c: Cone, inserted: Sequence[Vec]) -> _Subdivision:
+    """Chain subdivision of a ray or planar cone at the inserted rays."""
     if c.dim == 1 or not inserted:
         pieces = [c]
     else:
@@ -221,35 +218,23 @@ def _low_dim_refinement(c: Cone, inserted: Sequence[Vec]) -> RefinementReport:
             return Fraction(toward_b, toward_a + toward_b)
         chain = [a, *sorted(inserted, key=along), b]
         pieces = [Cone.from_generators(pair) for pair in zip(chain, chain[1:])]
-    fan, certificates = _certified_fan(pieces)
-    irreducible = all(ray in c.hilbert.elements for ray in fan.rays)
-    new_rays = tuple(sorted(set(fan.rays) - set(c.generators)))
-    return RefinementReport(
-        (c,), fan, certificates, True, True, irreducible, new_rays,
-        (_det_snapshot(pieces),), False,
-    )
+    history: list[tuple[int, ...]] = []
+    _snapshot(history, pieces)
+    return pieces, history, False
 
 
-def regular_refinement(c: Cone) -> RefinementReport:
-    """Subdivide into unimodular pieces using Hilbert-basis rays only.
-
-    Boundary 2-faces are refined first (so adjacent cones subdivide
-    identically), then the lexicographically first non-regular piece is
-    split at the Hilbert element of least l-value until none remain.
-    """
+def _hilbert_pieces(c: Cone) -> _Subdivision:
+    """Unimodular pieces of c, split at Hilbert-basis rays."""
     basis = c.hilbert.elements
     if c.dim != 3:
-        return _low_dim_refinement(c, [h for h in basis if h not in c.generators])
-    level = _gauge_level(c)
-    pieces: list[Cone] = [c]
-    history: list[tuple[int, ...]] = []
+        return _chain_pieces(c, [h for h in basis if h not in c.generators])
+    # Every basis element lies in c, so it lies on the 2-face of a facet
+    # exactly when that facet's normal vanishes on it.
+    level, pieces, history = _insert_by_level(c, [
+        h for h in basis
+        if h not in c.generators and any(dot(n, h) == 0 for n in c.facet_normals)
+    ])
     used_fallback = False
-    _snapshot(history, pieces)
-    boundary = _boundary_face_points(c, basis)
-    for v in sorted(boundary, key=lambda v: (level(v), v)):
-        pieces, changed = stellar_insert(pieces, v)
-        if changed:
-            _snapshot(history, pieces)
 
     # A cone whose Hilbert basis meets no boundary 2-face can still be
     # non-simplicial here; split at interior basis elements, or fan out.
@@ -270,7 +255,7 @@ def regular_refinement(c: Cone) -> RefinementReport:
         _snapshot(history, pieces)
 
     while True:
-        worst = [p for p in pieces if abs(unimodular_det(*p.generators)) != 1]
+        worst = [p for p in pieces if p.multiplicity != 1]
         if not worst:
             break
         tau = min(worst, key=lambda p: p.generators)
@@ -282,17 +267,25 @@ def regular_refinement(c: Cone) -> RefinementReport:
         chosen = min(pool, key=lambda h: (l(h), h))
         pieces, changed = stellar_insert(pieces, chosen)
         assert changed
-        history.append(_det_snapshot(pieces))
-    return _build_report([c], pieces, history, used_fallback)
+        _snapshot(history, pieces)
+    return pieces, history, used_fallback
 
 
-def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
-    """Triangulate c using exactly its extremal rays plus the given rays.
+def _ray_pieces(c: Cone, rays: Sequence[Vec]) -> _Subdivision:
+    """Simplicial pieces of c, split at the given rays."""
+    if c.dim != 3:
+        return _chain_pieces(c, rays)
+    _, pieces, history = _insert_by_level(c, rays)
+    # no prescribed ray may have landed inside a non-simplicial piece
+    if any(not p.is_simplicial() for p in pieces):
+        pieces = [q for p in pieces for q in triangulate(p)]
+        _snapshot(history, pieces)
+    return pieces, history, False
 
-    Rays are inserted by increasing (level, lexicographic) order, level
-    being the height against the profile hull; a prescribed ray equal to
-    an extremal ray is a no-op.
-    """
+
+def _checked_rays(c: Cone, rays: Sequence[Vec]) -> list[Vec]:
+    """The prescribed rays that are not generators of c, as integer tuples;
+    each must be primitive, lie in c and be listed once."""
     cleaned: list[Vec] = []
     for r in rays:
         v = (int(r[0]), int(r[1]), int(r[2]))
@@ -303,41 +296,51 @@ def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
         if v in cleaned:
             raise ValueError(f"duplicate prescribed ray {v}")
         cleaned.append(v)
-    if c.dim != 3:
-        return _low_dim_refinement(c, [v for v in cleaned if v not in c.generators])
+    return [v for v in cleaned if v not in c.generators]
 
-    level = _gauge_level(c)
-    pieces: list[Cone] = [c]
-    history: list[tuple[int, ...]] = []
-    _snapshot(history, pieces)
-    to_insert = [v for v in cleaned if v not in c.generators]
-    for v in sorted(to_insert, key=lambda v: (level(v), v)):
-        pieces, changed = stellar_insert(pieces, v)
-        if changed:
-            _snapshot(history, pieces)
-    # no prescribed ray may have landed inside a non-simplicial piece
-    if any(not p.is_simplicial() for p in pieces):
-        pieces = [q for p in pieces for q in triangulate(p)]
-        _snapshot(history, pieces)
-    return _build_report([c], pieces, history, False)
+
+def regular_refinement(c: Cone) -> RefinementReport:
+    """Subdivide into unimodular pieces using Hilbert-basis rays only.
+
+    Boundary 2-faces are refined first (so adjacent cones subdivide
+    identically), then the lexicographically first non-regular piece is
+    split at the Hilbert element of least l-value until none remain.
+    """
+    return _build_report([c], *_hilbert_pieces(c))
+
+
+def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
+    """Triangulate c using exactly its extremal rays plus the given rays.
+
+    Rays are inserted by increasing (level, lexicographic) order, level
+    being the height against the profile hull; a prescribed ray equal to
+    an extremal ray is a no-op.
+    """
+    return _build_report([c], *_ray_pieces(c, _checked_rays(c, rays)))
 
 
 def refine_fan(
     cones: Sequence[Cone], rays: Sequence[Vec] | None = None
 ) -> RefinementReport:
-    """Refine every maximal cone of a fan; rays=None means Hilbert-driven."""
-    all_pieces: list[Cone] = []
-    history: list[tuple[int, ...]] = []
-    used_fallback = False
+    """Refine every maximal cone of a 3-dimensional fan and certify the
+    whole fan once; rays=None means Hilbert-driven."""
     for c in cones:
-        if rays is None:
-            report = regular_refinement(c)
-        else:
-            report = refinement_from_rays(c, [r for r in rays if c.contains(r)])
-        all_pieces.extend(report.result.cone_objects())
-        history.extend(report.det_history)
-        used_fallback = used_fallback or report.used_fallback
-    return _build_report(cones, all_pieces, history, used_fallback)
+        if c.dim != 3:
+            raise ValueError(
+                f"refine_fan needs 3-dimensional cones, got {c}; refine rays "
+                "and planar cones with regular_refinement or refinement_from_rays"
+            )
+    parts = [
+        _hilbert_pieces(c) if rays is None
+        else _ray_pieces(c, _checked_rays(c, [r for r in rays if c.contains(r)]))
+        for c in cones
+    ]
+    return _build_report(
+        cones,
+        [p for pieces, _, _ in parts for p in pieces],
+        [h for _, history, _ in parts for h in history],
+        any(fallback for _, _, fallback in parts),
+    )
 
 
 def refinement_rays(f: Fan) -> set[Vec]:

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from oracle import (
     brute_force_hilbert_planar,
     brute_force_hilbert_simplicial,
     caratheodory_extremal_rays,
+    det3,
     random_simplicial_octant_cones,
     supporting_normals,
 )
@@ -130,6 +132,60 @@ def test_is_regular():
     assert is_regular(Cone.from_generators([E1, E2]))
     assert not is_regular(Cone.from_generators([(0, 1, 1), (2, 1, 1)]))  # minor gcd 2
     assert is_regular(Cone.from_generators([(0, 0, 7)]))
+
+
+def _gcd_primitive(v):
+    g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
+    return tuple(x // g for x in v)
+
+
+def _minor_gcd(a, b):
+    minors = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    return gcd(gcd(abs(minors[0]), abs(minors[1])), abs(minors[2]))
+
+
+def test_multiplicity_matches_determinant_and_minor_oracles():
+    rng = random.Random(20261101)
+    draw = lambda: tuple(rng.randint(-6, 6) for _ in range(3))
+    counts = {1: 0, 2: 0, 3: 0}
+    while min(counts.values()) < 40:
+        k = rng.randint(1, 3)
+        vs = [draw() for _ in range(k)]
+        prims = [_gcd_primitive(v) for v in vs if v != (0, 0, 0)]
+        if len(set(prims)) != k:
+            continue
+        if k == 3:
+            expected = abs(det3(*prims))
+        elif k == 2:
+            expected = _minor_gcd(*prims)
+        else:
+            expected = 1
+        if expected == 0:
+            continue  # dependent vectors
+        c = Cone.from_generators(vs)
+        assert c.dim == k and c.is_simplicial()
+        assert c.multiplicity == expected, vs
+        counts[k] += 1
+
+
+def test_multiplicity_refuses_non_simplicial_cones():
+    quad = Cone.from_generators([(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 7, 4)])
+    with pytest.raises(ValueError, match="simplicial"):
+        quad.multiplicity
+
+
+def test_is_regular_is_simplicial_with_multiplicity_one():
+    rng = random.Random(20261102)
+    seen = 0
+    while seen < 40:
+        vs = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(rng.randint(3, 5))]
+        if (0, 0, 0) in vs:
+            continue
+        c = Cone.from_generators(vs)
+        assert is_regular(c) == (c.is_simplicial() and c.multiplicity == 1)
+        if c.dim == 3 and c.is_simplicial():
+            assert is_regular(c) == (abs(det3(*c.generators)) == 1)
+        seen += 1
 
 
 def test_parallelepiped_octant():

@@ -299,3 +299,61 @@ def test_extended_brieskorn_rung_resolves_with_sound_cones():
         points = profile_lattice_points(prof)
         assert set(c.generators) <= set(points)
         assert all(inside(v) and all(f(v) <= 0 for f in prof.bounding) for v in points)
+
+
+def test_refine_fan_refuses_planar_cones_with_a_reason():
+    planar = Cone.from_generators([(1, 0, 0), (1, 5, 0)])
+    with pytest.raises(ValueError, match=r"3-dimensional cones.*regular_refinement or refinement_from_rays"):
+        refine_fan([planar])
+    with pytest.raises(ValueError, match="3-dimensional cones"):
+        refine_fan([OCTANT, Cone.from_generators([(2, 3, 5)])], rays=[])
+
+
+@pytest.fixture
+def report_calls(monkeypatch):
+    """Count report builds and forbid rebuilding pieces from a serialised fan."""
+    import torfan.refine
+    from torfan.newton import Fan
+
+    original = torfan.refine._build_report
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    def refuse(self):
+        raise AssertionError("pieces rebuilt from the serialised fan")
+
+    monkeypatch.setattr(torfan.refine, "_build_report", counted)
+    monkeypatch.setattr(Fan, "cone_objects", refuse)
+    return calls
+
+
+def test_refine_fan_builds_one_report(report_calls):
+    refine_fan(ELL_CONES)
+    assert len(report_calls) == 1
+    report_calls.clear()
+    refine_fan(B_CONES, rays=sorted(B_EV))
+    assert len(report_calls) == 1
+
+
+def test_refine_fan_history_and_fallback_join_the_cones():
+    rep = refine_fan(ELL_CONES)
+    per_cone = [regular_refinement(c) for c in ELL_CONES]
+    assert rep.det_history == tuple(h for r in per_cone for h in r.det_history)
+    assert rep.used_fallback == any(r.used_fallback for r in per_cone)
+    # Each cone is refined on its own, so any list of cones will do here:
+    # pair a cone that needs the fallback with one that does not.
+    fallback, plain = None, None
+    for gens in random_simplicial_octant_cones(40, 7, seed=20261103):
+        c = Cone.from_generators(gens)
+        if regular_refinement(c).used_fallback:
+            fallback = fallback or c
+        else:
+            plain = plain or c
+    for cones in ([plain, fallback], [fallback, plain], [plain]):
+        per_cone = [regular_refinement(c) for c in cones]
+        rep = refine_fan(cones)
+        assert rep.det_history == tuple(h for r in per_cone for h in r.det_history)
+        assert rep.used_fallback == any(r.used_fallback for r in per_cone)
