@@ -23,7 +23,6 @@ from .profile import (
     SubprofileSpec,
     contains_point,
     facet_equation,
-    profile,
     profile_lattice_points,
     subprofile_check,
 )
@@ -463,7 +462,7 @@ def profile_discrepancy(
                 "separates_generator": separates,
             }
         )
-    recomputed = [facet_equation(f) for f in profile(cone).bounding]
+    recomputed = [facet_equation(f) for f in cone.profile.bounding]
     return {
         "cone_index": 0,
         "stated": rows,
@@ -644,10 +643,9 @@ class VerificationReport:
 def _check_cone(c: Cone, vertex: Vec, insert: list[Vec], rtp: bool) -> dict:
     h = list(c.hilbert)
     rep = refinement_from_rays(c, insert if insert else h)
-    prof = profile(c)
-    points = profile_lattice_points(prof)
+    points = profile_lattice_points(c.profile)
     uncovered = sorted(set(points) - set(h))
-    escapes = [v for v in h if not contains_point(prof, v)]
+    escapes = [v for v in h if not contains_point(c.profile, v)]
     return {
         "rays": [list(g) for g in c.generators],
         "vertex": list(vertex),
@@ -785,11 +783,10 @@ def verify(
     if is_b:
         assert stated is not None and evs is not None
         hyps = [subprofile_hyperplanes(family, ps, i) for i in range(len(stated))]
-        profiles = [profile(c) for c in stated]
         failures = []
         for v in evs:
             containing = [i for i, c in enumerate(stated) if c.contains(v)]
-            in_profiles = all(contains_point(profiles[i], v) for i in containing)
+            in_profiles = all(contains_point(stated[i].profile, v) for i in containing)
             reaches = any(
                 any(h.functional(v) == 0 for h in hyps[i]) for i in containing
             )
@@ -820,7 +817,7 @@ def verify(
     elif family == "ELLIPTIC-1":
         assert stated is not None
         hyp = subprofile_hyperplanes(family, ps, 2)[0]
-        facets = profile(stated[2]).bounding
+        facets = stated[2].profile.bounding
         match = len(facets) == 1 and facet_equation(facets[0]) == str(hyp)
         stages["subprofile"] = {
             "status": "ok" if match else "fail",

@@ -12,15 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .catalog import (
     CatalogError,
-    appendix_fixture,
     default_grid,
     entry,
     equation,
@@ -30,23 +27,14 @@ from .catalog import (
     subprofile_hyperplanes,
     verify,
 )
-from .cones import hilbert_basis, parse_cone
+from .cones import _VECTOR_TEXT, hilbert_basis, parse_cone
 from .newton import Fan, dual_newton_cones, fan_consistency_report
 from .polyparse import ParseError, parse_polynomial
-from .profile import contains_point, facet_equation, profile, profile_lattice_points
+from .profile import contains_point, facet_equation, profile_lattice_points
 from .refine import refine_fan
 from .valuation import groebner_fan, jet_equations, tropical_variety
 
 PARAM_FLAGS = ("r", "n", "k", "l", "m")
-
-
-@dataclass(frozen=True)
-class Command:
-    """One validated invocation: a single verb and where its output goes."""
-
-    verb: str
-    out: str | None
-    format: str
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +124,8 @@ _FILLS = (
 
 
 def _project(v) -> tuple[float, float]:
-    s = float(v[0] + v[1] + v[2])
-    a, b, c = v[0] / s, v[1] / s, v[2] / s
+    s = v[0] + v[1] + v[2]
+    a, b, c = v[0] / s, v[1] / s, v[2] / s  # int division: huge rays do not overflow
     return (
         a * _E1[0] + b * _E2[0] + c * _E3[0],
         a * _E1[1] + b * _E2[1] + c * _E3[1],
@@ -206,13 +194,11 @@ def render_svg(fan: Fan) -> str:
 # ---------------------------------------------------------------------------
 # input helpers
 
-_VEC_TEXT = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
-
 
 def _read_vectors(path: str) -> list[tuple[int, int, int]]:
     """Vectors from a file: (a,b,c) literals, or whitespace triples per line."""
     text = Path(path).read_text()
-    vecs = [tuple(int(g) for g in m.groups()) for m in _VEC_TEXT.finditer(text)]
+    vecs = [tuple(int(g) for g in m.groups()) for m in _VECTOR_TEXT.finditer(text)]
     if not vecs:
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
@@ -303,15 +289,14 @@ def _run_profile(ns) -> tuple[bool, str, dict]:
         cones = [c for c, _ in pairs]
         obj["equation"] = str(p)
         rows = [{"vertex": list(v)} for _, v in pairs]
-    profiles = [profile(c) for c in cones]
     entries = []
-    for c, prof, row in zip(cones, profiles, rows):
+    for c, row in zip(cones, rows):
         entries.append(
             {
                 "rays": _vecs(c.generators),
-                "kind": prof.kind,
-                "bounding": [facet_equation(f) for f in prof.bounding],
-                "lattice_points": _vecs(profile_lattice_points(prof)),
+                "kind": c.profile.kind,
+                "bounding": [facet_equation(f) for f in c.profile.bounding],
+                "lattice_points": _vecs(profile_lattice_points(c.profile)),
                 **row,
             }
         )
@@ -321,7 +306,7 @@ def _run_profile(ns) -> tuple[bool, str, dict]:
         results = []
         for v in _read_vectors(ns.vectors):
             containing = [i for i, c in enumerate(cones) if c.contains(v)]
-            outside = [i for i in containing if not contains_point(profiles[i], v)]
+            outside = [i for i in containing if not contains_point(cones[i].profile, v)]
             results.append(
                 {
                     "vector": list(v),
@@ -395,7 +380,7 @@ def _run_catalog(ns) -> tuple[bool, str, dict]:
         "grid": default_grid(ns.family),
         "params": resolved,
         "equation": str(poly),
-        "fixture": _fixture_available(ns.family, params),
+        "fixture": (ns.family, resolved) in fixture_instances(),
     }
     if ent.note:
         obj["note"] = ent.note
@@ -412,14 +397,6 @@ def _run_catalog(ns) -> tuple[bool, str, dict]:
     except CatalogError:
         pass
     return True, "catalog-show", obj
-
-
-def _fixture_available(family: str, params) -> bool:
-    try:
-        appendix_fixture(family, params)
-        return True
-    except CatalogError:
-        return False
 
 
 def _run_verify(ns) -> tuple[bool, str, dict]:
@@ -608,23 +585,18 @@ def run(argv: list[str]) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as status:
         return int(status.code or 0)
-    cmd = Command(
-        verb=ns.verb,
-        out=ns.out,
-        format="svg" if ns.verb == "render" else ns.format,
-    )
     try:
-        ok, key, payload = _HANDLERS[cmd.verb](ns)
+        ok, key, payload = _HANDLERS[ns.verb](ns)
     except (ParseError, CatalogError, ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if cmd.format == "svg":
-        _emit(payload, cmd.out)
-    elif cmd.format == "text":
-        _emit("\n".join(_text_lines(key, payload)) + "\n", cmd.out)
+    if ns.verb == "render":
+        _emit(payload, ns.out)
+    elif ns.format == "text":
+        _emit("\n".join(_text_lines(key, payload)) + "\n", ns.out)
     else:
         validate_output(key, payload)
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cmd.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", ns.out)
     return 0 if ok else 1
 
 

@@ -144,8 +144,9 @@ class Cone:
     For 3-dimensional cones ``facet_normals[i]`` is the primitive inner normal
     of the 2-face spanned by the ray pair ``facets[i]`` (indices into
     ``generators``); membership is the conjunction of those inequalities.
-    ``plane_normal`` is set for 2-dimensional cones only.  ``hilbert`` is
-    the cone's Hilbert basis, computed on first use and then kept.
+    ``plane_normal`` is set for 2-dimensional cones only.  ``hilbert`` and
+    ``profile`` are the cone's Hilbert basis and profile, each computed on
+    first use and then kept.
     """
 
     generators: tuple[Vec, ...]
@@ -171,6 +172,12 @@ class Cone:
     @cached_property
     def hilbert(self) -> "HilbertBasis":
         return hilbert_basis(self)
+
+    @cached_property
+    def profile(self) -> "Profile":
+        from .profile import profile  # profile.py builds on this module
+
+        return profile(self)
 
     @cached_property
     def multiplicity(self) -> int:

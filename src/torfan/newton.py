@@ -87,12 +87,25 @@ class Fan:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Fan":
-        rays = tuple(tuple(int(x) for x in r) for r in obj["rays"])
-        if any(len(r) != 3 for r in rays):
-            raise ValueError("fan rays must be 3-vectors")
+        """Read a fan object; ValueError with the reason on any other shape."""
+        def integers(v) -> bool:
+            return isinstance(v, list) and all(isinstance(x, int) for x in v)
+
+        if not isinstance(obj, dict):
+            raise ValueError("a fan must be an object with 'rays' and 'cones'")
+        for key in ("rays", "cones"):
+            if not isinstance(obj.get(key), list):
+                raise ValueError(f"fan {key!r} must be a list")
+        if not all(integers(r) and len(r) == 3 for r in obj["rays"]):
+            raise ValueError("fan rays must be 3-vectors of integers")
+        rays = tuple(tuple(r) for r in obj["rays"])
         cones = []
         for entry in obj["cones"]:
-            idx = tuple(int(i) for i in entry["rays"])
+            if not isinstance(entry, dict) or not integers(entry.get("rays")):
+                raise ValueError("fan cones must be objects with a 'rays' index list")
+            idx = tuple(entry["rays"])
+            if not idx:
+                raise ValueError("fan cones need at least one ray")
             if any(i < 0 or i >= len(rays) for i in idx):
                 raise ValueError("cone ray index out of range")
             cones.append(FanCone(idx, entry.get("label")))
@@ -100,7 +113,11 @@ class Fan:
 
     @classmethod
     def from_json(cls, text: str) -> "Fan":
-        return cls.from_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("fan JSON is nested too deeply") from None
+        return cls.from_obj(obj)
 
 
 def _normal_cone_rays(s: Vec, support: Sequence[Vec]) -> list[Vec]:

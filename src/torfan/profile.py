@@ -120,6 +120,17 @@ class Profile:
     bounding: tuple[AffineFunctional, ...]
     kind: str  # "simplicial" | "convex-hull"
 
+    def level(self, v: Sequence[int]) -> Fraction:
+        """Height of v against the profile hull: 1 exactly on the hull.
+
+        Agrees with the l-functional on simplicial cones and is defined
+        without reference to any triangulation otherwise.
+        """
+        return max(
+            Fraction(a * v[0] + b * v[1] + c * v[2], -d)
+            for a, b, c, d, _ in (f.integer_form for f in self.bounding)
+        )
+
 
 def _over(num: Vec, det: int) -> AffineFunctional:
     return AffineFunctional(tuple(Fraction(x, det) for x in num))

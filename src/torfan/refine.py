@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cones import (
     Cone,
@@ -27,7 +27,7 @@ from .cones import (
     triangulate,
 )
 from .newton import Fan, octant_solid_volume
-from .profile import l_functional, profile
+from .profile import l_functional
 
 
 def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
@@ -72,26 +72,12 @@ def _certified_fan(
     )
 
 
-def _gauge_level(c: Cone) -> Callable[[Vec], Fraction]:
-    """Height of a point against the profile hull: 1 exactly on the hull.
-
-    Agrees with the l-functional on simplicial cones and is defined without
-    reference to any triangulation otherwise.
-    """
-    forms = [b.integer_form for b in profile(c).bounding]
-    def level(v: Vec) -> Fraction:
-        return max(
-            Fraction(a * v[0] + b * v[1] + e * v[2], -d) for a, b, e, d, _ in forms
-        )
-    return level
-
-
 def _insert_by_level(
     c: Cone, rays: Iterable[Vec]
-) -> tuple[Callable[[Vec], Fraction], list[Cone], list[tuple[int, ...]]]:
-    """Insert the rays into c by increasing (level, lexicographic) order;
-    return the gauge level of c, the pieces and the determinant history."""
-    level = _gauge_level(c)
+) -> tuple[list[Cone], list[tuple[int, ...]]]:
+    """Insert the rays into c by increasing (profile level, lexicographic)
+    order; return the pieces and the determinant history."""
+    level = c.profile.level
     pieces: list[Cone] = [c]
     history: list[tuple[int, ...]] = []
     _snapshot(history, pieces)
@@ -99,7 +85,7 @@ def _insert_by_level(
         pieces, changed = stellar_insert(pieces, v)
         if changed:
             _snapshot(history, pieces)
-    return level, pieces, history
+    return pieces, history
 
 
 @dataclass(frozen=True)
@@ -230,7 +216,7 @@ def _hilbert_pieces(c: Cone) -> _Subdivision:
         return _chain_pieces(c, [h for h in basis if h not in c.generators])
     # Every basis element lies in c, so it lies on the 2-face of a facet
     # exactly when that facet's normal vanishes on it.
-    level, pieces, history = _insert_by_level(c, [
+    pieces, history = _insert_by_level(c, [
         h for h in basis
         if h not in c.generators and any(dot(n, h) == 0 for n in c.facet_normals)
     ])
@@ -246,7 +232,7 @@ def _hilbert_pieces(c: Cone) -> _Subdivision:
         pool = [h for h in basis if h not in tau.generators and tau.contains(h)]
         if pool:
             pieces, changed = stellar_insert(
-                pieces, min(pool, key=lambda h: (level(h), h))
+                pieces, min(pool, key=lambda h: (c.profile.level(h), h))
             )
             assert changed
         else:
@@ -275,7 +261,7 @@ def _ray_pieces(c: Cone, rays: Sequence[Vec]) -> _Subdivision:
     """Simplicial pieces of c, split at the given rays."""
     if c.dim != 3:
         return _chain_pieces(c, rays)
-    _, pieces, history = _insert_by_level(c, rays)
+    pieces, history = _insert_by_level(c, rays)
     # no prescribed ray may have landed inside a non-simplicial piece
     if any(not p.is_simplicial() for p in pieces):
         pieces = [q for p in pieces for q in triangulate(p)]
@@ -323,13 +309,18 @@ def refine_fan(
     cones: Sequence[Cone], rays: Sequence[Vec] | None = None
 ) -> RefinementReport:
     """Refine every maximal cone of a 3-dimensional fan and certify the
-    whole fan once; rays=None means Hilbert-driven."""
+    whole fan once; rays=None means Hilbert-driven, and otherwise every
+    prescribed ray must lie in some cone."""
     for c in cones:
         if c.dim != 3:
             raise ValueError(
                 f"refine_fan needs 3-dimensional cones, got {c}; refine rays "
                 "and planar cones with regular_refinement or refinement_from_rays"
             )
+    for r in rays or ():
+        if not any(c.contains(r) for c in cones):
+            v = tuple(int(x) for x in r)
+            raise ValueError(f"prescribed ray {v} lies in no cone of the fan")
     parts = [
         _hilbert_pieces(c) if rays is None
         else _ray_pieces(c, _checked_rays(c, [r for r in rays if c.contains(r)]))

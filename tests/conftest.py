@@ -1,29 +1,40 @@
+import importlib
 import sys
 
 import pytest
 
 
-@pytest.fixture
-def hilbert_calls(monkeypatch):
-    """The cones passed to ``torfan.cones.hilbert_basis``, in call order.
+def _count_calls(monkeypatch, module_name: str, name: str) -> list:
+    """Wrap ``module_name.name`` and return the list of first arguments it is
+    called with, in call order.
 
     The counting wrapper replaces the function in every torfan module that
     binds it, so calls through imported names are counted too.
     """
-    import torfan.cones
-
-    original = torfan.cones.hilbert_basis
+    original = getattr(importlib.import_module(module_name), name)
     calls = []
 
-    def counted(c, *args, **kwargs):
-        calls.append(c)
-        return original(c, *args, **kwargs)
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        bound = getattr(module, "hilbert_basis", None)
-        if name.split(".")[0] == "torfan" and bound is original:
-            monkeypatch.setattr(module, "hilbert_basis", counted)
+    for mod_name, module in list(sys.modules.items()):
+        bound = getattr(module, name, None)
+        if mod_name.split(".")[0] == "torfan" and bound is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def hilbert_calls(monkeypatch):
+    """The cones passed to ``torfan.cones.hilbert_basis``, in call order."""
+    return _count_calls(monkeypatch, "torfan.cones", "hilbert_basis")
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """The cones passed to ``torfan.profile.profile``, in call order."""
+    return _count_calls(monkeypatch, "torfan.profile", "profile")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -223,6 +223,14 @@ def test_verify_computes_each_cone_basis_once(hilbert_calls, family, params):
     )
 
 
+@pytest.mark.parametrize("family, params", [("E60", None), ("B-odd", {"r": 1, "n": 2})])
+def test_verify_builds_each_cone_profile_once(profile_calls, family, params):
+    verify(family, params)
+    assert profile_calls
+    # the list keeps every cone alive, so equal ids mean the same object
+    assert len({id(c) for c in profile_calls}) == len(profile_calls)
+
+
 def test_verify_unknown_family():
     with pytest.raises(CatalogError):
         verify("Z9")

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torfan import cli
+from torfan.catalog import families
 
 ELL = "y^3+x*z^2-x^4"
 B22 = "x^7*z-x^2*y^2-y^2*z"
@@ -48,6 +53,15 @@ def test_resolve_with_rays_file(tmp_path, capsys):
     code, obj = run_json(capsys, ["resolve", "x^2+y^2+z^2", "--rays", str(rays)])
     assert obj["inserted"] == [[1, 0, 1], [1, 1, 1]]
     assert code in (0, 1)  # exit reflects the regularity flags either way
+
+
+def test_resolve_refuses_a_ray_in_no_cone(tmp_path, capsys):
+    rays = tmp_path / "rays.txt"
+    rays.write_text("(-1,2,3)\n")
+    assert cli.run(["resolve", "x^2+y^2+z^2", "--rays", str(rays)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prescribed ray (-1, 2, 3) lies in no cone of the fan" in captured.err
 
 
 def test_profile_cone_facet(capsys):
@@ -136,6 +150,24 @@ def test_render_rejects_empty_fan(tmp_path, capsys):
     assert "empty fan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("{}", "fan 'rays' must be a list"),
+        ("[1, 2]", "a fan must be an object"),
+        ('{"rays": [5], "cones": []}', "fan rays must be 3-vectors"),
+        ('{"rays": [[1, 0, 0]], "cones": [5]}', "fan cones must be objects"),
+        ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    ],
+    ids=["empty-object", "list", "non-list-ray", "non-object-cone", "deep"],
+)
+def test_render_rejects_malformed_fans_with_a_reason(tmp_path, capsys, text, reason):
+    fan_path = tmp_path / "fan.json"
+    fan_path.write_text(text)
+    assert cli.run(["render", str(fan_path), "--out", str(tmp_path / "x.svg")]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_byte_determinism(capsys):
     first = []
     for _ in range(2):
@@ -213,3 +245,82 @@ def test_vectors_file_formats(tmp_path, capsys):
     bad.write_text("1 2\n")
     assert cli.run(["profile", ELL, "--vectors", str(bad)]) == 2
     capsys.readouterr()
+
+
+def _term_text(coeff: int, exponents: tuple[int, int, int]) -> str:
+    factors = [
+        name if e == 1 else f"{name}^{e}" for name, e in zip("xyz", exponents) if e
+    ]
+    if abs(coeff) != 1 or not factors:
+        factors.insert(0, str(abs(coeff)))
+    return ("-" if coeff < 0 else "+") + "*".join(factors)
+
+
+_POLY = st.lists(
+    st.tuples(
+        st.integers(-3, 3).filter(bool), st.tuples(*[st.integers(0, 5)] * 3)
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: "".join(_term_text(c, e) for c, e in terms).lstrip("+"))
+_VECTORS = st.lists(st.tuples(*[st.integers(-4, 6)] * 3), min_size=1, max_size=5)
+_CONE = _VECTORS.map(lambda vs: "<" + ",".join("(%d,%d,%d)" % v for v in vs) + ">")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["rays", "cones", "label"]), inner, max_size=3),
+    max_leaves=12,
+)
+_FAN = _JSON | st.fixed_dictionaries(
+    {
+        "rays": st.lists(st.lists(st.integers(-2, 6), min_size=2, max_size=4), max_size=5),
+        "cones": st.lists(
+            st.fixed_dictionaries({"rays": st.lists(st.integers(-1, 5), max_size=4)}),
+            max_size=4,
+        ),
+    }
+)
+_FAMILY = st.sampled_from([*families(), "NOPE"])
+_PARAMS = st.dictionaries(st.sampled_from(cli.PARAM_FLAGS), st.integers(0, 4), max_size=3)
+_VERBS = (
+    "dnp", "hilbert", "resolve", "profile", "groebner", "jets", "catalog", "verify",
+    "render",
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_verb_exits_0_1_or_2_on_random_input(tmp_path_factory, data):
+    folder = tmp_path_factory.getbasetemp() / "fuzz"
+    folder.mkdir(exist_ok=True)
+    vectors = folder / "vectors.txt"
+    vectors.write_text("".join("(%d,%d,%d)\n" % v for v in data.draw(_VECTORS)))
+    fan = folder / "fan.json"
+    fan.write_text(json.dumps(data.draw(_FAN)))
+    verb = data.draw(st.sampled_from(_VERBS))
+    if verb in ("dnp", "groebner", "resolve", "jets", "profile"):
+        args = [verb, data.draw(_POLY)]
+        if verb == "profile" and data.draw(st.booleans()):
+            args = [verb, data.draw(_CONE)]
+        if verb == "groebner" and data.draw(st.booleans()):
+            args.append("--tropical")
+        if verb == "jets":
+            args += ["--m", str(data.draw(st.integers(-1, 3)))]
+        if verb in ("resolve", "profile") and data.draw(st.booleans()):
+            args += ["--rays" if verb == "resolve" else "--vectors", str(vectors)]
+    elif verb == "hilbert":
+        args = [verb, data.draw(_CONE)]
+    elif verb == "render":
+        args = [verb, str(fan), "--out", str(folder / "fan.svg")]
+    elif verb == "catalog" and data.draw(st.booleans()):
+        args = [verb, "list"]
+    else:
+        args = ([verb] if verb == "verify" else [verb, "show"]) + [data.draw(_FAMILY)]
+        for flag, value in sorted(data.draw(_PARAMS).items()):
+            args += [f"--{flag}", str(value)]
+    if verb != "render" and data.draw(st.booleans()):
+        args += ["--format", "text"]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.run(args)
+    assert code in (0, 1, 2), args

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -161,6 +162,38 @@ def test_profile_lattice_points_match_box_oracle():
     assert 20 <= non_simplicial <= 40
     for c in cones:
         assert profile_lattice_points(profile(c)) == box_profile_points(c.generators), c
+
+
+def test_profile_level_is_the_l_functional_on_simplicial_cones():
+    rng = random.Random(20261019)
+    for gens in random_simplicial_octant_cones(30, 7, seed=424):
+        c = Cone.from_generators(gens)
+        l = l_functional(c)
+        for _ in range(20):
+            v = tuple(rng.randint(-5, 12) for _ in range(3))
+            assert c.profile.level(v) == l(v), (c, v)
+
+
+def test_profile_level_at_most_one_is_profile_membership():
+    rng = random.Random(20261020)
+    cones = []
+    while len(cones) < 24:
+        vectors = [
+            tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(rng.randint(3, 6))
+        ]
+        if (0, 0, 0) not in vectors:
+            c = Cone.from_generators(vectors)
+            if c.dim == 3:
+                cones.append(c)
+    assert sum(not c.is_simplicial() for c in cones) >= 8
+    for c in cones:
+        top = 2 * max(max(g) for g in c.generators)
+        inside = [
+            v for v in product(range(top + 1), repeat=3) if v != (0, 0, 0) and c.contains(v)
+        ]
+        assert any(c.profile.level(v) > 1 for v in inside)
+        for v in inside:
+            assert (c.profile.level(v) <= 1) == contains_point(c.profile, v), (c, v)
 
 
 def test_profile_points_can_contain_reducible_vectors():

@@ -309,6 +309,13 @@ def test_refine_fan_refuses_planar_cones_with_a_reason():
         refine_fan([OCTANT, Cone.from_generators([(2, 3, 5)])], rays=[])
 
 
+def test_refine_fan_refuses_a_ray_in_no_cone():
+    with pytest.raises(ValueError, match=r"prescribed ray \(-1, 2, 3\) lies in no cone"):
+        refine_fan([OCTANT], rays=[(-1, 2, 3)])
+    with pytest.raises(ValueError, match="lies in no cone"):
+        refine_fan(ELL_CONES, rays=[(1, 1, 1), (0, -1, 0)])
+
+
 @pytest.fixture
 def report_calls(monkeypatch):
     """Count report builds and forbid rebuilding pieces from a serialised fan."""
