@@ -3,143 +3,106 @@
 Everything runs on arbitrary-precision integers and fractions; there is no
 floating point in any geometric decision (SVG rendering is the one exception,
 and it never feeds back into computation).
+
+Public names resolve on first use (PEP 562), so ``import torfan`` and each
+CLI verb load only the modules they need.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .polyparse import ParseError, Polynomial, parse_polynomial, support
-from .cones import (
-    Cone,
-    HilbertBasis,
-    cross,
-    dot,
-    extremal_rays,
-    hilbert_basis,
-    is_irreducible,
-    is_regular,
-    parallelepiped_points,
-    parse_cone,
-    primitive,
-    triangulate,
-    unimodular_det,
-)
-from .newton import (
-    Fan,
-    NewtonPolyhedron,
-    dual_newton_cones,
-    dual_newton_fan,
-    fan_consistency_report,
-    fan_faces,
-    newton_polyhedron,
-    octant_solid_volume,
-)
-from .profile import (
-    AffineFunctional,
-    Profile,
-    SubprofileSpec,
-    contains_point,
-    facet_equation,
-    l_functional,
-    parse_functional,
-    profile,
-    profile_lattice_points,
-    subprofile_check,
-)
-from .refine import (
-    RefinementReport,
-    check_minimal_embedded,
-    refine_fan,
-    refinement_from_rays,
-    regular_refinement,
-)
-from .valuation import (
-    GroebnerCone,
-    JetSystem,
-    groebner_fan,
-    initial_form,
-    jet_equations,
-    tropical_variety,
-    w_order,
-)
-from .catalog import (
-    CatalogError,
-    appendix_fixture,
-    default_grid,
-    determinant_families,
-    embedded_valuations,
-    entry,
-    equation,
-    families,
-    fixture_instances,
-    groebner_meet,
-    profile_discrepancy,
-    stated_maximal_cones,
-    subprofile_hyperplanes,
-    verify,
-    verify_grid,
-)
+# Bound eagerly: importing the submodule ``torfan.profile`` after this package
+# would otherwise rebind the package attribute ``profile`` to that module.
+from .profile import profile
 
-__all__ = [
-    "ParseError",
-    "Polynomial",
-    "parse_polynomial",
-    "support",
-    "Cone",
-    "HilbertBasis",
-    "cross",
-    "dot",
-    "extremal_rays",
-    "hilbert_basis",
-    "is_irreducible",
-    "is_regular",
-    "parallelepiped_points",
-    "parse_cone",
-    "primitive",
-    "triangulate",
-    "unimodular_det",
-    "Fan",
-    "NewtonPolyhedron",
-    "dual_newton_cones",
-    "dual_newton_fan",
-    "fan_consistency_report",
-    "fan_faces",
-    "newton_polyhedron",
-    "octant_solid_volume",
-    "AffineFunctional",
-    "Profile",
-    "SubprofileSpec",
-    "contains_point",
-    "facet_equation",
-    "l_functional",
-    "parse_functional",
-    "profile",
-    "profile_lattice_points",
-    "subprofile_check",
-    "RefinementReport",
-    "check_minimal_embedded",
-    "refine_fan",
-    "refinement_from_rays",
-    "regular_refinement",
-    "GroebnerCone",
-    "JetSystem",
-    "groebner_fan",
-    "initial_form",
-    "jet_equations",
-    "tropical_variety",
-    "w_order",
-    "CatalogError",
-    "appendix_fixture",
-    "default_grid",
-    "determinant_families",
-    "embedded_valuations",
-    "entry",
-    "equation",
-    "families",
-    "fixture_instances",
-    "groebner_meet",
-    "profile_discrepancy",
-    "stated_maximal_cones",
-    "subprofile_hyperplanes",
-    "verify",
-    "verify_grid",
-]
+_EXPORTS = {
+    "polyparse": ("ParseError", "Polynomial", "parse_polynomial", "support"),
+    "cones": (
+        "Cone",
+        "HilbertBasis",
+        "cross",
+        "dot",
+        "extremal_rays",
+        "hilbert_basis",
+        "is_irreducible",
+        "is_regular",
+        "parallelepiped_points",
+        "parse_cone",
+        "primitive",
+        "triangulate",
+        "unimodular_det",
+    ),
+    "newton": (
+        "Fan",
+        "NewtonPolyhedron",
+        "dual_newton_cones",
+        "dual_newton_fan",
+        "fan_consistency_report",
+        "fan_faces",
+        "newton_polyhedron",
+        "octant_solid_volume",
+    ),
+    "profile": (
+        "AffineFunctional",
+        "Profile",
+        "SubprofileSpec",
+        "contains_point",
+        "facet_equation",
+        "l_functional",
+        "parse_functional",
+        "profile",
+        "profile_lattice_points",
+        "subprofile_check",
+    ),
+    "refine": (
+        "RefinementReport",
+        "check_minimal_embedded",
+        "refine_fan",
+        "refinement_from_rays",
+        "regular_refinement",
+    ),
+    "valuation": (
+        "GroebnerCone",
+        "JetSystem",
+        "groebner_fan",
+        "initial_form",
+        "jet_equations",
+        "tropical_variety",
+        "w_order",
+    ),
+    "catalog": (
+        "CatalogError",
+        "appendix_fixture",
+        "default_grid",
+        "determinant_families",
+        "embedded_valuations",
+        "entry",
+        "equation",
+        "families",
+        "fixture_instances",
+        "groebner_meet",
+        "profile_discrepancy",
+        "stated_maximal_cones",
+        "subprofile_hyperplanes",
+        "verify",
+        "verify_grid",
+    ),
+}
+
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # No caching: tracers and tests patch the defining module, and a binding
+    # cached here while a wrapper is installed would outlive its removal.
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module 'torfan' has no attribute {name!r}")
+    return getattr(importlib.import_module(f"torfan.{mod}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from typing import Callable, Mapping, Sequence
 
@@ -558,36 +559,28 @@ class AppendixFixture:
     cones: tuple[FixtureCone, ...]
 
 
-_FIXTURE_CACHE: list[AppendixFixture] | None = None
-
-
+@cache
 def _load_fixtures() -> list[AppendixFixture]:
-    global _FIXTURE_CACHE
-    if _FIXTURE_CACHE is None:
-        text = (
-            resources.files("torfan.data")
-            .joinpath("appendix_fixtures.json")
-            .read_text()
+    obj = json.loads(
+        resources.files("torfan.data").joinpath("appendix_fixtures.json").read_text()
+    )
+    if obj.get("version") != 1:
+        raise CatalogError(f"unsupported fixture data version {obj.get('version')!r}")
+    out = []
+    for fx in obj["fixtures"]:
+        cones = tuple(
+            FixtureCone(
+                c["label"],
+                tuple(c["vertex"]),
+                tuple(tuple(v) for v in c["rays"]),
+                tuple(tuple(v) for v in c["hilbert"]),
+            )
+            for c in fx["cones"]
         )
-        obj = json.loads(text)
-        if obj.get("version") != 1:
-            raise CatalogError(f"unsupported fixture data version {obj.get('version')!r}")
-        out = []
-        for fx in obj["fixtures"]:
-            cones = tuple(
-                FixtureCone(
-                    c["label"],
-                    tuple(c["vertex"]),
-                    tuple(tuple(v) for v in c["rays"]),
-                    tuple(tuple(v) for v in c["hilbert"]),
-                )
-                for c in fx["cones"]
-            )
-            out.append(
-                AppendixFixture(fx["family"], dict(fx["params"]), fx["equation"], cones)
-            )
-        _FIXTURE_CACHE = out
-    return _FIXTURE_CACHE
+        out.append(
+            AppendixFixture(fx["family"], dict(fx["params"]), fx["equation"], cones)
+        )
+    return out
 
 
 def fixture_instances() -> list[tuple[str, Params]]:

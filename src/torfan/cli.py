@@ -13,26 +13,20 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .catalog import (
-    CatalogError,
-    default_grid,
-    entry,
-    equation,
-    families,
-    fixture_instances,
-    stated_maximal_cones,
-    subprofile_hyperplanes,
-    verify,
-)
 from .cones import _VECTOR_TEXT, hilbert_basis, parse_cone
-from .newton import Fan, dual_newton_cones, fan_consistency_report
-from .polyparse import ParseError, parse_polynomial
+from .polyparse import parse_polynomial
 from .profile import contains_point, facet_equation, profile_lattice_points
-from .refine import refine_fan
-from .valuation import groebner_fan, jet_equations, tropical_variety
+
+if TYPE_CHECKING:
+    from .newton import Fan
+
+# Every other module is imported by the verb that needs it, so a CLI
+# process compiles only what its verb uses.
 
 PARAM_FLAGS = ("r", "n", "k", "l", "m")
 
@@ -45,17 +39,11 @@ class SchemaError(ValueError):
     pass
 
 
-_SCHEMA_CACHE: dict | None = None
-
-
+@cache
 def load_schema() -> dict:
-    global _SCHEMA_CACHE
-    if _SCHEMA_CACHE is None:
-        text = (
-            resources.files("torfan").joinpath("data/cli_schema.json").read_text()
-        )
-        _SCHEMA_CACHE = json.loads(text)
-    return _SCHEMA_CACHE
+    return json.loads(
+        resources.files("torfan.data").joinpath("cli_schema.json").read_text()
+    )
 
 
 _TYPES = {
@@ -227,6 +215,8 @@ def _vecs(vs) -> list[list[int]]:
 
 
 def _run_dnp(ns) -> tuple[bool, str, dict]:
+    from .newton import Fan, dual_newton_cones, fan_consistency_report
+
     p = parse_polynomial(ns.poly)
     pairs = dual_newton_cones(p)
     if not pairs:
@@ -251,6 +241,9 @@ def _run_hilbert(ns) -> tuple[bool, str, list]:
 
 
 def _run_resolve(ns) -> tuple[bool, str, dict]:
+    from .newton import dual_newton_cones
+    from .refine import refine_fan
+
     p = parse_polynomial(ns.poly)
     cones = [c for c, _ in dual_newton_cones(p)]
     if not cones:
@@ -282,6 +275,8 @@ def _run_profile(ns) -> tuple[bool, str, dict]:
         obj["cone"] = _vecs(cones[0].generators)
         rows = [{}]
     else:
+        from .newton import dual_newton_cones
+
         p = parse_polynomial(text)
         pairs = dual_newton_cones(p)
         if not pairs:
@@ -321,6 +316,8 @@ def _run_profile(ns) -> tuple[bool, str, dict]:
 
 
 def _run_groebner(ns) -> tuple[bool, str, dict]:
+    from .valuation import groebner_fan, tropical_variety
+
     p = parse_polynomial(ns.poly)
     if ns.tropical:
         fan = tropical_variety(p)
@@ -342,6 +339,8 @@ def _run_groebner(ns) -> tuple[bool, str, dict]:
 
 
 def _run_jets(ns) -> tuple[bool, str, dict]:
+    from .valuation import jet_equations
+
     p = parse_polynomial(ns.poly)
     system = jet_equations(p, ns.m)
     obj = {"equation": str(p)}
@@ -350,6 +349,17 @@ def _run_jets(ns) -> tuple[bool, str, dict]:
 
 
 def _run_catalog(ns) -> tuple[bool, str, dict]:
+    from .catalog import (
+        CatalogError,
+        default_grid,
+        entry,
+        equation,
+        families,
+        fixture_instances,
+        stated_maximal_cones,
+        subprofile_hyperplanes,
+    )
+
     if ns.action == "list":
         fams = []
         for name in families():
@@ -400,11 +410,15 @@ def _run_catalog(ns) -> tuple[bool, str, dict]:
 
 
 def _run_verify(ns) -> tuple[bool, str, dict]:
+    from .catalog import verify
+
     report = verify(ns.family, _params_from(ns))
     return report.overall, "verify", report.to_obj()
 
 
 def _run_render(ns) -> tuple[bool, None, str]:
+    from .newton import Fan
+
     fan = Fan.from_json(Path(ns.fan).read_text())
     return True, None, render_svg(fan)
 
@@ -587,7 +601,7 @@ def run(argv: list[str]) -> int:
         return int(status.code or 0)
     try:
         ok, key, payload = _HANDLERS[ns.verb](ns)
-    except (ParseError, CatalogError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if ns.verb == "render":

@@ -120,15 +120,21 @@ class Profile:
     bounding: tuple[AffineFunctional, ...]
     kind: str  # "simplicial" | "convex-hull"
 
+    @cached_property
+    def _level_forms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(a, b, c, -d) for each bounding form a*x + b*y + c*z + d, in integers."""
+        forms = (f.integer_form for f in self.bounding)
+        return tuple((a, b, c, -d) for a, b, c, d, _ in forms)
+
     def level(self, v: Sequence[int]) -> Fraction:
         """Height of v against the profile hull: 1 exactly on the hull.
 
         Agrees with the l-functional on simplicial cones and is defined
         without reference to any triangulation otherwise.
         """
+        x, y, z = v
         return max(
-            Fraction(a * v[0] + b * v[1] + c * v[2], -d)
-            for a, b, c, d, _ in (f.integer_form for f in self.bounding)
+            Fraction(a * x + b * y + c * z, minus_d) for a, b, c, minus_d in self._level_forms
         )
 
 

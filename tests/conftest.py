@@ -19,8 +19,9 @@ def _count_calls(monkeypatch, module_name: str, name: str) -> list:
         return original(first, *args, **kwargs)
 
     for mod_name, module in list(sys.modules.items()):
-        bound = getattr(module, name, None)
-        if mod_name.split(".")[0] == "torfan" and bound is original:
+        # vars, not getattr: getattr on the package would resolve a lazy export
+        # and leave it bound there once monkeypatch restores it
+        if mod_name.split(".")[0] == "torfan" and vars(module).get(name) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
 

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -158,8 +162,9 @@ def test_render_rejects_empty_fan(tmp_path, capsys):
         ('{"rays": [5], "cones": []}', "fan rays must be 3-vectors"),
         ('{"rays": [[1, 0, 0]], "cones": [5]}', "fan cones must be objects"),
         ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+        ("{", "Expecting property name"),
     ],
-    ids=["empty-object", "list", "non-list-ray", "non-object-cone", "deep"],
+    ids=["empty-object", "list", "non-list-ray", "non-object-cone", "deep", "truncated"],
 )
 def test_render_rejects_malformed_fans_with_a_reason(tmp_path, capsys, text, reason):
     fan_path = tmp_path / "fan.json"
@@ -234,6 +239,106 @@ def test_usage_and_input_errors(capsys, tmp_path):
     assert cli.run(["no-such-verb"]) == 2
     assert cli.run(["jets", ELL]) == 2  # --m is required
     capsys.readouterr()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LAZY = ("newton", "refine", "valuation", "catalog")
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that sees only the repo's src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_LOADED_BY_VERB = """
+import contextlib, io, sys
+import torfan.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    torfan.cli.main(sys.argv[1:])
+print(" ".join(sorted(n[7:] for n in sys.modules if n.startswith("torfan."))))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["hilbert", "<(0,1,0),(0,0,1),(6,8,9)>"], ()),
+        (["no-such-verb"], ()),
+        (["dnp", ELL], ("newton",)),
+        (["render", "FAN", "--out", "OUT"], ("newton",)),
+        (["resolve", ELL], ("newton", "refine")),
+        (["groebner", ELL], ("newton", "valuation")),
+        (["jets", ELL, "--m", "1"], ("newton", "valuation")),
+        (["verify", "E60"], LAZY),
+    ],
+    ids=["hilbert", "usage-error", "dnp", "render", "resolve", "groebner", "jets", "verify"],
+)
+def test_each_verb_loads_only_the_modules_it_uses(tmp_path, args, loaded):
+    fan = tmp_path / "fan.json"
+    fan.write_text('{"rays":[[1,0,0],[0,1,0],[0,0,1]],"cones":[{"rays":[0,1,2]}]}')
+    paths = {"FAN": str(fan), "OUT": str(tmp_path / "fan.svg")}
+    modules = _fresh_python(_LOADED_BY_VERB, *(paths.get(a, a) for a in args)).split()
+    assert [m for m in LAZY if m in modules] == [m for m in LAZY if m in loaded]
+
+
+PUBLIC_NAMES = """
+ParseError Polynomial parse_polynomial support
+Cone HilbertBasis cross dot extremal_rays hilbert_basis is_irreducible is_regular
+parallelepiped_points parse_cone primitive triangulate unimodular_det
+Fan NewtonPolyhedron dual_newton_cones dual_newton_fan fan_consistency_report
+fan_faces newton_polyhedron octant_solid_volume
+AffineFunctional Profile SubprofileSpec contains_point facet_equation l_functional
+parse_functional profile profile_lattice_points subprofile_check
+RefinementReport check_minimal_embedded refine_fan refinement_from_rays
+regular_refinement
+GroebnerCone JetSystem groebner_fan initial_form jet_equations tropical_variety
+w_order
+CatalogError appendix_fixture default_grid determinant_families embedded_valuations
+entry equation families fixture_instances groebner_meet profile_discrepancy
+stated_maximal_cones subprofile_hyperplanes verify verify_grid
+""".split()
+
+_PUBLIC_API = """
+import json, sys
+import torfan
+loaded_by_import = sorted(n for n in sys.modules if n.startswith("torfan."))
+import torfan.profile, torfan.catalog, torfan.refine
+star = {}
+exec("from torfan import *", star)
+try:
+    torfan.no_such_name
+    missing_raises = False
+except AttributeError:
+    missing_raises = True
+print(json.dumps({
+    "loaded_by_import": loaded_by_import,
+    "all": torfan.__all__,
+    "profile_is_function": torfan.profile is sys.modules["torfan.profile"].profile,
+    "not_defining_binding": [
+        n for n in torfan.__all__
+        if getattr(sys.modules[getattr(torfan, n).__module__], n) is not getattr(torfan, n)
+    ],
+    "star_mismatch": [n for n in torfan.__all__ if star.get(n) is not getattr(torfan, n)],
+    "all_in_dir": "__all__" in dir(torfan),
+    "missing_raises": missing_raises,
+}))
+"""
+
+
+def test_public_api_is_unchanged_and_resolved_on_first_use():
+    facts = json.loads(_fresh_python(_PUBLIC_API))
+    assert facts["loaded_by_import"] == ["torfan.cones", "torfan.polyparse", "torfan.profile"]
+    assert facts["all"] == PUBLIC_NAMES
+    assert facts["profile_is_function"]
+    assert facts["not_defining_binding"] == []
+    assert facts["star_mismatch"] == []
+    assert facts["all_in_dir"]
+    assert facts["missing_raises"]
 
 
 def test_vectors_file_formats(tmp_path, capsys):
