@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
+from operator import le
 from typing import Iterable, Sequence
 
 Vec = tuple[int, int, int]
@@ -160,14 +161,36 @@ class Cone:
         gens = extremal_rays(vectors)
         if not gens:
             raise ValueError("a cone needs at least one nonzero generator")
-        dim = min(len(gens), 3)
-        if dim == 3:
+        if len(gens) == 3:
+            return cls._simplex(*gens)
+        if len(gens) > 3:
             normals, pairs = zip(*sorted(_supporting_pairs(gens).items()))
-            return cls(gens, dim, normals, pairs, None)
-        if dim == 2:
+            return cls(gens, 3, normals, pairs, None)
+        if len(gens) == 2:
             n = primitive(cross(gens[0], gens[1]))
-            return cls(gens, dim, (), ((0, 1),), n)
-        return cls(gens, dim, (), (), None)
+            return cls(gens, 2, (), ((0, 1),), n)
+        return cls(gens, 1, (), (), None)
+
+    @classmethod
+    def _simplex(cls, a: Vec, b: Vec, c: Vec) -> "Cone":
+        """The cone of three linearly independent primitive rays, equal to
+        ``from_generators((a, b, c))``.  Each facet normal is the cross
+        product of its ray pair, turned inward by the sign of the
+        determinant; raises ValueError on dependent rays."""
+        g0, g1, g2 = gens = tuple(sorted((a, b, c)))
+        d = unimodular_det(g0, g1, g2)
+        if d == 0:
+            raise ValueError("a simplex needs three linearly independent rays")
+        s = 1 if d > 0 else -1
+        items = []
+        for pair, n in (
+            ((0, 1), cross(g0, g1)),
+            ((0, 2), cross(g2, g0)),
+            ((1, 2), cross(g1, g2)),
+        ):
+            items.append((primitive((s * n[0], s * n[1], s * n[2])), pair))
+        normals, pairs = zip(*sorted(items))
+        return cls(gens, 3, normals, pairs, None)
 
     @cached_property
     def hilbert(self) -> "HilbertBasis":
@@ -198,11 +221,14 @@ class Cone:
         return len(self.generators) == self.dim
 
     def contains(self, v: Sequence[int]) -> bool:
-        t = (int(v[0]), int(v[1]), int(v[2]))
+        x, y, z = t = (int(v[0]), int(v[1]), int(v[2]))
+        if self.dim == 3:
+            for a, b, c in self.facet_normals:
+                if a * x + b * y + c * z < 0:
+                    return False
+            return True
         if t == ZERO:
             return True
-        if self.dim == 3:
-            return all(dot(n, t) >= 0 for n in self.facet_normals)
         if self.dim == 2:
             return _between(t, *self.generators)
         g = self.generators[0]
@@ -249,7 +275,7 @@ def triangulate(c: Cone, apex: str = "lexmin") -> tuple[Cone, ...]:
     for i, j in c.facets:
         if i0 in (i, j):
             continue
-        pieces.append(Cone.from_generators((v0, c.generators[i], c.generators[j])))
+        pieces.append(Cone._simplex(v0, c.generators[i], c.generators[j]))
     return tuple(sorted(pieces, key=lambda p: p.generators))
 
 
@@ -407,11 +433,16 @@ def hilbert_basis(c: Cone, apex: str = "lexmin") -> HilbertBasis:
         forms = (cross(c.plane_normal, a), cross(b, c.plane_normal))
     else:
         forms = c.generators
-    kept: dict[Vec, tuple[int, ...]] = {}
+    kept: list[Vec] = []
+    heights: list[tuple[int, ...]] = []
     for v in sorted(candidates, key=lambda u: (u[0] + u[1] + u[2], u)):
         height = tuple(dot(n, v) for n in forms)
-        if not any(all(x <= y for x, y in zip(hh, height)) for hh in kept.values()):
-            kept[v] = height
+        for hh in heights:
+            if all(map(le, hh, height)):
+                break
+        else:
+            kept.append(v)
+            heights.append(height)
     return HilbertBasis(c, tuple(sorted(kept)))
 
 

@@ -35,8 +35,10 @@ def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
 
     Each affected piece is replaced by the join of v with each of its
     facets not containing v.  Pieces may be non-simplicial; the
-    replacements never are.
+    replacements never are.  v is taken as its primitive ray, so a
+    multiple of a generator changes nothing; raises ValueError on zero.
     """
+    v = primitive(v)
     out: list[Cone] = []
     changed = False
     for p in pieces:
@@ -45,9 +47,7 @@ def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
             continue
         for n, (i, j) in zip(p.facet_normals, p.facets):
             if dot(n, v) > 0:
-                out.append(
-                    Cone.from_generators((v, p.generators[i], p.generators[j]))
-                )
+                out.append(Cone._simplex(v, p.generators[i], p.generators[j]))
         changed = True
     return out, changed
 
@@ -231,10 +231,10 @@ def _hilbert_pieces(c: Cone) -> _Subdivision:
         )
         pool = [h for h in basis if h not in tau.generators and tau.contains(h)]
         if pool:
-            pieces, changed = stellar_insert(
-                pieces, min(pool, key=lambda h: (c.profile.level(h), h))
-            )
-            assert changed
+            v = min(pool, key=lambda h: (c.profile.level(h), h))
+            pieces, changed = stellar_insert(pieces, v)
+            if not changed:
+                raise RuntimeError(f"inserting {v} left {tau} unsplit")
         else:
             pieces = [q for p in pieces for q in
                       (triangulate(p) if p is tau else (p,))]
@@ -252,7 +252,8 @@ def _hilbert_pieces(c: Cone) -> _Subdivision:
         l = l_functional(tau)
         chosen = min(pool, key=lambda h: (l(h), h))
         pieces, changed = stellar_insert(pieces, chosen)
-        assert changed
+        if not changed:
+            raise RuntimeError(f"inserting {chosen} left {tau} unsplit")
         _snapshot(history, pieces)
     return pieces, history, used_fallback
 

@@ -429,3 +429,24 @@ def test_every_verb_exits_0_1_or_2_on_random_input(tmp_path_factory, data):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = cli.run(args)
     assert code in (0, 1, 2), args
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["resolve", ELL], ["verify", "B-odd", "--r", "2", "--n", "2"]],
+    ids=["resolve", "verify"],
+)
+def test_optimised_interpreter_gives_the_same_output(args):
+    # python -O strips assert statements; no decision may rest on one
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "torfan.cli", *args],
+            env=env,
+            capture_output=True,
+        )
+        for flags in ([], ["-O"])
+    ]
+    plain, optimised = runs
+    assert plain.stdout and plain.returncode in (0, 1), plain.stderr
+    assert (optimised.stdout, optimised.returncode) == (plain.stdout, plain.returncode)

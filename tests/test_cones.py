@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from torfan.cones import (
     Cone,
+    _supporting_pairs,
     cross,
     dot,
     extremal_rays,
@@ -326,6 +328,52 @@ def test_hilbert_basis_requires_octant():
         hilbert_basis(c)
     with pytest.raises(ValueError):
         is_irreducible(c, (1, 0, 0))
+
+
+signed = st.integers(min_value=-6, max_value=6)
+signed_vec = st.tuples(signed, signed, signed)
+signed_ray = signed_vec.filter(lambda v: v != (0, 0, 0)).map(_gcd_primitive)
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_ray, signed_ray, signed_ray, st.lists(signed_vec, max_size=25))
+def test_simplex_matches_general_kernel_and_oracle(a, b, c, points):
+    if det3(a, b, c) == 0:
+        return
+    simplex = Cone._simplex(a, b, c)
+    for order in permutations((a, b, c)):
+        assert Cone._simplex(*order) == simplex
+        assert Cone.from_generators(order) == simplex
+    gens = simplex.generators
+    assert gens == tuple(sorted((a, b, c)))
+    # the simplex facets are those of the all-pairs kernel, in the same order
+    assert tuple(zip(simplex.facet_normals, simplex.facets)) == tuple(
+        sorted(_supporting_pairs(gens).items())
+    )
+    normals = [_gcd_primitive(n) for n in supporting_normals(gens)]
+    assert sorted(simplex.facet_normals) == sorted(normals)
+    inside = lambda v: all(sum(x * y for x, y in zip(n, v)) >= 0 for n in normals)
+    for v in [*points, (0, 0, 0)]:
+        assert simplex.contains(v) == inside(v), v
+    for i, j in simplex.facets:
+        (k,) = {0, 1, 2} - {i, j}
+        gi, gj, gk = gens[i], gens[j], gens[k]
+        for s, t in ((1, 0), (0, 1), (1, 1), (2, 3)):
+            on = tuple(s * x + t * y for x, y in zip(gi, gj))
+            assert simplex.contains(on) and inside(on)
+        off = tuple(x + y - z for x, y, z in zip(gi, gj, gk))
+        assert not simplex.contains(off) and not inside(off)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_ray, signed_ray, st.integers(-3, 3), st.integers(-3, 3))
+def test_simplex_refuses_coplanar_rays(a, b, s, t):
+    c = tuple(s * x + t * y for x, y in zip(a, b))
+    if c == (0, 0, 0):
+        return
+    for order in permutations((a, b, _gcd_primitive(c))):
+        with pytest.raises(ValueError):
+            Cone._simplex(*order)
 
 
 def test_triangulate_simplicial_identity():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from torfan.cones import Cone, hilbert_basis, is_irreducible
+from torfan import refine
+from torfan.cones import Cone, hilbert_basis, is_irreducible, triangulate
 from torfan.newton import dual_newton_cones
 from torfan.polyparse import parse_polynomial
 from torfan.profile import profile, profile_lattice_points
@@ -221,6 +222,38 @@ def test_stellar_insert_skips_outside_and_existing():
     assert not changed and same == pieces
     same, changed = stellar_insert(pieces, (-1, 1, 1))
     assert not changed and same == pieces
+
+
+def test_stellar_insert_refuses_the_zero_vector():
+    with pytest.raises(ValueError):
+        stellar_insert([OCTANT], (0, 0, 0))
+
+
+def test_stellar_insert_at_a_multiple_of_a_generator_changes_nothing():
+    c = Cone.from_generators([E1, E2, (1, 1, 3)])
+    same, changed = stellar_insert([c], (2, 2, 6))
+    assert not changed and same == [c]
+    split, changed = stellar_insert([OCTANT], (2, 2, 6))
+    assert changed and split == stellar_insert([OCTANT], (1, 1, 3))[0]
+
+
+def test_hilbert_pieces_raise_instead_of_looping_on_a_stuck_insertion(monkeypatch):
+    monkeypatch.setattr(refine, "stellar_insert", lambda pieces, v: (list(pieces), False))
+    # a stuck split of a non-regular simplex, then of a non-simplicial cone
+    with pytest.raises(RuntimeError, match="unsplit"):
+        regular_refinement(ELL_CONES[2])
+    with pytest.raises(RuntimeError, match="unsplit"):
+        regular_refinement(B_CONES[0])
+
+
+def test_refinement_pieces_equal_the_general_constructor():
+    cones = [Cone.from_generators(g) for g in random_simplicial_octant_cones(25, 6, seed=11)]
+    for c in cones + ELL_CONES + B_CONES:
+        if c.dim != 3:
+            continue
+        pieces = [*refine._hilbert_pieces(c)[0], *triangulate(c)]
+        for p in pieces:
+            assert p == Cone.from_generators(p.generators), p
 
 
 def test_report_json_shape():
