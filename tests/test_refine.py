@@ -3,7 +3,13 @@ import random
 import pytest
 
 from torfan import refine
-from torfan.cones import Cone, hilbert_basis, is_irreducible, triangulate
+from torfan.cones import (
+    Cone,
+    _supporting_pairs,
+    hilbert_basis,
+    is_irreducible,
+    triangulate,
+)
 from torfan.newton import dual_newton_cones
 from torfan.polyparse import parse_polynomial
 from torfan.profile import profile, profile_lattice_points
@@ -249,11 +255,11 @@ def test_hilbert_pieces_raise_instead_of_looping_on_a_stuck_insertion(monkeypatc
 def test_refinement_pieces_equal_the_general_constructor():
     cones = [Cone.from_generators(g) for g in random_simplicial_octant_cones(25, 6, seed=11)]
     for c in cones + ELL_CONES + B_CONES:
-        if c.dim != 3:
-            continue
-        pieces = [*refine._hilbert_pieces(c)[0], *triangulate(c)]
-        for p in pieces:
+        for p in [*refine._hilbert_pieces(c)[0], *triangulate(c)]:
             assert p == Cone.from_generators(p.generators), p
+            assert tuple(zip(p.facet_normals, p.facets)) == tuple(
+                sorted(_supporting_pairs(p.generators).items())
+            ), p
 
 
 def test_report_json_shape():
