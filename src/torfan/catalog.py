@@ -1,23 +1,25 @@
 """Catalog of singularity families with end-to-end verification.
 
-Each entry carries a defining equation template, the parameter domain, a
-small default parameter grid, and whatever closed-form data exists for the
-family: embedded-valuation lists and subprofile hyperplanes for the two B
-series, determinant certificate families for B-odd, and tabulated per-cone
-Hilbert bases for the instances shipped in ``data/appendix_fixtures.json``.
-``verify`` runs the whole pipeline on one instance and reports per stage.
+Each registry entry carries a defining equation template, its parameter
+domain, a small default parameter grid and, for the families that state
+closed-form data (B-odd, B-even, ELLIPTIC-1), a builder of that data for one
+instance: the maximal cones, subprofile hyperplanes, embedded valuations,
+tropical cones and determinant certificates.  Tabulated per-cone Hilbert
+bases for the instances shipped in ``data/appendix_fixtures.json`` sit
+beside the registry.  ``verify`` runs the whole pipeline on one instance and
+reports per stage.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 from typing import Callable, Mapping, Sequence
 
-from .cones import Cone, Vec, hilbert_basis, unimodular_det
-from .newton import Fan, dual_newton_cones, fan_faces
+from .cones import Cone, Vec, unimodular_det
+from .newton import dual_newton_cones, fan_faces
 from .polyparse import Polynomial
 from .profile import (
     AffineFunctional,
@@ -40,6 +42,32 @@ Terms = dict[tuple[int, int, int], int]
 
 
 @dataclass(frozen=True)
+class CatalogHyperplane:
+    """One subprofile bounding hyperplane; recomputed marks a replacement."""
+
+    functional: AffineFunctional
+    recomputed: bool = False
+
+    def __str__(self) -> str:
+        return facet_equation(self.functional)
+
+
+@dataclass(frozen=True)
+class _Stated:
+    """The closed-form data one family states for one instance, None where
+    it states nothing.  ``subprofiles`` is keyed by cone index, ``tropical``
+    holds the ray sets of the tropical cones and ``printed_profile`` the
+    profile pair printed for cone 0."""
+
+    cones: list[Cone] | None = None
+    subprofiles: dict[int, tuple[CatalogHyperplane, ...]] | None = None
+    valuations: tuple[Vec, ...] | None = None
+    tropical: frozenset[frozenset[Vec]] | None = None
+    determinants: list[dict] | None = None
+    printed_profile: tuple[AffineFunctional, ...] | None = None
+
+
+@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     parameters: tuple[str, ...]
@@ -48,6 +76,10 @@ class CatalogEntry:
     rtp: bool
     grid: tuple[Params, ...]
     builder: Callable[[Params], Terms] = field(repr=False)
+    # keyword arguments named after ``parameters``; True inside the domain
+    domain: Callable[..., bool] = field(repr=False)
+    # the closed-form data of one instance, all None where none is stated
+    stated: Callable[[Params], _Stated] = field(repr=False)
     note: str = ""
     # containment failures (Hilbert elements outside their profile) are
     # recorded without failing the run; no expected witness is on file
@@ -60,23 +92,6 @@ def _a3_domain(l: int, m: int, k: int) -> bool:
 
 def _a4_domain(l: int, m: int, k: int) -> bool:
     return l < m < k and l + k <= 2 * m and (l + k) % 2 == 1
-
-
-_DOMAINS: dict[str, Callable[..., bool]] = {
-    "A1": lambda m: m >= 2,
-    "A2": lambda k, m: 1 <= k < m,
-    "A3": _a3_domain,
-    "A4": _a4_domain,
-    "B-odd": lambda r, n: r >= 1 and n >= 2,
-    "B-even": lambda r, n: r >= 1 and n >= 2,
-    "C": lambda n, m: n >= 3 and m >= 2,
-    "D": lambda n: n >= 1,
-    "D-appendix": lambda n: n >= 1,
-    "F": lambda k: k >= 2,
-    "H-3k-1": lambda k: k >= 1,
-    "H-3k": lambda k: k >= 1,
-    "H-3k+1": lambda k: k >= 1,
-}
 
 
 def _terms_a1(p: Params) -> Terms:
@@ -149,327 +164,67 @@ def _terms_f(p: Params) -> Terms:
     return {(0, 2 * k + 3, 0): 1, (2, 2 * k, 0): 1, (1, 0, 2): -1}
 
 
-_ENTRIES: dict[str, CatalogEntry] = {}
-
-
-def _register(
-    name: str,
-    parameters: tuple[str, ...],
-    constraint: str,
-    template: str,
-    grid: Sequence[Params],
-    builder: Callable[[Params], Terms],
-    rtp: bool = True,
-    note: str = "",
-    escape_observational: bool = False,
-) -> None:
-    _ENTRIES[name] = CatalogEntry(
-        name, parameters, constraint, template, rtp, tuple(grid), builder, note,
-        escape_observational,
-    )
-
-
-_register(
-    "A1", ("m",), "m >= 2",
-    "y^(3m+3) + x*y^(m+1)*z - x*z^2 - z^3",
-    [{"m": 2}, {"m": 3}, {"m": 5}], _terms_a1,
-)
-_register(
-    "A2", ("k", "m"), "1 <= k < m",
-    "y^(2k+m+3) + y^(2k+2)*z + y^(k+1)*z^2 + x*y^(k+1)*z + x*z^2 - z^3",
-    [{"k": 1, "m": 2}, {"k": 1, "m": 3}, {"k": 2, "m": 5}], _terms_a2,
-)
-_register(
-    "A3", ("l", "m", "k"), "l < m < k and (l+k > 2m or l+k even)",
-    "y^(3k) + y^(2k+m+l-2) - 2*y^(l+k)*z - x*y^k*z + y^m*z^2 + x*z^2 - z^3",
-    [{"l": 1, "m": 2, "k": 3}, {"l": 1, "m": 2, "k": 5}, {"l": 2, "m": 3, "k": 6}],
-    _terms_a3,
-)
-_register(
-    "A4", ("l", "m", "k"), "l < m < k, l+k <= 2m, l+k odd",
-    "y^(2k+m) + y^(k+m)*z + y^(l+k)*z + x*y^k*z - y^k*z^2 + y^l*z^2 + x*z^2 - z^3",
-    [{"l": 1, "m": 3, "k": 4}, {"l": 1, "m": 4, "k": 6}, {"l": 2, "m": 5, "k": 7}],
-    _terms_a4,
-)
-_register(
-    "B-odd", ("r", "n"), "r >= 1, n >= 2",
-    "x^(2n+3)*z - x^r*y^2 - y^2*z",
-    [{"r": 1, "n": 2}, {"r": 2, "n": 2}, {"r": 2, "n": 3}, {"r": 3, "n": 4}],
-    _terms_b_odd,
-)
-_register(
-    "B-even", ("r", "n"), "r >= 1, n >= 2",
-    "x^(n+r+2)*y - x^(2n+3)*z + y^2*z",
-    [{"r": 1, "n": 2}, {"r": 2, "n": 2}, {"r": 3, "n": 3}],
-    _terms_b_even,
-)
-_register(
-    "C", ("n", "m"), "n >= 3, m >= 2",
-    "x^(n-1)*y^(2m+2) + y^(2m+4) - x*z^2",
-    [{"n": 3, "m": 2}, {"n": 4, "m": 2}, {"n": 5, "m": 3}], _terms_c,
-)
-_register(
-    "D", ("n",), "n >= 1",
-    "x^(2n+2)*y^2 - x^(n+3)*z + y*z^2",
-    [{"n": 1}, {"n": 2}, {"n": 4}], _terms_d,
-)
-_register(
-    "D-appendix", ("n",), "n >= 1",
-    "x^(2n+2)*y^2 - x^(n+3)*z + y*z^2",
-    [{"n": 1}, {"n": 2}, {"n": 4}], _terms_d,
-    note="same defining equation as D; carries the tabulated per-cone bases",
-)
-_register(
-    "E60", (), "", "z^3 + y^3*z + x^2*y^2", [{}],
-    lambda p: {(0, 0, 3): 1, (0, 3, 1): 1, (2, 2, 0): 1},
-)
-_register(
-    "E07", (), "", "z^3 + y^5 + x^2*y^2", [{}],
-    lambda p: {(0, 0, 3): 1, (0, 5, 0): 1, (2, 2, 0): 1},
-)
-_register(
-    "E70", (), "", "z^3 + x^2*y*z + y^4", [{}],
-    lambda p: {(0, 0, 3): 1, (2, 1, 1): 1, (0, 4, 0): 1},
-)
-_register(
-    "F", ("k",), "k >= 2",
-    "y^(2k+3) + x^2*y^(2k) - x*z^2",
-    [{"k": 2}, {"k": 3}, {"k": 5}], _terms_f,
-)
-_register(
-    "H-3k-1", ("k",), "k >= 1",
-    "z^3 + x^3*y + x^2*y^k",
-    [{"k": 1}, {"k": 2}, {"k": 4}],
-    lambda p: {(0, 0, 3): 1, (3, 1, 0): 1, (2, p["k"], 0): 1},
-)
-_register(
-    "H-3k", ("k",), "k >= 1",
-    "z^3 + x*y^k*z + x^3*y",
-    [{"k": 1}, {"k": 2}, {"k": 4}],
-    lambda p: {(0, 0, 3): 1, (1, p["k"], 1): 1, (3, 1, 0): 1},
-)
-_register(
-    "H-3k+1", ("k",), "k >= 1",
-    "z^3 + x*y^(k+1)*z + x^3*y^2",
-    [{"k": 1}, {"k": 2}, {"k": 4}],
-    lambda p: {(0, 0, 3): 1, (1, p["k"] + 1, 1): 1, (3, 2, 0): 1},
-)
-_register(
-    "ELLIPTIC-1", (), "", "y^3 + x*z^2 - x^4", [{}],
-    lambda p: {(0, 3, 0): 1, (1, 0, 2): 1, (4, 0, 0): -1},
-    rtp=False,
-)
-_register(
-    "ELLIPTIC-2", (), "", "z^2 + y^3 + x^21", [{}],
-    lambda p: {(0, 0, 2): 1, (0, 3, 0): 1, (21, 0, 0): 1},
-    rtp=False,
-    escape_observational=True,
-)
-
-
-def families() -> list[str]:
-    return list(_ENTRIES)
-
-
-def entry(family: str) -> CatalogEntry:
-    try:
-        return _ENTRIES[family]
-    except KeyError:
-        known = ", ".join(_ENTRIES)
-        raise CatalogError(f"unknown family {family!r}; known: {known}") from None
-
-
-def _resolve_params(ent: CatalogEntry, params: Mapping[str, int] | None) -> Params:
-    if params is None:
-        return dict(ent.grid[0])
-    got = {k: int(v) for k, v in params.items()}
-    if set(got) != set(ent.parameters):
-        raise CatalogError(
-            f"family {ent.name} takes parameters {ent.parameters}, got {sorted(got)}"
-        )
-    domain = _DOMAINS.get(ent.name)
-    if domain is not None and not domain(**got):
-        raise CatalogError(
-            f"parameters {got} violate the {ent.name} constraint: {ent.constraint}"
-        )
-    return got
-
-
-def equation(family: str, params: Mapping[str, int] | None = None) -> Polynomial:
-    ent = entry(family)
-    ps = _resolve_params(ent, params)
-    return Polynomial.from_dict(ent.builder(ps))
-
-
-def default_grid(family: str) -> list[Params]:
-    return [dict(g) for g in entry(family).grid]
-
-
 # ---------------------------------------------------------------------------
 # closed-form data for the B series and the first elliptic example
 
 
-def _require(family: str, allowed: tuple[str, ...], what: str) -> None:
-    if family not in allowed:
-        raise CatalogError(
-            f"{what} is available for {', '.join(allowed)} only; "
-            f"appendix_fixture() carries the tabulated instances"
+def _hyp(a: int, b: int, c: int, d: int, recomputed: bool = False) -> CatalogHyperplane:
+    return CatalogHyperplane(AffineFunctional.from_integers(a, b, c, d), recomputed)
+
+
+def _b_series(odd: bool, p: Params) -> _Stated:
+    """The stated data of B-odd (``odd``) or B-even; only B-odd states
+    determinant families and a printed profile pair."""
+    r, n = p["r"], p["n"]
+    if odd:
+        top, mid, xray = (2, 2 * n + 3, 2 * r), (0, 1, 2), (1, 0, r)
+        cone0 = (
+            _hyp(r - 1, 0, -1, 1),
+            _hyp(n - r + 2, -1, 1, -1),
+            _hyp(r - 1, 1, -1, 1, recomputed=True),
+            _hyp(r * n + 2 * r - 2 * n - 3, 1, -(n + 2), 2 * n + 3, recomputed=True),
         )
-
-
-def stated_maximal_cones(family: str, params: Mapping[str, int] | None = None) -> list[Cone]:
-    """The maximal dual-fan cones in their catalog order."""
-    _require(family, ("B-odd", "B-even", "ELLIPTIC-1"), "the stated cone list")
-    ps = _resolve_params(entry(family), params)
-    if family == "ELLIPTIC-1":
-        return [
-            Cone.from_generators([(1, 0, 0), (0, 0, 1), (3, 1, 0), (6, 8, 9)]),
-            Cone.from_generators([(0, 1, 0), (3, 1, 0), (6, 8, 9)]),
-            Cone.from_generators([(0, 1, 0), (0, 0, 1), (6, 8, 9)]),
-        ]
-    r, n = ps["r"], ps["n"]
-    if family == "B-odd":
-        top, mid = (2, 2 * n + 3, 2 * r), (0, 1, 2)
-        xray = (1, 0, r)
     else:
-        top, mid = (2, 2 * n + 3, 2 * r + 1), (0, 1, 1)
-        xray = (1, 0, n + r + 2)
-    return [
+        top, mid, xray = (2, 2 * n + 3, 2 * r + 1), (0, 1, 1), (1, 0, n + r + 2)
+        cone0 = (
+            _hyp(n * n + n * r + 2 * n + r + 1, -n, -(n + 1), n + 1),
+            _hyp(r, 0, -1, 1),
+        )
+    base = (2, 2 * n + 3, 0)
+    cones = [
         Cone.from_generators([(0, 0, 1), xray, mid, top]),
-        Cone.from_generators([(1, 0, 0), xray, (2, 2 * n + 3, 0), top]),
-        Cone.from_generators([(0, 1, 0), mid, (2, 2 * n + 3, 0), top]),
+        Cone.from_generators([(1, 0, 0), xray, base, top]),
+        Cone.from_generators([(0, 1, 0), mid, base, top]),
     ]
-
-
-def embedded_valuations(
-    family: str, params: Mapping[str, int] | None = None
-) -> tuple[Vec, ...]:
-    """Exceptional-divisor weight vectors of the stated resolution.
-
-    The closed-form lists omit the coordinate rays, so the extremal rays of
-    the stated maximal cones are merged in; the result equals the union of
-    the per-cone Hilbert bases.
-    """
-    _require(family, ("B-odd", "B-even"), "the embedded-valuation list")
-    ps = _resolve_params(entry(family), params)
-    r, n = ps["r"], ps["n"]
-    out: set[Vec] = set()
-    if family == "B-odd":
-        out.update((1, 0, z) for z in range(1, r + 1))
-        out.update((2, 2 * n + 3, z) for z in range(0, 2 * r + 1))
-        out.update({(0, 1, 1), (0, 1, 2), (1, n + 2, r + 1)})
-        out.update((1, s, z) for s in range(1, n + 3) for z in range(0, r + 1))
-    else:
-        out.update((1, 0, z) for z in range(1, n + r + 3))
-        out.update((2, 2 * n + 3, z) for z in range(0, 2 * r + 2))
-        out.update({(0, 1, 1), (1, n + 2, r + 1)})
-        out.update(
-            (1, s, z)
-            for s in range(1, n + 3)
-            for z in range(0, n + r + 3 - s)
-        )
-    for c in stated_maximal_cones(family, ps):
-        out.update(c.generators)
-    return tuple(sorted(out))
-
-
-@dataclass(frozen=True)
-class CatalogHyperplane:
-    """One subprofile bounding hyperplane; recomputed marks a replacement."""
-
-    functional: AffineFunctional
-    recomputed: bool = False
-
-    def __str__(self) -> str:
-        return facet_equation(self.functional)
-
-
-def _aff(a: int, b: int, c: int, d: int) -> AffineFunctional:
-    return AffineFunctional.from_integers(a, b, c, d)
-
-
-def subprofile_hyperplanes(
-    family: str, params: Mapping[str, int] | None, cone_index: int
-) -> tuple[CatalogHyperplane, ...]:
-    """Stated subprofile hyperplanes for one maximal cone.
-
-    For B-odd cone 0 the stated profile pair does not bound the convex hull
-    of the generators, so the recomputed hull facets are appended and
-    flagged; every other list is served as stated.
-    """
-    _require(family, ("B-odd", "B-even", "ELLIPTIC-1"), "the subprofile data")
-    ps = _resolve_params(entry(family), params)
-    if family == "ELLIPTIC-1":
-        if cone_index != 2:
-            raise CatalogError(
-                "ELLIPTIC-1 states subprofile data for cone 2 only"
-            )
-        return (CatalogHyperplane(_aff(8, -3, -3, 3)),)
-    r, n = ps["r"], ps["n"]
-    if cone_index == 1:
-        return (
-            CatalogHyperplane(_aff(1, 0, 0, -1)),
-            CatalogHyperplane(_aff(n + 2, -1, 0, -1)),
-        )
-    if cone_index == 2:
-        return (CatalogHyperplane(_aff(n + 1, -1, 0, 1)),)
-    if cone_index != 0:
-        raise CatalogError(f"cone index {cone_index} out of range (0..2)")
-    if family == "B-even":
-        return (
-            CatalogHyperplane(
-                _aff(n * n + n * r + 2 * n + r + 1, -n, -(n + 1), n + 1)
-            ),
-            CatalogHyperplane(_aff(r, 0, -1, 1)),
-        )
-    return (
-        CatalogHyperplane(_aff(r - 1, 0, -1, 1)),
-        CatalogHyperplane(_aff(n - r + 2, -1, 1, -1)),
-        CatalogHyperplane(_aff(r - 1, 1, -1, 1), recomputed=True),
-        CatalogHyperplane(
-            _aff(r * n + 2 * r - 2 * n - 3, 1, -(n + 2), 2 * n + 3), recomputed=True
-        ),
+    # the closed-form list without the coordinate rays; see embedded_valuations
+    evs = {(1, 0, z) for z in range(1, xray[2] + 1)}
+    evs.update((2, 2 * n + 3, z) for z in range(0, top[2] + 1))
+    evs.update({(0, 1, 1), mid, (1, n + 2, r + 1)})
+    evs.update(
+        (1, s, z)
+        for s in range(1, n + 3)
+        for z in range(0, r + 1 if odd else n + r + 3 - s)
     )
-
-
-def profile_discrepancy(
-    family: str, params: Mapping[str, int] | None = None
-) -> dict:
-    """B-odd cone 0: the stated profile pair next to the computed hull facets.
-
-    The first stated hyperplane misses every incidence requirement and the
-    second cuts off a generator, so profile() ignores both; this report
-    records the mismatch instead of guessing an intended expression.
-    """
-    _require(family, ("B-odd",), "the profile discrepancy report")
-    ps = _resolve_params(entry(family), params)
-    r, n = ps["r"], ps["n"]
-    cone = stated_maximal_cones(family, ps)[0]
-    stated = [
-        _aff(0, -1, 2 * n + 3, -r * (2 * n + 3)),  # printed with no x term
-        _aff(n - r + 2, -1, 1, -1),
-    ]
-    rows = []
-    for f in stated:
-        tight = sum(1 for g in cone.generators if f(g) == 0)
-        origin = f((0, 0, 0))
-        separates = any(
-            (f(g) > 0) != (origin > 0) for g in cone.generators if f(g) != 0
-        )
-        rows.append(
-            {
-                "hyperplane": facet_equation(f),
-                "generators_on": tight,
-                "separates_generator": separates,
-            }
-        )
-    recomputed = [facet_equation(f) for f in cone.profile.bounding]
-    return {
-        "cone_index": 0,
-        "stated": rows,
-        "recomputed_facets": recomputed,
-        "flagged": True,
-    }
+    for c in cones:
+        evs.update(c.generators)
+    return _Stated(
+        cones=cones,
+        subprofiles={
+            0: cone0,
+            1: (_hyp(1, 0, 0, -1), _hyp(n + 2, -1, 0, -1)),
+            2: (_hyp(n + 1, -1, 0, 1),),
+        },
+        valuations=tuple(sorted(evs)),
+        tropical=frozenset(
+            map(frozenset, ({top}, {xray, top}, {mid, top}, {base, top}))
+        ),
+        determinants=_det_matrices_b_odd(r, n) if odd else None,
+        printed_profile=(
+            # the first is printed with no x term
+            AffineFunctional.from_integers(0, -1, 2 * n + 3, -r * (2 * n + 3)),
+            AffineFunctional.from_integers(n - r + 2, -1, 1, -1),
+        ) if odd else None,
+    )
 
 
 def _det_matrices_b_odd(r: int, n: int) -> list[dict]:
@@ -522,6 +277,264 @@ def _det_matrices_b_odd(r: int, n: int) -> list[dict]:
     return fams
 
 
+def _elliptic1(p: Params) -> _Stated:
+    """Three cones around the apex ray (6,8,9); subprofile data for cone 2."""
+    return _Stated(
+        cones=[
+            Cone.from_generators([(1, 0, 0), (0, 0, 1), (3, 1, 0), (6, 8, 9)]),
+            Cone.from_generators([(0, 1, 0), (3, 1, 0), (6, 8, 9)]),
+            Cone.from_generators([(0, 1, 0), (0, 0, 1), (6, 8, 9)]),
+        ],
+        subprofiles={2: (_hyp(8, -3, -3, 3),)},
+    )
+
+
+_ENTRIES: dict[str, CatalogEntry] = {}
+
+
+def _register(
+    name: str,
+    parameters: tuple[str, ...],
+    constraint: str,
+    domain: Callable[..., bool],
+    template: str,
+    grid: Sequence[Params],
+    builder: Callable[[Params], Terms],
+    rtp: bool = True,
+    note: str = "",
+    escape_observational: bool = False,
+    stated: Callable[[Params], _Stated] = lambda p: _Stated(),
+) -> None:
+    _ENTRIES[name] = CatalogEntry(
+        name, parameters, constraint, template, rtp, tuple(grid), builder, domain,
+        stated, note, escape_observational,
+    )
+
+
+_register(
+    "A1", ("m",), "m >= 2", lambda m: m >= 2,
+    "y^(3m+3) + x*y^(m+1)*z - x*z^2 - z^3",
+    [{"m": 2}, {"m": 3}, {"m": 5}], _terms_a1,
+)
+_register(
+    "A2", ("k", "m"), "1 <= k < m", lambda k, m: 1 <= k < m,
+    "y^(2k+m+3) + y^(2k+2)*z + y^(k+1)*z^2 + x*y^(k+1)*z + x*z^2 - z^3",
+    [{"k": 1, "m": 2}, {"k": 1, "m": 3}, {"k": 2, "m": 5}], _terms_a2,
+)
+_register(
+    "A3", ("l", "m", "k"), "l < m < k and (l+k > 2m or l+k even)", _a3_domain,
+    "y^(3k) + y^(2k+m+l-2) - 2*y^(l+k)*z - x*y^k*z + y^m*z^2 + x*z^2 - z^3",
+    [{"l": 1, "m": 2, "k": 3}, {"l": 1, "m": 2, "k": 5}, {"l": 2, "m": 3, "k": 6}],
+    _terms_a3,
+)
+_register(
+    "A4", ("l", "m", "k"), "l < m < k, l+k <= 2m, l+k odd", _a4_domain,
+    "y^(2k+m) + y^(k+m)*z + y^(l+k)*z + x*y^k*z - y^k*z^2 + y^l*z^2 + x*z^2 - z^3",
+    [{"l": 1, "m": 3, "k": 4}, {"l": 1, "m": 4, "k": 6}, {"l": 2, "m": 5, "k": 7}],
+    _terms_a4,
+)
+_register(
+    "B-odd", ("r", "n"), "r >= 1, n >= 2", lambda r, n: r >= 1 and n >= 2,
+    "x^(2n+3)*z - x^r*y^2 - y^2*z",
+    [{"r": 1, "n": 2}, {"r": 2, "n": 2}, {"r": 2, "n": 3}, {"r": 3, "n": 4}],
+    _terms_b_odd, stated=partial(_b_series, True),
+)
+_register(
+    "B-even", ("r", "n"), "r >= 1, n >= 2", lambda r, n: r >= 1 and n >= 2,
+    "x^(n+r+2)*y - x^(2n+3)*z + y^2*z",
+    [{"r": 1, "n": 2}, {"r": 2, "n": 2}, {"r": 3, "n": 3}],
+    _terms_b_even, stated=partial(_b_series, False),
+)
+_register(
+    "C", ("n", "m"), "n >= 3, m >= 2", lambda n, m: n >= 3 and m >= 2,
+    "x^(n-1)*y^(2m+2) + y^(2m+4) - x*z^2",
+    [{"n": 3, "m": 2}, {"n": 4, "m": 2}, {"n": 5, "m": 3}], _terms_c,
+)
+_register(
+    "D", ("n",), "n >= 1", lambda n: n >= 1,
+    "x^(2n+2)*y^2 - x^(n+3)*z + y*z^2",
+    [{"n": 1}, {"n": 2}, {"n": 4}], _terms_d,
+)
+_register(
+    "D-appendix", ("n",), "n >= 1", lambda n: n >= 1,
+    "x^(2n+2)*y^2 - x^(n+3)*z + y*z^2",
+    [{"n": 1}, {"n": 2}, {"n": 4}], _terms_d,
+    note="same defining equation as D; carries the tabulated per-cone bases",
+)
+_register(
+    "E60", (), "", lambda: True, "z^3 + y^3*z + x^2*y^2", [{}],
+    lambda p: {(0, 0, 3): 1, (0, 3, 1): 1, (2, 2, 0): 1},
+)
+_register(
+    "E07", (), "", lambda: True, "z^3 + y^5 + x^2*y^2", [{}],
+    lambda p: {(0, 0, 3): 1, (0, 5, 0): 1, (2, 2, 0): 1},
+)
+_register(
+    "E70", (), "", lambda: True, "z^3 + x^2*y*z + y^4", [{}],
+    lambda p: {(0, 0, 3): 1, (2, 1, 1): 1, (0, 4, 0): 1},
+)
+_register(
+    "F", ("k",), "k >= 2", lambda k: k >= 2,
+    "y^(2k+3) + x^2*y^(2k) - x*z^2",
+    [{"k": 2}, {"k": 3}, {"k": 5}], _terms_f,
+)
+_register(
+    "H-3k-1", ("k",), "k >= 1", lambda k: k >= 1,
+    "z^3 + x^3*y + x^2*y^k",
+    [{"k": 1}, {"k": 2}, {"k": 4}],
+    lambda p: {(0, 0, 3): 1, (3, 1, 0): 1, (2, p["k"], 0): 1},
+)
+_register(
+    "H-3k", ("k",), "k >= 1", lambda k: k >= 1,
+    "z^3 + x*y^k*z + x^3*y",
+    [{"k": 1}, {"k": 2}, {"k": 4}],
+    lambda p: {(0, 0, 3): 1, (1, p["k"], 1): 1, (3, 1, 0): 1},
+)
+_register(
+    "H-3k+1", ("k",), "k >= 1", lambda k: k >= 1,
+    "z^3 + x*y^(k+1)*z + x^3*y^2",
+    [{"k": 1}, {"k": 2}, {"k": 4}],
+    lambda p: {(0, 0, 3): 1, (1, p["k"] + 1, 1): 1, (3, 2, 0): 1},
+)
+_register(
+    "ELLIPTIC-1", (), "", lambda: True, "y^3 + x*z^2 - x^4", [{}],
+    lambda p: {(0, 3, 0): 1, (1, 0, 2): 1, (4, 0, 0): -1},
+    rtp=False, stated=_elliptic1,
+)
+_register(
+    "ELLIPTIC-2", (), "", lambda: True, "z^2 + y^3 + x^21", [{}],
+    lambda p: {(0, 0, 2): 1, (0, 3, 0): 1, (21, 0, 0): 1},
+    rtp=False,
+    escape_observational=True,
+)
+
+
+def families() -> list[str]:
+    return list(_ENTRIES)
+
+
+def entry(family: str) -> CatalogEntry:
+    try:
+        return _ENTRIES[family]
+    except KeyError:
+        known = ", ".join(_ENTRIES)
+        raise CatalogError(f"unknown family {family!r}; known: {known}") from None
+
+
+def _resolve_params(ent: CatalogEntry, params: Mapping[str, int] | None) -> Params:
+    if params is None:
+        return dict(ent.grid[0])
+    for k, v in params.items():
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise CatalogError(
+                f"parameter {k!r} of {ent.name} must be an integer, got {v!r}"
+            )
+    got = dict(params)
+    if set(got) != set(ent.parameters):
+        raise CatalogError(
+            f"family {ent.name} takes parameters {ent.parameters}, got {sorted(got)}"
+        )
+    if not ent.domain(**got):
+        raise CatalogError(
+            f"parameters {got} violate the {ent.name} constraint: {ent.constraint}"
+        )
+    return got
+
+
+def equation(family: str, params: Mapping[str, int] | None = None) -> Polynomial:
+    ent = entry(family)
+    return Polynomial.from_dict(ent.builder(_resolve_params(ent, params)))
+
+
+def default_grid(family: str) -> list[Params]:
+    return [dict(g) for g in entry(family).grid]
+
+
+# ---------------------------------------------------------------------------
+# lookups of the stated data
+
+
+def _stated(family: str, params: Mapping[str, int] | None, what: str) -> _Stated:
+    """The stated data of one instance; CatalogError unless it holds ``what``."""
+    ent = entry(family)
+    rec = ent.stated(_resolve_params(ent, params))
+    if getattr(rec, what) is None:
+        raise CatalogError(
+            f"the {family} entry states no {what.replace('_', ' ')}; "
+            f"appendix_fixture() carries the tabulated instances"
+        )
+    return rec
+
+
+def stated_maximal_cones(family: str, params: Mapping[str, int] | None = None) -> list[Cone]:
+    """The maximal dual-fan cones in their catalog order."""
+    return _stated(family, params, "cones").cones
+
+
+def embedded_valuations(
+    family: str, params: Mapping[str, int] | None = None
+) -> tuple[Vec, ...]:
+    """Exceptional-divisor weight vectors of the stated resolution.
+
+    The closed-form lists omit the coordinate rays, so the extremal rays of
+    the stated maximal cones are merged in; the result equals the union of
+    the per-cone Hilbert bases.
+    """
+    return _stated(family, params, "valuations").valuations
+
+
+def subprofile_hyperplanes(
+    family: str, params: Mapping[str, int] | None, cone_index: int
+) -> tuple[CatalogHyperplane, ...]:
+    """Stated subprofile hyperplanes for one maximal cone.
+
+    For B-odd cone 0 the stated profile pair does not bound the convex hull
+    of the generators, so the recomputed hull facets are appended and
+    flagged; every other list is served as stated.
+    """
+    by_cone = _stated(family, params, "subprofiles").subprofiles
+    if cone_index not in by_cone:
+        raise CatalogError(
+            f"{family} states subprofile data for cones {sorted(by_cone)} only, "
+            f"not for cone {cone_index}"
+        )
+    return by_cone[cone_index]
+
+
+def profile_discrepancy(
+    family: str, params: Mapping[str, int] | None = None
+) -> dict:
+    """B-odd cone 0: the stated profile pair next to the computed hull facets.
+
+    The first stated hyperplane misses every incidence requirement and the
+    second cuts off a generator, so profile() ignores both; this report
+    records the mismatch instead of guessing an intended expression.
+    """
+    rec = _stated(family, params, "printed_profile")
+    cone = rec.cones[0]
+    rows = []
+    for f in rec.printed_profile:
+        tight = sum(1 for g in cone.generators if f(g) == 0)
+        origin = f((0, 0, 0))
+        separates = any(
+            (f(g) > 0) != (origin > 0) for g in cone.generators if f(g) != 0
+        )
+        rows.append(
+            {
+                "hyperplane": facet_equation(f),
+                "generators_on": tight,
+                "separates_generator": separates,
+            }
+        )
+    recomputed = [facet_equation(f) for f in cone.profile.bounding]
+    return {
+        "cone_index": 0,
+        "stated": rows,
+        "recomputed_facets": recomputed,
+        "flagged": True,
+    }
+
+
 def determinant_families(
     family: str, params: Mapping[str, int] | None = None
 ) -> list[dict]:
@@ -530,13 +543,7 @@ def determinant_families(
     Only B-odd carries a stated list; B-even is dispatched without one, so
     asking for it is an error rather than an invented table.
     """
-    ent = entry(family)
-    if family != "B-odd":
-        raise CatalogError(
-            "determinant families are stated for B-odd only"
-        )
-    ps = _resolve_params(ent, params)
-    return _det_matrices_b_odd(ps["r"], ps["n"])
+    return _stated(family, params, "determinants").determinants
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +597,10 @@ def fixture_instances() -> list[tuple[str, Params]]:
 def appendix_fixture(
     family: str, params: Mapping[str, int] | None = None
 ) -> AppendixFixture:
-    ent = entry(family)
-    ps = _resolve_params(ent, params)
-    for fx in _load_fixtures():
-        if fx.family == family and fx.params == ps:
-            return fx
+    ps = _resolve_params(entry(family), params)
+    fx = _fixture(family, ps)
+    if fx is not None:
+        return fx
     have = [p for f, p in fixture_instances() if f == family]
     if have:
         raise CatalogError(
@@ -603,10 +609,11 @@ def appendix_fixture(
     raise CatalogError(f"family {family} has no tabulated fixture")
 
 
-def _has_fixture(family: str, ps: Params) -> bool:
-    return any(
-        fx.family == family and fx.params == ps for fx in _load_fixtures()
-    )
+def _fixture(family: str, ps: Params) -> AppendixFixture | None:
+    for fx in _load_fixtures():
+        if fx.family == family and fx.params == ps:
+            return fx
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -655,19 +662,6 @@ def _check_cone(c: Cone, vertex: Vec, insert: list[Vec], rtp: bool) -> dict:
     }
 
 
-def _expected_tropical_sets(family: str, r: int, n: int) -> list[frozenset[Vec]]:
-    if family == "B-odd":
-        top, mid, xray = (2, 2 * n + 3, 2 * r), (0, 1, 2), (1, 0, r)
-    else:
-        top, mid, xray = (2, 2 * n + 3, 2 * r + 1), (0, 1, 1), (1, 0, n + r + 2)
-    return [
-        frozenset({top}),
-        frozenset({xray, top}),
-        frozenset({mid, top}),
-        frozenset({(2, 2 * n + 3, 0), top}),
-    ]
-
-
 def _shared_face_sets(maximal: Sequence[Cone]) -> set[frozenset[Vec]]:
     out = set()
     for rays, dim in fan_faces(maximal):
@@ -691,14 +685,14 @@ def verify(
     """
     ent = entry(family)
     ps = _resolve_params(ent, params)
-    p = equation(family, ps)
+    p = Polynomial.from_dict(ent.builder(ps))
+    rec = ent.stated(ps)
+    stated, evs = rec.cones, rec.valuations
     stages: dict[str, dict] = {}
-    is_b = family in ("B-odd", "B-even")
 
     computed = dual_newton_cones(p)
     cone_sets = {frozenset(c.generators) for c, _ in computed}
-    if family in ("B-odd", "B-even", "ELLIPTIC-1"):
-        stated = stated_maximal_cones(family, ps)
+    if stated is not None:
         stated_sets = {frozenset(c.generators) for c in stated}
         ok = stated_sets == cone_sets
         stages["dual_fan"] = {
@@ -707,20 +701,11 @@ def verify(
             "matches_stated": ok,
         }
     else:
-        stated = None
         stages["dual_fan"] = {"status": "ok", "cones": len(computed)}
 
-    evs = embedded_valuations(family, ps) if is_b else None
-    per_cone_insert: list[list[Vec]] = []
-    for c, _ in computed:
-        if evs is not None:
-            per_cone_insert.append([v for v in evs if c.contains(v)])
-        else:
-            per_cone_insert.append([])
-
     cone_reports = [
-        _check_cone(c, vtx, ins, ent.rtp)
-        for (c, vtx), ins in zip(computed, per_cone_insert)
+        _check_cone(c, vtx, [v for v in evs or () if c.contains(v)], ent.rtp)
+        for c, vtx in computed
     ]
 
     stages["hilbert"] = {
@@ -773,9 +758,8 @@ def verify(
             "witnesses": [list(v) for v in witnesses],
         }
 
-    if is_b:
-        assert stated is not None and evs is not None
-        hyps = [subprofile_hyperplanes(family, ps, i) for i in range(len(stated))]
+    if evs is not None:
+        hyps = [rec.subprofiles[i] for i in range(len(stated))]
         failures = []
         for v in evs:
             containing = [i for i, c in enumerate(stated) if c.contains(v)]
@@ -807,11 +791,14 @@ def verify(
             "failures": failures,
             "per_cone": reports,
         }
-    elif family == "ELLIPTIC-1":
-        assert stated is not None
-        hyp = subprofile_hyperplanes(family, ps, 2)[0]
-        facets = stated[2].profile.bounding
-        match = len(facets) == 1 and facet_equation(facets[0]) == str(hyp)
+    elif rec.subprofiles is not None:
+        # without valuations to place, each stated list must be the whole
+        # facet list of its cone's profile
+        match = all(
+            [facet_equation(f) for f in stated[i].profile.bounding]
+            == [str(h) for h in hyps]
+            for i, hyps in rec.subprofiles.items()
+        )
         stages["subprofile"] = {
             "status": "ok" if match else "fail",
             "matches_profile_facet": match,
@@ -819,11 +806,8 @@ def verify(
     else:
         stages["subprofile"] = {"status": "skipped"}
 
-    if is_b:
-        assert evs is not None
-        union_h = set()
-        for cr in cone_reports:
-            union_h.update(cr["hilbert"])
+    if evs is not None:
+        union_h = {v for cr in cone_reports for v in cr["hilbert"]}
         missing = sorted(set(evs) - union_h)
         extra = sorted(union_h - set(evs))
         stages["valuations"] = {
@@ -831,8 +815,10 @@ def verify(
             "missing": [list(v) for v in missing],
             "extra": [list(v) for v in extra],
         }
+    else:
+        stages["valuations"] = {"status": "skipped"}
 
-        expected = _expected_tropical_sets(family, ps["r"], ps["n"])
+    if rec.tropical is not None:
         trop = tropical_variety(p)
         trop_sets = {
             frozenset(trop.rays[i] for i in fc.rays) for fc in trop.cones
@@ -847,20 +833,19 @@ def verify(
         )
         inside_skeleton = trop_sets <= skeleton
         groebner_ok = (
-            trop_sets == set(expected) and skeleton_covered and inside_skeleton
+            trop_sets == rec.tropical and skeleton_covered and inside_skeleton
         )
         stages["groebner"] = {
             "status": "ok" if groebner_ok else "fail",
             "tropical_cones": len(trop_sets),
-            "matches_stated": trop_sets == set(expected),
+            "matches_stated": trop_sets == rec.tropical,
             "matches_skeleton": skeleton_covered and inside_skeleton,
         }
     else:
-        stages["valuations"] = {"status": "skipped"}
         stages["groebner"] = {"status": "skipped"}
 
-    if _has_fixture(family, ps):
-        fx = appendix_fixture(family, ps)
+    fx = _fixture(family, ps)
+    if fx is not None:
         by_rays = {
             frozenset(tuple(v) for v in cr["rays"]): cr for cr in cone_reports
         }
@@ -890,8 +875,8 @@ def verify(
     else:
         stages["fixture"] = {"status": "skipped"}
 
-    if family == "B-odd":
-        fams = determinant_families(family, ps)
+    fams = rec.determinants
+    if fams is not None:
         bad = [
             {"label": f["label"], "matrix": [list(v) for v in m]}
             for f in fams
@@ -903,7 +888,8 @@ def verify(
             "matrices": sum(len(f["matrices"]) for f in fams),
             "failures": bad,
         }
-    elif family == "B-even":
+    elif evs is not None:
+        # a stated refinement whose certificates are not on file
         stages["determinants"] = {"status": "skipped", "reason": "not stated"}
     else:
         stages["determinants"] = {"status": "skipped"}
@@ -929,14 +915,14 @@ def groebner_meet(family: str, params: Mapping[str, int] | None = None) -> dict:
     """
     ent = entry(family)
     ps = _resolve_params(ent, params)
-    p = equation(family, ps)
-    if family in ("B-odd", "B-even"):
-        vectors = list(embedded_valuations(family, ps))
+    p = Polynomial.from_dict(ent.builder(ps))
+    vectors = ent.stated(ps).valuations
+    if vectors is not None:
         source = "embedded-valuations"
     else:
         seen: set[Vec] = set()
         for c, _ in dual_newton_cones(p):
-            seen.update(hilbert_basis(c))
+            seen.update(c.hilbert)
         vectors = sorted(seen)
         source = "hilbert-basis"
     gf = groebner_fan(p)

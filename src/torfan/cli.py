@@ -348,10 +348,26 @@ def _run_jets(ns) -> tuple[bool, str, dict]:
     return True, "jets", obj
 
 
+def _entry_fields(ent) -> dict:
+    """The registry fields that ``catalog list`` and ``catalog show`` share."""
+    from .catalog import default_grid
+
+    obj = {
+        "name": ent.name,
+        "parameters": list(ent.parameters),
+        "constraint": ent.constraint,
+        "template": ent.template,
+        "rtp": ent.rtp,
+        "grid": default_grid(ent.name),
+    }
+    if ent.note:
+        obj["note"] = ent.note
+    return obj
+
+
 def _run_catalog(ns) -> tuple[bool, str, dict]:
     from .catalog import (
         CatalogError,
-        default_grid,
         entry,
         equation,
         families,
@@ -361,39 +377,20 @@ def _run_catalog(ns) -> tuple[bool, str, dict]:
     )
 
     if ns.action == "list":
-        fams = []
-        for name in families():
-            ent = entry(name)
-            row = {
-                "name": name,
-                "parameters": list(ent.parameters),
-                "constraint": ent.constraint,
-                "template": ent.template,
-                "rtp": ent.rtp,
-                "grid": default_grid(name),
-                "fixtures": [p for f, p in fixture_instances() if f == name],
-            }
-            if ent.note:
-                row["note"] = ent.note
-            fams.append(row)
+        fams = [
+            _entry_fields(entry(name))
+            | {"fixtures": [p for f, p in fixture_instances() if f == name]}
+            for name in families()
+        ]
         return True, "catalog-list", {"families": fams}
     ent = entry(ns.family)
+    obj = _entry_fields(ent)
     params = _params_from(ns)
     poly = equation(ns.family, params)
     resolved = params or (dict(ent.grid[0]) if ent.parameters else {})
-    obj = {
-        "name": ent.name,
-        "parameters": list(ent.parameters),
-        "constraint": ent.constraint,
-        "template": ent.template,
-        "rtp": ent.rtp,
-        "grid": default_grid(ns.family),
-        "params": resolved,
-        "equation": str(poly),
-        "fixture": (ns.family, resolved) in fixture_instances(),
-    }
-    if ent.note:
-        obj["note"] = ent.note
+    obj["params"] = resolved
+    obj["equation"] = str(poly)
+    obj["fixture"] = (ns.family, resolved) in fixture_instances()
     try:
         stated = stated_maximal_cones(ns.family, params)
         obj["stated_maximal_cones"] = [_vecs(c.generators) for c in stated]

@@ -254,22 +254,18 @@ def is_regular(c: Cone) -> bool:
     return c.is_simplicial() and c.multiplicity == 1
 
 
-def triangulate(c: Cone, apex: str = "lexmin") -> tuple[Cone, ...]:
-    """Split into simplicial cones by fanning boundary facets out of one ray.
+def triangulate(c: Cone) -> tuple[Cone, ...]:
+    """Split into simplicial cones by fanning boundary facets out of the
+    lexicographically least ray.
 
-    ``apex`` picks the distinguished ray ("lexmin" or "lexmax"); the result is
-    deterministic and face-to-face.  Simplicial cones come back unchanged.
+    The result is deterministic and face-to-face.  Simplicial cones come back
+    unchanged.
     """
     if c.is_simplicial():
         return (c,)
     if c.dim != 3:
         raise ValueError("non-simplicial cones of dimension < 3 cannot be pointed")
-    if apex == "lexmin":
-        v0 = min(c.generators)
-    elif apex == "lexmax":
-        v0 = max(c.generators)
-    else:
-        raise ValueError(f"unknown apex rule {apex!r}")
+    v0 = min(c.generators)
     i0 = c.generators.index(v0)
     pieces = []
     for i, j in c.facets:
@@ -405,17 +401,16 @@ class HilbertBasis:
         return len(self.elements)
 
 
-def hilbert_basis(c: Cone, apex: str = "lexmin") -> HilbertBasis:
+def hilbert_basis(c: Cone) -> HilbertBasis:
     """Irreducible lattice points of a pointed cone in the octant.
 
     Candidates come from the parallelepipeds of a triangulation (every
     irreducible point of the cone is irreducible in the piece containing it,
-    hence lies in that piece's parallelepiped); the result is independent of
-    ``apex``, which only changes the candidate superset.
+    hence lies in that piece's parallelepiped).
     """
     _require_octant_semigroup(c)
     candidates: set[Vec] = set()
-    for piece in triangulate(c, apex=apex):
+    for piece in triangulate(c):
         candidates.update(parallelepiped_points(piece))
     candidates.discard(ZERO)
 

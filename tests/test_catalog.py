@@ -43,6 +43,60 @@ def test_registry_names_and_flags():
         entry("B-weird")
 
 
+# which lookups each family answers; every other (family, lookup) pair raises
+STATED = {
+    "B-odd": {"cones", "subprofiles", "valuations", "determinants", "discrepancy"},
+    "B-even": {"cones", "subprofiles", "valuations"},
+    "ELLIPTIC-1": {"cones", "subprofiles"},
+}
+LOOKUPS = {
+    "cones": stated_maximal_cones,
+    "subprofiles": lambda fam: subprofile_hyperplanes(fam, None, 2),
+    "valuations": embedded_valuations,
+    "determinants": determinant_families,
+    "discrepancy": profile_discrepancy,
+}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_registry_pins_which_lookups_answer(family):
+    answered = set()
+    for name, lookup in LOOKUPS.items():
+        try:
+            lookup(family)
+        except CatalogError:
+            continue
+        answered.add(name)
+    assert answered == STATED.get(family, set())
+
+
+def test_every_domain_holds_its_grid_and_refuses_zero():
+    for fam in families():
+        ent = entry(fam)
+        for params in ent.grid:
+            assert ent.domain(**params), (fam, params)
+        if ent.parameters:
+            with pytest.raises(CatalogError):
+                equation(fam, dict.fromkeys(ent.parameters, 0))
+
+
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        ({"r": 2.7, "n": 2}, "'r'"),
+        ({"r": True, "n": "2"}, "'r'"),
+        ({"r": 2, "n": "2"}, "'n'"),
+        ({"r": "two"}, "'r'"),
+    ],
+    ids=["float", "bool", "string", "word"],
+)
+def test_non_integer_parameters_are_refused(params, named):
+    with pytest.raises(CatalogError, match=named):
+        verify("B-odd", params)
+    with pytest.raises(CatalogError, match=named):
+        stated_maximal_cones("B-odd", params)
+
+
 def test_equations_instantiate():
     cases = {
         ("B-odd", (("r", 2), ("n", 2))): "x^7*z - x^2*y^2 - y^2*z",
