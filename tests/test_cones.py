@@ -400,6 +400,23 @@ def test_hilbert_basis_against_oracle_seeded():
         assert got == expected, (g1, g2, g3)
 
 
+def test_hilbert_basis_non_simplicial_against_triangulation_choice():
+    # hilbert_basis fans out from the lexmin ray; rebuild the basis from the
+    # fan out of the lexmax ray, with box-oracle points and irreducibility.
+    c = Cone.from_generators([(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 7, 4)])
+    i0 = c.generators.index(max(c.generators))
+    pieces = [
+        (c.generators[i0], c.generators[i], c.generators[j])
+        for i, j in c.facets
+        if i0 not in (i, j)
+    ]
+    assert len(pieces) == len(c.generators) - 2
+    candidates = {v for gens in pieces for v in box_parallelepiped_points(gens)}
+    candidates.discard((0, 0, 0))
+    expected = {v for v in candidates if box_is_irreducible(c.generators, v)}
+    assert set(hilbert_basis(c).elements) == expected
+
+
 def test_parse_cone_round_trip():
     text = "<(0,0,1),(1,0,2),(0,1,2),(2,7,4)>"
     c = parse_cone(text)
