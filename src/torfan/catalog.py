@@ -13,13 +13,14 @@ reports per stage.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, partial
 from importlib import resources
 from typing import Callable, Mapping, Sequence
 
 from .cones import Cone, Vec, unimodular_det
-from .newton import dual_newton_cones, fan_faces
+from .newton import _facet_incidence, dual_newton_cones
 from .polyparse import Polynomial
 from .profile import (
     AffineFunctional,
@@ -662,19 +663,6 @@ def _check_cone(c: Cone, vertex: Vec, insert: list[Vec], rtp: bool) -> dict:
     }
 
 
-def _shared_face_sets(maximal: Sequence[Cone]) -> set[frozenset[Vec]]:
-    out = set()
-    for rays, dim in fan_faces(maximal):
-        if dim > 2:
-            continue
-        owners = sum(
-            1 for m in maximal if all(m.contains(g) for g in rays)
-        )
-        if owners >= 2:
-            out.add(frozenset(rays))
-    return out
-
-
 def verify(
     family: str, params: Mapping[str, int] | None = None
 ) -> VerificationReport:
@@ -823,7 +811,15 @@ def verify(
         trop_sets = {
             frozenset(trop.rays[i] for i in fc.rays) for fc in trop.cones
         }
-        skeleton = _shared_face_sets([c for c, _ in computed])
+        # the 2-skeleton of the fan: walls and the rays of two or more cones
+        maximal = [c for c, _ in computed]
+        skeleton = {
+            frozenset(face)
+            for face, normals in _facet_incidence(maximal).items()
+            if len(normals) == 2
+        }
+        uses = Counter(g for c in maximal for g in c.generators)
+        skeleton.update(frozenset({g}) for g, k in uses.items() if k >= 2)
         # support equality: larger classes absorb their boundary sub-faces,
         # so compare point sets, not the face lists themselves
         trop_cones = [Cone.from_generators(fs) for fs in trop_sets]

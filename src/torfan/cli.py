@@ -136,6 +136,10 @@ def render_svg(fan: Fan) -> str:
     dimension below 3, which draw as segments or points); rays carry
     their lattice coordinates.  Output is deterministic.
     """
+    # html, not xml.sax.saxutils: both escape &, < and > alike, but that
+    # one imports urllib.request, tens of milliseconds per CLI process
+    from html import escape
+
     if not fan.cones:
         raise ValueError("cannot render an empty fan")
     for v in fan.rays:
@@ -153,7 +157,7 @@ def render_svg(fan: Fan) -> str:
         cy = sum(p[1] for p in pts) / len(pts)
         pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
         fill = _FILLS[k % len(_FILLS)] if len(pts) >= 3 else "none"
-        title = f"<title>{fc.label}</title>" if fc.label else ""
+        title = f"<title>{escape(fc.label, quote=False)}</title>" if fc.label else ""
         parts.append(
             f'<polygon points="{_points_attr(pts)}" fill="{fill}" '
             f'stroke="#333333" stroke-width="1.5"/>{title}'
@@ -366,15 +370,7 @@ def _entry_fields(ent) -> dict:
 
 
 def _run_catalog(ns) -> tuple[bool, str, dict]:
-    from .catalog import (
-        CatalogError,
-        entry,
-        equation,
-        families,
-        fixture_instances,
-        stated_maximal_cones,
-        subprofile_hyperplanes,
-    )
+    from .catalog import entry, equation, families, fixture_instances
 
     if ns.action == "list":
         fams = [
@@ -391,18 +387,17 @@ def _run_catalog(ns) -> tuple[bool, str, dict]:
     obj["params"] = resolved
     obj["equation"] = str(poly)
     obj["fixture"] = (ns.family, resolved) in fixture_instances()
-    try:
-        stated = stated_maximal_cones(ns.family, params)
-        obj["stated_maximal_cones"] = [_vecs(c.generators) for c in stated]
+    rec = ent.stated(resolved)
+    if rec.cones is not None:
+        obj["stated_maximal_cones"] = [_vecs(c.generators) for c in rec.cones]
+        by_cone = rec.subprofiles or {}
         obj["subprofiles"] = [
             [
                 {"equation": str(h), "recomputed": h.recomputed}
-                for h in subprofile_hyperplanes(ns.family, params, i)
+                for h in by_cone.get(i, ())
             ]
-            for i in range(len(stated))
+            for i in range(len(rec.cones))
         ]
-    except CatalogError:
-        pass
     return True, "catalog-show", obj
 
 

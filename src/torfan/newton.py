@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cones import (
@@ -23,6 +22,7 @@ from .cones import (
     dot,
     triangulate,
     vadd,
+    vneg,
     vsub,
 )
 from .polyparse import Polynomial
@@ -108,7 +108,10 @@ class Fan:
                 raise ValueError("fan cones need at least one ray")
             if any(i < 0 or i >= len(rays) for i in idx):
                 raise ValueError("cone ray index out of range")
-            cones.append(FanCone(idx, entry.get("label")))
+            label = entry.get("label")
+            if label is not None and not isinstance(label, str):
+                raise ValueError("fan cone labels must be strings")
+            cones.append(FanCone(idx, label))
         return cls(rays, tuple(cones))
 
     @classmethod
@@ -186,8 +189,13 @@ def dual_newton_fan(p: Polynomial) -> Fan:
     )
 
 
+_OCTANT = Cone._simplex(E1, E2, E3)
+
+
 def octant_solid_volume(cones: Iterable[Cone]) -> Fraction:
-    """Exact volume of union-of-cones truncated by x+y+z <= 1 (tiling assumed)."""
+    """Exact volume under x+y+z <= 1 of 3-dimensional octant cones, summed
+    cone by cone; it is the volume of their union when their interiors are
+    disjoint, which the tiling certificate proves."""
     total = Fraction(0)
     for c in cones:
         for piece in triangulate(c):
@@ -196,25 +204,50 @@ def octant_solid_volume(cones: Iterable[Cone]) -> Fraction:
     return total
 
 
-def _is_face_of(c: Cone, rays: Sequence[Vec]) -> bool:
-    rs = set(rays)
-    if not rs <= set(c.generators):
-        return False
-    if rs == set(c.generators):
-        return True
-    return any(all(dot(n, r) == 0 for r in rs) for n in c.facet_normals)
+def _facet_incidence(cones: Iterable[Cone]) -> dict[tuple[Vec, Vec], list[Vec]]:
+    """Each facet of the 3-dimensional cones, keyed by its sorted ray pair,
+    with the inner normal of every cone that has it as a facet."""
+    owners: dict[tuple[Vec, Vec], list[Vec]] = {}
+    for c in cones:
+        g = c.generators
+        for n, (i, j) in zip(c.facet_normals, c.facets):
+            owners.setdefault((g[i], g[j]), []).append(n)
+    return owners
+
+
+def _tiling_certificate(cones: Sequence[Cone], support: Sequence[Cone]) -> dict:
+    """Do the 3-dimensional octant cones tile the support face to face?
+
+    ``covering_ok``: the cones have the octant volume of the support.
+    ``face_fitting_ok``: every 2-face is a facet of two cones with opposite
+    inner normals, or of one cone and then inside a support facet with the
+    same inner normal that no other support cone has.  The number of cones
+    over a point cannot change across a paired facet, so it is constant
+    inside the support, and the volume forces it to be 1.
+    """
+    shared = _facet_incidence(support)
+    boundary: dict[Vec, list[Cone]] = {}
+    for s in support:
+        for n, (i, j) in zip(s.facet_normals, s.facets):
+            if len(shared[s.generators[i], s.generators[j]]) == 1:
+                boundary.setdefault(n, []).append(s)
+
+    def fits(a: Vec, b: Vec, normals: list[Vec]) -> bool:
+        if len(normals) == 2:
+            return normals[0] == vneg(normals[1])
+        return len(normals) == 1 and any(
+            s.contains(a) and s.contains(b) for s in boundary.get(normals[0], ())
+        )
+
+    return {
+        "covering_ok": octant_solid_volume(cones) == octant_solid_volume(support),
+        "face_fitting_ok": all(
+            fits(a, b, normals)
+            for (a, b), normals in _facet_incidence(cones).items()
+        ),
+    }
 
 
 def fan_consistency_report(cones: Sequence[Cone]) -> dict:
-    """Covering and face-to-face bookkeeping for maximal cones on the octant."""
-    covering_ok = octant_solid_volume(cones) == Fraction(1, 6)
-    face_fitting_ok = True
-    for c1, c2 in combinations(cones, 2):
-        shared = [r for r in c1.generators if c2.contains(r)]
-        shared += [r for r in c2.generators if c1.contains(r) and r not in shared]
-        if shared:
-            if not (_is_face_of(c1, shared) and _is_face_of(c2, shared)):
-                face_fitting_ok = False
-        if c2.contains(c1.interior_point()) or c1.contains(c2.interior_point()):
-            face_fitting_ok = False
-    return {"covering_ok": covering_ok, "face_fitting_ok": face_fitting_ok}
+    """Covering and face-to-face certificate for maximal cones on the octant."""
+    return _tiling_certificate(cones, [_OCTANT])

@@ -7,9 +7,12 @@ non-simplicial cone is handled directly, without choosing a starting
 triangulation first.  That matters: a forced starting diagonal can be an
 edge that no unimodular subdivision through the prescribed rays contains,
 which would make regularity unreachable no matter the insertion order.
-Every report carries exact certificates (per-piece multiplicities), a
-volume-conservation check, and a face-pairing check, so regularity never
-rests on the construction being correct.
+Every report carries exact certificates (per-piece multiplicities) and
+the tiling certificate of ``newton._tiling_certificate`` against the
+source cones: the pieces have the sources' volume, and each piece facet is
+shared with one piece on its other side or lies on the sources' outer
+boundary.  Together these prove that the pieces tile the sources face to
+face, so regularity never rests on the construction being correct.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .cones import (
     primitive,
     triangulate,
 )
-from .newton import Fan, octant_solid_volume
+from .newton import Fan, _tiling_certificate
 from .profile import l_functional
 
 
@@ -124,33 +127,6 @@ class MinimalityReport:
     curve_check: str = "not checked"
 
 
-def _face_pairing_ok(
-    pieces: Sequence[Cone], sources: Sequence[Cone], source_volume: Fraction
-) -> bool:
-    """Every interior 2-face shared by exactly two pieces, the rest on the
-    boundary; ``source_volume`` is the octant solid volume of the sources."""
-    counts: dict[tuple[Vec, Vec], int] = {}
-    for p in pieces:
-        for i, j in p.facets:
-            key = tuple(sorted((p.generators[i], p.generators[j])))
-            counts[key] = counts.get(key, 0) + 1
-    complete = source_volume == Fraction(1, 6)
-    for (a, b), count in counts.items():
-        if count == 2:
-            continue
-        if count > 2:
-            return False
-        if complete:
-            if not any(a[i] == 0 and b[i] == 0 for i in range(3)):
-                return False
-        elif not any(
-            any(dot(n, a) == 0 and dot(n, b) == 0 for n in s.facet_normals)
-            for s in sources
-        ):
-            return False
-    return True
-
-
 def _build_report(
     sources: Sequence[Cone],
     pieces: Sequence[Cone],
@@ -159,13 +135,11 @@ def _build_report(
 ) -> RefinementReport:
     fan, certificates = _certified_fan(pieces)
     if all(s.dim == 3 for s in sources):
-        volume = octant_solid_volume(sources)
-        covering_ok = volume == octant_solid_volume(pieces)
-        face_ok = _face_pairing_ok(pieces, sources, volume)
+        tiling = _tiling_certificate(pieces, sources)
     else:
         # a chain of a ray or planar cone: consecutive pieces share exactly
         # their common ray, so covering and fitting hold by construction
-        covering_ok = face_ok = True
+        tiling = {"covering_ok": True, "face_fitting_ok": True}
     source_rays = {g for s in sources for g in s.generators}
     irreducible = all(
         ray in s.hilbert.elements
@@ -178,8 +152,8 @@ def _build_report(
         tuple(sources),
         fan,
         certificates,
-        covering_ok,
-        face_ok,
+        tiling["covering_ok"],
+        tiling["face_fitting_ok"],
         irreducible,
         new_rays,
         tuple(det_history),

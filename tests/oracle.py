@@ -14,6 +14,11 @@ box point is in the cone when it lies in the rays' plane and its
 coordinates in the rays, by Cramer's rule on one 2x2 minor, are both
 non-negative.
 
+``octant_tiling_defects`` samples every nonzero lattice point of a small
+box in the octant against inequality descriptions it builds itself with
+``supporting_normals``; torfan certifies a tiling from facet incidences
+and volumes instead, without sampling a single point.
+
 ``caratheodory_extremal_rays`` decides pointedness and extremality by
 Caratheodory subset searches (Fraction elimination, Cramer's rule); torfan
 decides both from the integer supporting planes through pairs of rays.
@@ -136,6 +141,23 @@ def supporting_normals(gens) -> list[Vec]:
             elif all(v <= 0 for v in values):
                 out.append((-n[0], -n[1], -n[2]))
     return out
+
+
+def octant_tiling_defects(cones, side: int = 6) -> list[tuple[Vec, str]]:
+    """Points of {0..side}^3 other than 0 where 3-dimensional cones, given
+    by their rays, fail to tile the octant: "gap" when no closed cone holds
+    the point, "overlap" when the open interiors of two cones do."""
+    normals = [supporting_normals(list(gens)) for gens in cones]
+    defects = []
+    for u in product(range(side + 1), repeat=3):
+        if u == (0, 0, 0):
+            continue
+        values = [[_dot(n, u) for n in ns] for ns in normals]
+        if not any(all(v >= 0 for v in vs) for vs in values):
+            defects.append((u, "gap"))
+        elif sum(all(v > 0 for v in vs) for vs in values) > 1:
+            defects.append((u, "overlap"))
+    return defects
 
 
 def box_parallelepiped_points(gens) -> tuple[Vec, ...]:

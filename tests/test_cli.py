@@ -119,6 +119,34 @@ def test_catalog_list_and_show(capsys):
     assert [len(s) for s in obj["subprofiles"]] == [4, 2, 1]
 
 
+def test_catalog_show_lists_subprofiles_per_cone(capsys):
+    # ELLIPTIC-1 states subprofile data for cone 2 only
+    code, obj = run_json(capsys, ["catalog", "show", "ELLIPTIC-1"])
+    assert code == 0
+    assert len(obj["stated_maximal_cones"]) == 3
+    assert obj["subprofiles"] == [
+        [], [], [{"equation": "8x-3y-3z+3", "recomputed": False}]
+    ]
+    code, obj = run_json(capsys, ["catalog", "show", "E60"])
+    assert "stated_maximal_cones" not in obj and "subprofiles" not in obj
+
+
+def test_catalog_show_builds_the_stated_record_once(capsys, monkeypatch):
+    from torfan import catalog
+
+    calls = []
+    original = catalog._det_matrices_b_odd
+
+    def counted(r, n):
+        calls.append((r, n))
+        return original(r, n)
+
+    monkeypatch.setattr(catalog, "_det_matrices_b_odd", counted)
+    assert cli.run(["catalog", "show", "B-odd", "--r", "2", "--n", "2"]) == 0
+    capsys.readouterr()
+    assert calls == [(2, 2)]
+
+
 def test_verify_exit_codes(capsys):
     code, obj = run_json(capsys, ["verify", "B-odd", "--r", "2", "--n", "2"])
     assert code == 0 and obj["overall"] is True
@@ -147,6 +175,23 @@ def test_render_octant_triangle(tmp_path):
     assert svg_path.read_text().count("<polygon") == 1
 
 
+def test_render_escapes_labels(tmp_path):
+    from xml.dom import minidom
+
+    label = "a&b</title><script>x</script>"
+    fan_path = tmp_path / "fan.json"
+    fan_path.write_text(json.dumps({
+        "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "cones": [{"rays": [0, 1, 2], "label": label}],
+    }))
+    svg_path = tmp_path / "fan.svg"
+    assert cli.run(["render", str(fan_path), "--out", str(svg_path)]) == 0
+    doc = minidom.parse(str(svg_path))
+    assert doc.getElementsByTagName("script") == []
+    (title,) = doc.getElementsByTagName("title")
+    assert title.firstChild.data == label
+
+
 def test_render_rejects_empty_fan(tmp_path, capsys):
     fan_path = tmp_path / "fan.json"
     fan_path.write_text('{"rays":[],"cones":[]}')
@@ -163,8 +208,15 @@ def test_render_rejects_empty_fan(tmp_path, capsys):
         ('{"rays": [[1, 0, 0]], "cones": [5]}', "fan cones must be objects"),
         ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
         ("{", "Expecting property name"),
+        (
+            '{"rays": [[1, 0, 0]], "cones": [{"rays": [0], "label": 5}]}',
+            "fan cone labels must be strings",
+        ),
     ],
-    ids=["empty-object", "list", "non-list-ray", "non-object-cone", "deep", "truncated"],
+    ids=[
+        "empty-object", "list", "non-list-ray", "non-object-cone", "deep", "truncated",
+        "non-string-label",
+    ],
 )
 def test_render_rejects_malformed_fans_with_a_reason(tmp_path, capsys, text, reason):
     fan_path = tmp_path / "fan.json"

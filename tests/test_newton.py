@@ -3,10 +3,12 @@
 import json
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torfan.cones import dot
+from torfan import refine
+from torfan.cones import Cone, dot, triangulate
 from torfan.newton import (
     Fan,
     dual_newton_cones,
@@ -17,6 +19,8 @@ from torfan.newton import (
     octant_solid_volume,
 )
 from torfan.polyparse import parse_polynomial
+
+from oracle import octant_tiling_defects
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -164,10 +168,8 @@ exponents = st.tuples(
 )
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sets(exponents, min_size=1, max_size=6))
-def test_random_support_fan_invariants(support):
-    poly = parse_polynomial(
+def support_polynomial(support):
+    return parse_polynomial(
         "+".join(
             "*".join(
                 f"{v}^{e}" for v, e in zip("xyz", a) if e
@@ -175,6 +177,12 @@ def test_random_support_fan_invariants(support):
             for a in sorted(support)
         )
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(exponents, min_size=1, max_size=6))
+def test_random_support_fan_invariants(support):
+    poly = support_polynomial(support)
     cones = dual_newton_cones(poly)
     assert octant_solid_volume([c for c, _ in cones]) == Fraction(1, 6)
     report = fan_consistency_report([c for c, _ in cones])
@@ -182,3 +190,122 @@ def test_random_support_fan_invariants(support):
     for cone, vertex in cones:
         w = cone.interior_point()
         assert dot(w, vertex) == min(dot(w, a) for a in poly.support())
+
+
+# Not fans, each with its octant volume and face-fitting flag; the tiling
+# certificate must flag each through the dnp report and the refinement
+# report alike.
+A = Cone.from_generators([E1, (1, 1, 0), E3])
+OCTANT = Cone.from_generators([E1, E2, E3])
+ELL_CONES = [c for c, _ in dual_newton_cones(ELLIPTIC)]
+BROKEN_FANS = {
+    # two copies of one cone: every facet has two owners on the same side
+    "duplicate": ([A, A], [OCTANT], True, False),
+    # one cone of a dual fan dropped: its neighbours' facets face nothing
+    "gap": ([ELL_CONES[0], ELL_CONES[2]], ELL_CONES, False, False),
+    # an extra cone inside the octant
+    "overlap": (
+        ELL_CONES + [Cone.from_generators([(1, 1, 1), (2, 1, 1), (1, 2, 1)])],
+        ELL_CONES,
+        False,
+        False,
+    ),
+    # the facet <(1,1,0),e3> of the left cone meets two facets on the right
+    "t-junction": (
+        [
+            Cone.from_generators([E1, (1, 1, 0), E3]),
+            Cone.from_generators([(1, 1, 0), E2, (1, 1, 1)]),
+            Cone.from_generators([E2, E3, (1, 1, 1)]),
+        ],
+        [OCTANT],
+        True,
+        False,
+    ),
+}
+
+
+def refinement_flags(sources, cones):
+    """covering_ok and face_fitting_ok of a refinement report of the
+    sources whose pieces are the cones, triangulated."""
+    pieces = [q for c in cones for q in triangulate(c)]
+    rep = refine._build_report(sources, pieces, [], False)
+    return rep.covering_ok, rep.face_fitting_ok
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_FANS))
+def test_broken_fans_fail_the_tiling_certificate(case):
+    cones, sources, covering, fitting = BROKEN_FANS[case]
+    report = fan_consistency_report(cones)
+    assert (report["covering_ok"], report["face_fitting_ok"]) == (covering, fitting)
+    assert refinement_flags(sources, cones) == (covering, fitting)
+    # the sampling oracle sees the gap and the overlaps; the t-junction
+    # covers every point once and only the facet incidences show it
+    assert bool(octant_tiling_defects([c.generators for c in cones])) == (
+        case != "t-junction"
+    )
+
+
+def test_refine_fan_of_a_doubled_cone_is_not_face_fitting():
+    rep = refine.refine_fan([A, A])
+    assert rep.all_unimodular()  # A is regular: two det-1 certificates
+    assert rep.covering_ok and not rep.face_fitting_ok
+
+
+def test_facet_incidence_keys_sorted_ray_pairs_with_inner_normals():
+    from torfan.newton import _facet_incidence
+
+    owners = _facet_incidence(ELL_CONES)
+    assert sum(map(len, owners.values())) == sum(len(c.facets) for c in ELL_CONES)
+    for (a, b), normals in owners.items():
+        assert a < b
+        for n in normals:
+            assert dot(n, a) == dot(n, b) == 0
+            # an inner normal: some cone with this facet lies on its side
+            assert any(
+                a in c.generators and b in c.generators
+                and all(dot(n, g) >= 0 for g in c.generators)
+                for c in ELL_CONES
+            )
+    walls = {face for face, normals in owners.items() if len(normals) == 2}
+    assert walls == {(E2, (6, 8, 9)), (E3, (6, 8, 9)), ((3, 1, 0), (6, 8, 9))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(exponents, min_size=1, max_size=6), st.data())
+def test_mutated_dual_fans_fail_the_certificate_as_the_oracle_sees(support, data):
+    fan = [c for c, _ in dual_newton_cones(support_polynomial(support))]
+    k = data.draw(st.integers(0, len(fan) - 1))
+    kind = data.draw(st.sampled_from(["drop", "duplicate", "neighbour"]))
+    mutant = list(fan)
+    if kind == "drop":
+        assume(len(fan) > 1)
+        del mutant[k]
+    elif kind == "duplicate":
+        mutant.append(fan[k])
+    else:
+        # swap one ray of cone k for a ray of a cone it shares a facet with
+        c = fan[k]
+        rays = set(c.generators)
+        swaps = [
+            Cone.from_generators((rays - {old}) | {new})
+            for d in fan
+            if len(rays & set(d.generators)) >= 2
+            for new in d.generators
+            if new not in rays
+            for old in c.generators
+        ]
+        swaps = [s for s in swaps if s.dim == 3 and s != c]
+        assume(swaps)
+        mutant[k] = data.draw(st.sampled_from(swaps))
+
+    for cones, tiles in ((fan, True), (mutant, False)):
+        report = fan_consistency_report(cones)
+        dnp_ok = report["covering_ok"] and report["face_fitting_ok"]
+        refine_ok = all(refinement_flags(fan, cones))
+        defects = octant_tiling_defects([c.generators for c in cones])
+        # a mutant covers the octant differently from the fan it came from,
+        # so it is never a fan of the octant
+        assert dnp_ok == refine_ok == tiles, (kind, cones)
+        # read both ways: an ok certificate means the oracle finds no
+        # defect, and a defect it finds means the certificate is not ok
+        assert not (dnp_ok and defects), (kind, defects)
