@@ -234,6 +234,21 @@ class Cone:
         g = self.generators[0]
         return cross(t, g) == ZERO and dot(t, g) > 0
 
+    def pulled(self, v: Vec) -> tuple["Cone", ...]:
+        """The joins of a primitive v in the cone with the facets that miss
+        it: the pulling refinement at v (De Loera-Rambau-Santos,
+        *Triangulations*, 2010, 4.3).  A 3-dimensional cone gives one
+        simplex per facet whose inner normal is positive on v; a planar
+        cone, with v inside and not a generator, gives (v, g) per ray g."""
+        gens = self.generators
+        if self.dim == 2:
+            return tuple(Cone.from_generators((v, g)) for g in gens)
+        return tuple(
+            Cone._simplex(v, gens[i], gens[j])
+            for n, (i, j) in zip(self.facet_normals, self.facets)
+            if dot(n, v) > 0
+        )
+
     def interior_point(self) -> Vec:
         """An integer point in the relative interior (the ray sum)."""
         s = ZERO
@@ -255,24 +270,17 @@ def is_regular(c: Cone) -> bool:
 
 
 def triangulate(c: Cone) -> tuple[Cone, ...]:
-    """Split into simplicial cones by fanning boundary facets out of the
-    lexicographically least ray.
+    """Split into simplicial cones by pulling the lexicographically least
+    ray (``Cone.pulled``).
 
-    The result is deterministic and face-to-face.  Simplicial cones come back
-    unchanged.
+    The result is deterministic, face-to-face and sorted by generators.
+    Simplicial cones come back unchanged.
     """
     if c.is_simplicial():
         return (c,)
     if c.dim != 3:
         raise ValueError("non-simplicial cones of dimension < 3 cannot be pointed")
-    v0 = min(c.generators)
-    i0 = c.generators.index(v0)
-    pieces = []
-    for i, j in c.facets:
-        if i0 in (i, j):
-            continue
-        pieces.append(Cone._simplex(v0, c.generators[i], c.generators[j]))
-    return tuple(sorted(pieces, key=lambda p: p.generators))
+    return tuple(sorted(c.pulled(min(c.generators)), key=lambda p: p.generators))
 
 
 def _half_open_points(

@@ -195,9 +195,13 @@ _OCTANT = Cone._simplex(E1, E2, E3)
 def octant_solid_volume(cones: Iterable[Cone]) -> Fraction:
     """Exact volume under x+y+z <= 1 of 3-dimensional octant cones, summed
     cone by cone; it is the volume of their union when their interiors are
-    disjoint, which the tiling certificate proves."""
+    disjoint, which the tiling certificate proves.  Raises ValueError on
+    a ray whose coordinate sum is not positive."""
     total = Fraction(0)
     for c in cones:
+        for g in c.generators:
+            if sum(g) <= 0:
+                raise ValueError(f"ray {g} has coordinate sum {sum(g)} <= 0")
         for piece in triangulate(c):
             a, b, d = piece.generators
             total += Fraction(piece.multiplicity, 6 * sum(a) * sum(b) * sum(d))

@@ -1,12 +1,18 @@
 """Regular (unimodular) refinements of cones and fans, with certificates.
 
-Refinements are built by pulling subdivisions: inserting a ray v replaces
-every piece containing v by the cones joining v to the piece facets that
-avoid it.  On simplicial pieces this is stellar subdivision; a
+Refinements are built by one pulling step, ``Cone.pulled``: inserting a
+ray v replaces every piece containing v by the cones joining v to the
+piece facets that miss it.  On simplicial pieces this is stellar
+subdivision; planar chains are pulled like 3-dimensional pieces, and a
 non-simplicial cone is handled directly, without choosing a starting
 triangulation first.  That matters: a forced starting diagonal can be an
 edge that no unimodular subdivision through the prescribed rays contains,
 which would make regularity unreachable no matter the insertion order.
+One insertion loop (``_ray_pieces``) serves both refinements: rays go in
+by increasing profile level, and a piece left non-simplicial is pulled at
+a Hilbert element inside it, or triangulated.  The Hilbert-driven
+refinement then splits each non-regular piece at the element of least
+value of that piece's l-functional.
 Every report carries exact certificates (per-piece multiplicities) and
 the tiling certificate of ``newton._tiling_certificate`` against the
 source cones: the pieces have the sources' volume, and each piece facet is
@@ -18,26 +24,18 @@ face, so regularity never rests on the construction being correct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cones import (
-    Cone,
-    Vec,
-    cross,
-    dot,
-    primitive,
-    triangulate,
-)
+from .cones import Cone, Vec, dot, primitive, triangulate
 from .newton import Fan, _tiling_certificate
-from .profile import l_functional
+from .profile import _l_any_dim
 
 
 def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
     """Subdivide every piece containing v; True if anything changed.
 
-    Each affected piece is replaced by the join of v with each of its
-    facets not containing v.  Pieces may be non-simplicial; the
+    Each affected piece is replaced by ``Cone.pulled(v)``, the joins of v
+    with its facets that miss v.  Pieces may be non-simplicial; the
     replacements never are.  v is taken as its primitive ray, so a
     multiple of a generator changes nothing; raises ValueError on zero.
     """
@@ -48,9 +46,7 @@ def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
         if v in p.generators or not p.contains(v):
             out.append(p)
             continue
-        for n, (i, j) in zip(p.facet_normals, p.facets):
-            if dot(n, v) > 0:
-                out.append(Cone._simplex(v, p.generators[i], p.generators[j]))
+        out.extend(p.pulled(v))
         changed = True
     return out, changed
 
@@ -73,22 +69,6 @@ def _certified_fan(
         (tuple(sorted(index[g] for g in p.generators)), p.multiplicity)
         for p in pieces
     )
-
-
-def _insert_by_level(
-    c: Cone, rays: Iterable[Vec]
-) -> tuple[list[Cone], list[tuple[int, ...]]]:
-    """Insert the rays into c by increasing (profile level, lexicographic)
-    order; return the pieces and the determinant history."""
-    level = c.profile.level
-    pieces: list[Cone] = [c]
-    history: list[tuple[int, ...]] = []
-    _snapshot(history, pieces)
-    for v in sorted(rays, key=lambda v: (level(v), v)):
-        pieces, changed = stellar_insert(pieces, v)
-        if changed:
-            _snapshot(history, pieces)
-    return pieces, history
 
 
 @dataclass(frozen=True)
@@ -127,6 +107,18 @@ class MinimalityReport:
     curve_check: str = "not checked"
 
 
+def _irreducible_rays(
+    sources: Sequence[Cone], rays: Iterable[Vec]
+) -> tuple[tuple[Vec, bool], ...]:
+    """Each ray with whether it lies in some source and in the Hilbert basis
+    of every source that contains it."""
+    entries = []
+    for ray in rays:
+        flags = [ray in s.hilbert.elements for s in sources if s.contains(ray)]
+        entries.append((ray, bool(flags) and all(flags)))
+    return tuple(entries)
+
+
 def _build_report(
     sources: Sequence[Cone],
     pieces: Sequence[Cone],
@@ -137,16 +129,10 @@ def _build_report(
     if all(s.dim == 3 for s in sources):
         tiling = _tiling_certificate(pieces, sources)
     else:
-        # a chain of a ray or planar cone: consecutive pieces share exactly
-        # their common ray, so covering and fitting hold by construction
+        # a pulled chain of a ray or planar cone: consecutive pieces share
+        # exactly their common ray, so covering and fitting hold by construction
         tiling = {"covering_ok": True, "face_fitting_ok": True}
     source_rays = {g for s in sources for g in s.generators}
-    irreducible = all(
-        ray in s.hilbert.elements
-        for ray in fan.rays
-        for s in sources
-        if s.contains(ray)
-    )
     new_rays = tuple(sorted(set(fan.rays) - source_rays))
     return RefinementReport(
         tuple(sources),
@@ -154,58 +140,33 @@ def _build_report(
         certificates,
         tiling["covering_ok"],
         tiling["face_fitting_ok"],
-        irreducible,
+        all(ok for _, ok in _irreducible_rays(sources, fan.rays)),
         new_rays,
         tuple(det_history),
         used_fallback,
     )
 
 
-# The pieces of one cone, its determinant history and whether the fallback ran.
-_Subdivision = tuple[list[Cone], list[tuple[int, ...]], bool]
-
-
-def _chain_pieces(c: Cone, inserted: Sequence[Vec]) -> _Subdivision:
-    """Chain subdivision of a ray or planar cone at the inserted rays."""
-    if c.dim == 1 or not inserted:
-        pieces = [c]
-    else:
-        a, b = c.generators
-        n = c.plane_normal
-        def along(p: Vec) -> Fraction:
-            toward_b = dot(cross(a, p), n)
-            toward_a = dot(cross(p, b), n)
-            return Fraction(toward_b, toward_a + toward_b)
-        chain = [a, *sorted(inserted, key=along), b]
-        pieces = [Cone.from_generators(pair) for pair in zip(chain, chain[1:])]
+def _ray_pieces(
+    c: Cone, rays: Iterable[Vec], pool: Sequence[Vec] = ()
+) -> tuple[list[Cone], list[tuple[int, ...]]]:
+    """Pieces of c and their determinant history: the rays are inserted by
+    increasing (profile level, lexicographic) order, then the least piece
+    left non-simplicial is split at its least-level pool element, or
+    triangulated when the pool has none inside it, until none is left."""
+    level = c.profile.level
+    pieces: list[Cone] = [c]
     history: list[tuple[int, ...]] = []
     _snapshot(history, pieces)
-    return pieces, history, False
-
-
-def _hilbert_pieces(c: Cone) -> _Subdivision:
-    """Unimodular pieces of c, split at Hilbert-basis rays."""
-    basis = c.hilbert.elements
-    if c.dim != 3:
-        return _chain_pieces(c, [h for h in basis if h not in c.generators])
-    # Every basis element lies in c, so it lies on the 2-face of a facet
-    # exactly when that facet's normal vanishes on it.
-    pieces, history = _insert_by_level(c, [
-        h for h in basis
-        if h not in c.generators and any(dot(n, h) == 0 for n in c.facet_normals)
-    ])
-    used_fallback = False
-
-    # A cone whose Hilbert basis meets no boundary 2-face can still be
-    # non-simplicial here; split at interior basis elements, or fan out.
-    while any(not p.is_simplicial() for p in pieces):
-        tau = min(
-            (p for p in pieces if not p.is_simplicial()),
-            key=lambda p: p.generators,
-        )
-        pool = [h for h in basis if h not in tau.generators and tau.contains(h)]
-        if pool:
-            v = min(pool, key=lambda h: (c.profile.level(h), h))
+    for v in sorted(rays, key=lambda v: (level(v), v)):
+        pieces, changed = stellar_insert(pieces, v)
+        if changed:
+            _snapshot(history, pieces)
+    while open_pieces := [p for p in pieces if not p.is_simplicial()]:
+        tau = min(open_pieces, key=lambda p: p.generators)
+        inside = [h for h in pool if h not in tau.generators and tau.contains(h)]
+        if inside:
+            v = min(inside, key=lambda h: (level(h), h))
             pieces, changed = stellar_insert(pieces, v)
             if not changed:
                 raise RuntimeError(f"inserting {v} left {tau} unsplit")
@@ -213,35 +174,34 @@ def _hilbert_pieces(c: Cone) -> _Subdivision:
             pieces = [q for p in pieces for q in
                       (triangulate(p) if p is tau else (p,))]
         _snapshot(history, pieces)
+    return pieces, history
 
-    while True:
-        worst = [p for p in pieces if p.multiplicity != 1]
-        if not worst:
-            break
+
+def _hilbert_pieces(c: Cone) -> tuple[list[Cone], list[tuple[int, ...]], bool]:
+    """Unimodular pieces of c split at Hilbert-basis rays, their determinant
+    history and whether the fallback ran."""
+    basis = c.hilbert.elements
+    # Every basis element lies in c, so it lies on the 2-face of a facet
+    # exactly when that facet's normal vanishes on it.  A cone whose basis
+    # meets no boundary 2-face is split at an interior element, or fanned.
+    pieces, history = _ray_pieces(c, [
+        h for h in basis
+        if h not in c.generators and any(dot(n, h) == 0 for n in c.facet_normals)
+    ], basis)
+    used_fallback = False
+    while worst := [p for p in pieces if p.multiplicity != 1]:
         tau = min(worst, key=lambda p: p.generators)
         pool = [h for h in basis if h not in tau.generators and tau.contains(h)]
         if not pool:
             pool = [h for h in tau.hilbert.elements if h not in tau.generators]
             used_fallback = True
-        l = l_functional(tau)
+        l = _l_any_dim(tau)
         chosen = min(pool, key=lambda h: (l(h), h))
         pieces, changed = stellar_insert(pieces, chosen)
         if not changed:
             raise RuntimeError(f"inserting {chosen} left {tau} unsplit")
         _snapshot(history, pieces)
     return pieces, history, used_fallback
-
-
-def _ray_pieces(c: Cone, rays: Sequence[Vec]) -> _Subdivision:
-    """Simplicial pieces of c, split at the given rays."""
-    if c.dim != 3:
-        return _chain_pieces(c, rays)
-    pieces, history = _insert_by_level(c, rays)
-    # no prescribed ray may have landed inside a non-simplicial piece
-    if any(not p.is_simplicial() for p in pieces):
-        pieces = [q for p in pieces for q in triangulate(p)]
-        _snapshot(history, pieces)
-    return pieces, history, False
 
 
 def _checked_rays(c: Cone, rays: Sequence[Vec]) -> list[Vec]:
@@ -277,7 +237,7 @@ def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
     being the height against the profile hull; a prescribed ray equal to
     an extremal ray is a no-op.
     """
-    return _build_report([c], *_ray_pieces(c, _checked_rays(c, rays)))
+    return _build_report([c], *_ray_pieces(c, _checked_rays(c, rays)), False)
 
 
 def refine_fan(
@@ -298,7 +258,7 @@ def refine_fan(
             raise ValueError(f"prescribed ray {v} lies in no cone of the fan")
     parts = [
         _hilbert_pieces(c) if rays is None
-        else _ray_pieces(c, _checked_rays(c, [r for r in rays if c.contains(r)]))
+        else (*_ray_pieces(c, _checked_rays(c, [r for r in rays if c.contains(r)])), False)
         for c in cones
     ]
     return _build_report(
@@ -309,11 +269,6 @@ def refine_fan(
     )
 
 
-def refinement_rays(f: Fan) -> set[Vec]:
-    """All rays used by the fan's cones."""
-    return {f.rays[i] for fc in f.cones for i in fc.rays}
-
-
 def check_minimal_embedded(r: RefinementReport) -> MinimalityReport:
     """Irreducibility of every result ray in every source cone containing it.
 
@@ -322,8 +277,5 @@ def check_minimal_embedded(r: RefinementReport) -> MinimalityReport:
     """
     if not r.all_unimodular():
         raise ValueError("minimality check expects a regular refinement")
-    entries = []
-    for ray in r.result.rays:
-        flags = [ray in s.hilbert.elements for s in r.source if s.contains(ray)]
-        entries.append((ray, bool(flags) and all(flags)))
-    return MinimalityReport(tuple(entries), all(ok for _, ok in entries))
+    entries = _irreducible_rays(r.source, r.result.rays)
+    return MinimalityReport(entries, all(ok for _, ok in entries))

@@ -151,6 +151,17 @@ def test_fan_consistency_and_covering():
         assert octant_solid_volume(cones) == Fraction(1, 6)
 
 
+@pytest.mark.parametrize("ray", [(1, -1, 0), (1, -2, 0)])
+def test_octant_volume_refuses_a_ray_of_non_positive_coordinate_sum(ray):
+    # (1,-1,0) used to divide by zero and (1,-2,0) to give a negative volume
+    cone = Cone.from_generators([ray, E2, E3])
+    pattern = rf"ray \({ray[0]}, {ray[1]}, 0\) has coordinate sum"
+    with pytest.raises(ValueError, match=pattern):
+        octant_solid_volume([cone])
+    with pytest.raises(ValueError, match=pattern):
+        fan_consistency_report([cone, OCTANT])
+
+
 def test_fan_faces_enumeration():
     cones = [c for c, _ in dual_newton_cones(ELLIPTIC)]
     faces = fan_faces(cones)

@@ -1,4 +1,5 @@
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -17,12 +18,12 @@ from torfan.refine import (
     check_minimal_embedded,
     refine_fan,
     refinement_from_rays,
-    refinement_rays,
     regular_refinement,
     stellar_insert,
 )
 
 from oracle import (
+    brute_force_hilbert_planar,
     det3,
     octant_slice_volume,
     random_simplicial_octant_cones,
@@ -114,7 +115,7 @@ def test_b_family_all_cones_from_valuation_rays():
     assert rep.covering_ok and rep.face_fitting_ok
     assert rep.all_rays_irreducible
     ext = {g for c in B_CONES for g in c.generators}
-    assert refinement_rays(rep.result) == B_EV | ext
+    assert set(rep.result.rays) == B_EV | ext
 
 
 def test_refinement_from_rays_empty_is_identity():
@@ -159,14 +160,14 @@ def test_refinement_from_rays_validation():
 
 def test_refinement_rays_octant_identity():
     rep = regular_refinement(OCTANT)
-    assert refinement_rays(rep.result) == {E1, E2, E3}
+    assert set(rep.result.rays) == {E1, E2, E3}
 
 
 def test_refinement_rays_elliptic_union():
     rep = refine_fan(ELL_CONES)
     assert rep.all_unimodular()
     assert not rep.used_fallback
-    assert refinement_rays(rep.result) == set().union(*ELL_HILBERT)
+    assert set(rep.result.rays) == set().union(*ELL_HILBERT)
     assert rep.covering_ok and rep.face_fitting_ok
 
 
@@ -200,6 +201,64 @@ def test_two_dimensional_regular_refinement_chain():
     rep = regular_refinement(wide)
     assert set(rep.result.rays) == {(1, k, 0) for k in range(6)}
     assert rep.all_unimodular()
+
+
+def random_planar_cones(count, max_entry, seed):
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        vs = [tuple(rng.randint(0, max_entry) for _ in range(3)) for _ in range(2)]
+        if (0, 0, 0) not in vs and cross(*vs) != (0, 0, 0):
+            cones.append(Cone.from_generators(vs))
+    return cones
+
+
+def cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def chain_pairs(a, b, rays):
+    """Sorted generator pairs of the chain that cuts <a, b> at the rays,
+    which run from a to b in the order of the sign of p x q on a x b."""
+    n = cross(a, b)
+
+    def order(p, q):
+        s = sum(x * y for x, y in zip(cross(p, q), n))
+        return (s < 0) - (s > 0)
+
+    chain = [a, *sorted(rays, key=cmp_to_key(order)), b]
+    return sorted(tuple(sorted(pair)) for pair in zip(chain, chain[1:]))
+
+
+def test_planar_refinements_are_the_chain_through_their_rays():
+    rng = random.Random(20261018)
+    for c in random_planar_cones(30, 6, seed=5):
+        a, b = c.generators
+        inner = [h for h in brute_force_hilbert_planar(a, b) if h not in (a, b)]
+        assert sorted(piece_triples(regular_refinement(c))) == chain_pairs(a, b, inner)
+        chosen = [h for h in inner if rng.random() < 0.5]
+        rep = refinement_from_rays(c, chosen)
+        assert sorted(piece_triples(rep)) == chain_pairs(a, b, chosen)
+
+
+def test_planar_det_history_has_a_falling_row_per_insertion():
+    for c in random_planar_cones(30, 6, seed=6):
+        rep = regular_refinement(c)
+        h = rep.det_history
+        assert len(h) == len(rep.new_rays) + 1
+        assert h[0] == (c.multiplicity,)
+        assert all(h[i] > h[i + 1] for i in range(len(h) - 1))
+        assert all(d == 1 for d in h[-1])
+
+
+def test_refinement_from_no_rays_triangulates_a_non_simplicial_cone():
+    for c in (ELL_CONES[0], *B_CONES):
+        rep = refinement_from_rays(c, [])
+        pieces = triangulate(c)
+        assert sorted(piece_triples(rep)) == [p.generators for p in pieces]
+        assert rep.det_history == (
+            tuple(sorted((p.multiplicity for p in pieces), reverse=True)),
+        )
 
 
 def test_one_dimensional_identity():
@@ -253,13 +312,25 @@ def test_hilbert_pieces_raise_instead_of_looping_on_a_stuck_insertion(monkeypatc
 
 
 def test_refinement_pieces_equal_the_general_constructor():
+    rng = random.Random(12)
     cones = [Cone.from_generators(g) for g in random_simplicial_octant_cones(25, 6, seed=11)]
+    while len(cones) < 50:
+        c = Cone.from_generators(
+            [tuple(rng.randint(1, 6) for _ in range(3)) for _ in range(rng.randint(4, 6))]
+        )
+        if c.dim == 3:
+            cones.append(c)
     for c in cones + ELL_CONES + B_CONES:
-        for p in [*refine._hilbert_pieces(c)[0], *triangulate(c)]:
+        pulled = [p for v in c.hilbert.elements for p in c.pulled(v)]
+        for p in [*refine._hilbert_pieces(c)[0], *triangulate(c), *pulled]:
             assert p == Cone.from_generators(p.generators), p
             assert tuple(zip(p.facet_normals, p.facets)) == tuple(
                 sorted(_supporting_pairs(p.generators).items())
             ), p
+        # pulled at any of its points, the cone keeps its volume
+        volume = octant_slice_volume([p.generators for p in triangulate(c)])
+        for v in c.hilbert.elements:
+            assert octant_slice_volume([p.generators for p in c.pulled(v)]) == volume, v
 
 
 def test_report_json_shape():
