@@ -6,18 +6,18 @@ closed-form data (B-odd, B-even, ELLIPTIC-1), a builder of that data for one
 instance: the maximal cones, subprofile hyperplanes, embedded valuations,
 tropical cones and determinant certificates.  Tabulated per-cone Hilbert
 bases for the instances shipped in ``data/appendix_fixtures.json`` sit
-beside the registry.  ``verify`` runs the whole pipeline on one instance and
-reports per stage.
+beside the registry.  ``instance`` resolves a family and its parameters into
+one record; ``verify`` runs the whole pipeline on it, one helper per stage.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cache, partial
+from dataclasses import asdict, dataclass, field
+from functools import cache, cached_property, partial
 from importlib import resources
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .cones import Cone, Vec, unimodular_det
 from .newton import _facet_incidence, dual_newton_cones
@@ -73,18 +73,20 @@ class CatalogEntry:
     name: str
     parameters: tuple[str, ...]
     constraint: str
-    template: str
-    rtp: bool
-    grid: tuple[Params, ...]
-    builder: Callable[[Params], Terms] = field(repr=False)
     # keyword arguments named after ``parameters``; True inside the domain
     domain: Callable[..., bool] = field(repr=False)
-    # the closed-form data of one instance, all None where none is stated
-    stated: Callable[[Params], _Stated] = field(repr=False)
+    template: str
+    grid: tuple[Params, ...]
+    builder: Callable[[Params], Terms] = field(repr=False)
+    rtp: bool = True
     note: str = ""
     # containment failures (Hilbert elements outside their profile) are
     # recorded without failing the run; no expected witness is on file
     escape_observational: bool = False
+    # the closed-form data of one instance, all None where none is stated
+    stated: Callable[[Params], _Stated] = field(
+        default=lambda p: _Stated(), repr=False
+    )
 
 
 def _a3_domain(l: int, m: int, k: int) -> bool:
@@ -290,124 +292,106 @@ def _elliptic1(p: Params) -> _Stated:
     )
 
 
-_ENTRIES: dict[str, CatalogEntry] = {}
-
-
-def _register(
-    name: str,
-    parameters: tuple[str, ...],
-    constraint: str,
-    domain: Callable[..., bool],
-    template: str,
-    grid: Sequence[Params],
-    builder: Callable[[Params], Terms],
-    rtp: bool = True,
-    note: str = "",
-    escape_observational: bool = False,
-    stated: Callable[[Params], _Stated] = lambda p: _Stated(),
-) -> None:
-    _ENTRIES[name] = CatalogEntry(
-        name, parameters, constraint, template, rtp, tuple(grid), builder, domain,
-        stated, note, escape_observational,
+_ENTRIES: dict[str, CatalogEntry] = {
+    e.name: e
+    for e in (
+        CatalogEntry(
+            "A1", ("m",), "m >= 2", lambda m: m >= 2,
+            "y^(3m+3) + x*y^(m+1)*z - x*z^2 - z^3",
+            ({"m": 2}, {"m": 3}, {"m": 5}), _terms_a1,
+        ),
+        CatalogEntry(
+            "A2", ("k", "m"), "1 <= k < m", lambda k, m: 1 <= k < m,
+            "y^(2k+m+3) + y^(2k+2)*z + y^(k+1)*z^2 + x*y^(k+1)*z + x*z^2 - z^3",
+            ({"k": 1, "m": 2}, {"k": 1, "m": 3}, {"k": 2, "m": 5}), _terms_a2,
+        ),
+        CatalogEntry(
+            "A3", ("l", "m", "k"), "l < m < k and (l+k > 2m or l+k even)", _a3_domain,
+            "y^(3k) + y^(2k+m+l-2) - 2*y^(l+k)*z - x*y^k*z + y^m*z^2 + x*z^2 - z^3",
+            ({"l": 1, "m": 2, "k": 3}, {"l": 1, "m": 2, "k": 5}, {"l": 2, "m": 3, "k": 6}),
+            _terms_a3,
+        ),
+        CatalogEntry(
+            "A4", ("l", "m", "k"), "l < m < k, l+k <= 2m, l+k odd", _a4_domain,
+            "y^(2k+m) + y^(k+m)*z + y^(l+k)*z + x*y^k*z - y^k*z^2 + y^l*z^2 + x*z^2 - z^3",
+            ({"l": 1, "m": 3, "k": 4}, {"l": 1, "m": 4, "k": 6}, {"l": 2, "m": 5, "k": 7}),
+            _terms_a4,
+        ),
+        CatalogEntry(
+            "B-odd", ("r", "n"), "r >= 1, n >= 2", lambda r, n: r >= 1 and n >= 2,
+            "x^(2n+3)*z - x^r*y^2 - y^2*z",
+            ({"r": 1, "n": 2}, {"r": 2, "n": 2}, {"r": 2, "n": 3}, {"r": 3, "n": 4}),
+            _terms_b_odd, stated=partial(_b_series, True),
+        ),
+        CatalogEntry(
+            "B-even", ("r", "n"), "r >= 1, n >= 2", lambda r, n: r >= 1 and n >= 2,
+            "x^(n+r+2)*y - x^(2n+3)*z + y^2*z",
+            ({"r": 1, "n": 2}, {"r": 2, "n": 2}, {"r": 3, "n": 3}),
+            _terms_b_even, stated=partial(_b_series, False),
+        ),
+        CatalogEntry(
+            "C", ("n", "m"), "n >= 3, m >= 2", lambda n, m: n >= 3 and m >= 2,
+            "x^(n-1)*y^(2m+2) + y^(2m+4) - x*z^2",
+            ({"n": 3, "m": 2}, {"n": 4, "m": 2}, {"n": 5, "m": 3}), _terms_c,
+        ),
+        CatalogEntry(
+            "D", ("n",), "n >= 1", lambda n: n >= 1,
+            "x^(2n+2)*y^2 - x^(n+3)*z + y*z^2",
+            ({"n": 1}, {"n": 2}, {"n": 4}), _terms_d,
+        ),
+        CatalogEntry(
+            "D-appendix", ("n",), "n >= 1", lambda n: n >= 1,
+            "x^(2n+2)*y^2 - x^(n+3)*z + y*z^2",
+            ({"n": 1}, {"n": 2}, {"n": 4}), _terms_d,
+            note="same defining equation as D; carries the tabulated per-cone bases",
+        ),
+        CatalogEntry(
+            "E60", (), "", lambda: True, "z^3 + y^3*z + x^2*y^2", ({},),
+            lambda p: {(0, 0, 3): 1, (0, 3, 1): 1, (2, 2, 0): 1},
+        ),
+        CatalogEntry(
+            "E07", (), "", lambda: True, "z^3 + y^5 + x^2*y^2", ({},),
+            lambda p: {(0, 0, 3): 1, (0, 5, 0): 1, (2, 2, 0): 1},
+        ),
+        CatalogEntry(
+            "E70", (), "", lambda: True, "z^3 + x^2*y*z + y^4", ({},),
+            lambda p: {(0, 0, 3): 1, (2, 1, 1): 1, (0, 4, 0): 1},
+        ),
+        CatalogEntry(
+            "F", ("k",), "k >= 2", lambda k: k >= 2,
+            "y^(2k+3) + x^2*y^(2k) - x*z^2",
+            ({"k": 2}, {"k": 3}, {"k": 5}), _terms_f,
+        ),
+        CatalogEntry(
+            "H-3k-1", ("k",), "k >= 1", lambda k: k >= 1,
+            "z^3 + x^3*y + x^2*y^k",
+            ({"k": 1}, {"k": 2}, {"k": 4}),
+            lambda p: {(0, 0, 3): 1, (3, 1, 0): 1, (2, p["k"], 0): 1},
+        ),
+        CatalogEntry(
+            "H-3k", ("k",), "k >= 1", lambda k: k >= 1,
+            "z^3 + x*y^k*z + x^3*y",
+            ({"k": 1}, {"k": 2}, {"k": 4}),
+            lambda p: {(0, 0, 3): 1, (1, p["k"], 1): 1, (3, 1, 0): 1},
+        ),
+        CatalogEntry(
+            "H-3k+1", ("k",), "k >= 1", lambda k: k >= 1,
+            "z^3 + x*y^(k+1)*z + x^3*y^2",
+            ({"k": 1}, {"k": 2}, {"k": 4}),
+            lambda p: {(0, 0, 3): 1, (1, p["k"] + 1, 1): 1, (3, 2, 0): 1},
+        ),
+        CatalogEntry(
+            "ELLIPTIC-1", (), "", lambda: True, "y^3 + x*z^2 - x^4", ({},),
+            lambda p: {(0, 3, 0): 1, (1, 0, 2): 1, (4, 0, 0): -1},
+            rtp=False, stated=_elliptic1,
+        ),
+        CatalogEntry(
+            "ELLIPTIC-2", (), "", lambda: True, "z^2 + y^3 + x^21", ({},),
+            lambda p: {(0, 0, 2): 1, (0, 3, 0): 1, (21, 0, 0): 1},
+            rtp=False, escape_observational=True,
+        ),
     )
-
-
-_register(
-    "A1", ("m",), "m >= 2", lambda m: m >= 2,
-    "y^(3m+3) + x*y^(m+1)*z - x*z^2 - z^3",
-    [{"m": 2}, {"m": 3}, {"m": 5}], _terms_a1,
-)
-_register(
-    "A2", ("k", "m"), "1 <= k < m", lambda k, m: 1 <= k < m,
-    "y^(2k+m+3) + y^(2k+2)*z + y^(k+1)*z^2 + x*y^(k+1)*z + x*z^2 - z^3",
-    [{"k": 1, "m": 2}, {"k": 1, "m": 3}, {"k": 2, "m": 5}], _terms_a2,
-)
-_register(
-    "A3", ("l", "m", "k"), "l < m < k and (l+k > 2m or l+k even)", _a3_domain,
-    "y^(3k) + y^(2k+m+l-2) - 2*y^(l+k)*z - x*y^k*z + y^m*z^2 + x*z^2 - z^3",
-    [{"l": 1, "m": 2, "k": 3}, {"l": 1, "m": 2, "k": 5}, {"l": 2, "m": 3, "k": 6}],
-    _terms_a3,
-)
-_register(
-    "A4", ("l", "m", "k"), "l < m < k, l+k <= 2m, l+k odd", _a4_domain,
-    "y^(2k+m) + y^(k+m)*z + y^(l+k)*z + x*y^k*z - y^k*z^2 + y^l*z^2 + x*z^2 - z^3",
-    [{"l": 1, "m": 3, "k": 4}, {"l": 1, "m": 4, "k": 6}, {"l": 2, "m": 5, "k": 7}],
-    _terms_a4,
-)
-_register(
-    "B-odd", ("r", "n"), "r >= 1, n >= 2", lambda r, n: r >= 1 and n >= 2,
-    "x^(2n+3)*z - x^r*y^2 - y^2*z",
-    [{"r": 1, "n": 2}, {"r": 2, "n": 2}, {"r": 2, "n": 3}, {"r": 3, "n": 4}],
-    _terms_b_odd, stated=partial(_b_series, True),
-)
-_register(
-    "B-even", ("r", "n"), "r >= 1, n >= 2", lambda r, n: r >= 1 and n >= 2,
-    "x^(n+r+2)*y - x^(2n+3)*z + y^2*z",
-    [{"r": 1, "n": 2}, {"r": 2, "n": 2}, {"r": 3, "n": 3}],
-    _terms_b_even, stated=partial(_b_series, False),
-)
-_register(
-    "C", ("n", "m"), "n >= 3, m >= 2", lambda n, m: n >= 3 and m >= 2,
-    "x^(n-1)*y^(2m+2) + y^(2m+4) - x*z^2",
-    [{"n": 3, "m": 2}, {"n": 4, "m": 2}, {"n": 5, "m": 3}], _terms_c,
-)
-_register(
-    "D", ("n",), "n >= 1", lambda n: n >= 1,
-    "x^(2n+2)*y^2 - x^(n+3)*z + y*z^2",
-    [{"n": 1}, {"n": 2}, {"n": 4}], _terms_d,
-)
-_register(
-    "D-appendix", ("n",), "n >= 1", lambda n: n >= 1,
-    "x^(2n+2)*y^2 - x^(n+3)*z + y*z^2",
-    [{"n": 1}, {"n": 2}, {"n": 4}], _terms_d,
-    note="same defining equation as D; carries the tabulated per-cone bases",
-)
-_register(
-    "E60", (), "", lambda: True, "z^3 + y^3*z + x^2*y^2", [{}],
-    lambda p: {(0, 0, 3): 1, (0, 3, 1): 1, (2, 2, 0): 1},
-)
-_register(
-    "E07", (), "", lambda: True, "z^3 + y^5 + x^2*y^2", [{}],
-    lambda p: {(0, 0, 3): 1, (0, 5, 0): 1, (2, 2, 0): 1},
-)
-_register(
-    "E70", (), "", lambda: True, "z^3 + x^2*y*z + y^4", [{}],
-    lambda p: {(0, 0, 3): 1, (2, 1, 1): 1, (0, 4, 0): 1},
-)
-_register(
-    "F", ("k",), "k >= 2", lambda k: k >= 2,
-    "y^(2k+3) + x^2*y^(2k) - x*z^2",
-    [{"k": 2}, {"k": 3}, {"k": 5}], _terms_f,
-)
-_register(
-    "H-3k-1", ("k",), "k >= 1", lambda k: k >= 1,
-    "z^3 + x^3*y + x^2*y^k",
-    [{"k": 1}, {"k": 2}, {"k": 4}],
-    lambda p: {(0, 0, 3): 1, (3, 1, 0): 1, (2, p["k"], 0): 1},
-)
-_register(
-    "H-3k", ("k",), "k >= 1", lambda k: k >= 1,
-    "z^3 + x*y^k*z + x^3*y",
-    [{"k": 1}, {"k": 2}, {"k": 4}],
-    lambda p: {(0, 0, 3): 1, (1, p["k"], 1): 1, (3, 1, 0): 1},
-)
-_register(
-    "H-3k+1", ("k",), "k >= 1", lambda k: k >= 1,
-    "z^3 + x*y^(k+1)*z + x^3*y^2",
-    [{"k": 1}, {"k": 2}, {"k": 4}],
-    lambda p: {(0, 0, 3): 1, (1, p["k"] + 1, 1): 1, (3, 2, 0): 1},
-)
-_register(
-    "ELLIPTIC-1", (), "", lambda: True, "y^3 + x*z^2 - x^4", [{}],
-    lambda p: {(0, 3, 0): 1, (1, 0, 2): 1, (4, 0, 0): -1},
-    rtp=False, stated=_elliptic1,
-)
-_register(
-    "ELLIPTIC-2", (), "", lambda: True, "z^2 + y^3 + x^21", [{}],
-    lambda p: {(0, 0, 2): 1, (0, 3, 0): 1, (21, 0, 0): 1},
-    rtp=False,
-    escape_observational=True,
-)
+}
 
 
 def families() -> list[str]:
@@ -422,15 +406,41 @@ def entry(family: str) -> CatalogEntry:
         raise CatalogError(f"unknown family {family!r}; known: {known}") from None
 
 
-def _resolve_params(ent: CatalogEntry, params: Mapping[str, int] | None) -> Params:
-    if params is None:
-        return dict(ent.grid[0])
-    for k, v in params.items():
+@dataclass(frozen=True)
+class Instance:
+    """One catalog instance with its parameters resolved; the polynomial,
+    the stated record and the fixture are each built once, on first use."""
+
+    entry: CatalogEntry
+    params: Params
+
+    @cached_property
+    def poly(self) -> Polynomial:
+        return Polynomial.from_dict(self.entry.builder(self.params))
+
+    @cached_property
+    def stated(self) -> _Stated:
+        return self.entry.stated(self.params)
+
+    @cached_property
+    def fixture(self) -> AppendixFixture | None:
+        key = (self.entry.name, self.params)
+        return next((fx for fx in _load_fixtures() if (fx.family, fx.params) == key), None)
+
+
+def instance(family: str, params: Mapping[str, int] | None = None) -> Instance:
+    """Resolve one instance; params=None means the first grid tuple.
+
+    Raises CatalogError on an unknown family, a non-integer parameter, the
+    wrong parameter names, or values outside the family's domain.
+    """
+    ent = entry(family)
+    got = dict(ent.grid[0] if params is None else params)
+    for k, v in got.items():
         if not isinstance(v, int) or isinstance(v, bool):
             raise CatalogError(
                 f"parameter {k!r} of {ent.name} must be an integer, got {v!r}"
             )
-    got = dict(params)
     if set(got) != set(ent.parameters):
         raise CatalogError(
             f"family {ent.name} takes parameters {ent.parameters}, got {sorted(got)}"
@@ -439,12 +449,11 @@ def _resolve_params(ent: CatalogEntry, params: Mapping[str, int] | None) -> Para
         raise CatalogError(
             f"parameters {got} violate the {ent.name} constraint: {ent.constraint}"
         )
-    return got
+    return Instance(ent, got)
 
 
 def equation(family: str, params: Mapping[str, int] | None = None) -> Polynomial:
-    ent = entry(family)
-    return Polynomial.from_dict(ent.builder(_resolve_params(ent, params)))
+    return instance(family, params).poly
 
 
 def default_grid(family: str) -> list[Params]:
@@ -457,8 +466,7 @@ def default_grid(family: str) -> list[Params]:
 
 def _stated(family: str, params: Mapping[str, int] | None, what: str) -> _Stated:
     """The stated data of one instance; CatalogError unless it holds ``what``."""
-    ent = entry(family)
-    rec = ent.stated(_resolve_params(ent, params))
+    rec = instance(family, params).stated
     if getattr(rec, what) is None:
         raise CatalogError(
             f"the {family} entry states no {what.replace('_', ' ')}; "
@@ -598,23 +606,15 @@ def fixture_instances() -> list[tuple[str, Params]]:
 def appendix_fixture(
     family: str, params: Mapping[str, int] | None = None
 ) -> AppendixFixture:
-    ps = _resolve_params(entry(family), params)
-    fx = _fixture(family, ps)
-    if fx is not None:
-        return fx
+    inst = instance(family, params)
+    if inst.fixture is not None:
+        return inst.fixture
     have = [p for f, p in fixture_instances() if f == family]
     if have:
         raise CatalogError(
-            f"no fixture for {family} at {ps}; tabulated instances: {have}"
+            f"no fixture for {family} at {inst.params}; tabulated instances: {have}"
         )
     raise CatalogError(f"family {family} has no tabulated fixture")
-
-
-def _fixture(family: str, ps: Params) -> AppendixFixture | None:
-    for fx in _load_fixtures():
-        if fx.family == family and fx.params == ps:
-            return fx
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -631,36 +631,196 @@ class VerificationReport:
     overall: bool
 
     def to_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "equation": self.equation,
-            "stages": self.stages,
-            "cones": self.cones,
-            "overall": self.overall,
-        }
+        return asdict(self)
 
 
-def _check_cone(c: Cone, vertex: Vec, insert: list[Vec], rtp: bool) -> dict:
-    h = list(c.hilbert)
-    rep = refinement_from_rays(c, insert if insert else h)
+def _lists(vs) -> list[list[int]]:
+    return [list(v) for v in vs]
+
+
+def _status(ok: bool, **fields) -> dict:
+    return {"status": "ok" if ok else "fail", **fields}
+
+
+def _missing_extra(expected, found) -> dict:
+    """The vectors of ``expected`` not found and those found not expected."""
+    e, f = set(expected), set(found)
+    return {"missing": _lists(sorted(e - f)), "extra": _lists(sorted(f - e))}
+
+
+def _cone_row(c: Cone, vertex: Vec, insert: list[Vec], rtp: bool) -> dict:
+    """The report row of one dual cone, refined at ``insert`` or its Hilbert basis."""
+    h = c.hilbert.elements
+    rep = refinement_from_rays(c, insert or h)
     points = profile_lattice_points(c.profile)
     uncovered = sorted(set(points) - set(h))
-    escapes = [v for v in h if not contains_point(c.profile, v)]
     return {
-        "rays": [list(g) for g in c.generators],
+        "rays": _lists(c.generators),
         "vertex": list(vertex),
-        "hilbert": h,
         "unimodular": rep.all_unimodular(),
         "covering_ok": rep.covering_ok,
         "face_fitting_ok": rep.face_fitting_ok,
         "all_rays_irreducible": rep.all_rays_irreducible,
         "profile_points": len(points),
-        "uncovered": uncovered,
+        "uncovered": _lists(uncovered),
         "covered": not uncovered,
         "coverage_enforced": rtp,
-        "escapes": [list(v) for v in escapes],
+        "escapes": [list(v) for v in h if not contains_point(c.profile, v)],
+        "hilbert": _lists(h),
     }
+
+
+def _dual_fan_stage(cones: list[Cone], stated: list[Cone] | None) -> dict:
+    if stated is None:
+        return _status(True, cones=len(cones))
+    ok = {frozenset(c.generators) for c in stated} == {
+        frozenset(c.generators) for c in cones
+    }
+    return _status(ok, cones=len(cones), matches_stated=ok)
+
+
+def _refinement_stage(rows: list[dict], stated_rays: bool) -> dict:
+    unimodular = all(r["unimodular"] for r in rows)
+    irreducible = all(r["all_rays_irreducible"] for r in rows)
+    tiled = all(r["covering_ok"] and r["face_fitting_ok"] for r in rows)
+    return _status(
+        unimodular and irreducible and tiled,
+        source="embedded-valuations" if stated_rays else "hilbert-basis",
+        all_unimodular=unimodular,
+        all_rays_irreducible=irreducible,
+    )
+
+
+def _coverage_stage(rows: list[dict], rtp: bool) -> dict:
+    covered = all(r["covered"] for r in rows)
+    if rtp:
+        return _status(covered, covered=covered)
+    uncovered = [r["uncovered"] for r in rows]
+    return _status(True, observational=True, covered=covered, uncovered=uncovered)
+
+
+def _containment_stage(rows: list[dict], observational: bool) -> dict:
+    witnesses = sorted({tuple(v) for r in rows for v in r["escapes"]})
+    flag = {"observational": True} if witnesses and observational else {}
+    return _status(
+        not witnesses or observational, **flag, witnesses=_lists(witnesses)
+    )
+
+
+def _subprofile_stage(rec: _Stated) -> dict:
+    if rec.subprofiles is None:
+        return {"status": "skipped"}
+    if rec.valuations is None:
+        # without valuations to place, each stated list must be the whole
+        # facet list of its cone's profile
+        match = all(
+            [facet_equation(f) for f in rec.cones[i].profile.bounding]
+            == [str(h) for h in hyps]
+            for i, hyps in rec.subprofiles.items()
+        )
+        return _status(match, matches_profile_facet=match)
+    evs, cones = rec.valuations, rec.cones
+    containing = {v: [i for i, c in enumerate(cones) if c.contains(v)] for v in evs}
+    checks = []
+    for i, c in enumerate(cones):
+        hyps = rec.subprofiles[i]
+        spec = SubprofileSpec(
+            c, tuple(h.functional for h in hyps), any(h.recomputed for h in hyps)
+        )
+        checks.append(subprofile_check(spec, [v for v in evs if i in containing[v]]))
+    # a valuation reaches when it meets a stated hyperplane of a cone holding it
+    reached = {e.vector for check in checks for e in check.entries if e.reaches}
+    failures = []
+    for v, where in containing.items():
+        in_profiles = all(contains_point(cones[i].profile, v) for i in where)
+        if not (where and in_profiles and v in reached):
+            failures.append(
+                {
+                    "vector": list(v),
+                    "containing": where,
+                    "in_profiles": in_profiles,
+                    "reaches": v in reached,
+                }
+            )
+    return _status(
+        not failures,
+        vectors=len(evs),
+        failures=failures,
+        per_cone=[check.to_obj() for check in checks],
+    )
+
+
+def _valuations_stage(cones: list[Cone], valuations) -> dict:
+    if valuations is None:
+        return {"status": "skipped"}
+    diff = _missing_extra(valuations, {v for c in cones for v in c.hilbert})
+    return _status(not any(diff.values()), **diff)
+
+
+def _groebner_stage(p: Polynomial, cones: list[Cone], tropical) -> dict:
+    if tropical is None:
+        return {"status": "skipped"}
+    trop = tropical_variety(p)
+    trop_sets = {frozenset(trop.rays[i] for i in fc.rays) for fc in trop.cones}
+    # the 2-skeleton of the fan: walls and the rays of two or more cones
+    skeleton = {
+        frozenset(face)
+        for face, normals in _facet_incidence(cones).items()
+        if len(normals) == 2
+    }
+    uses = Counter(g for c in cones for g in c.generators)
+    skeleton.update(frozenset({g}) for g, k in uses.items() if k >= 2)
+    # support equality: larger classes absorb their boundary sub-faces,
+    # so compare point sets, not the face lists themselves
+    trop_cones = [Cone.from_generators(fs) for fs in trop_sets]
+    on_skeleton = trop_sets <= skeleton and all(
+        any(all(tc.contains(g) for g in face) for tc in trop_cones)
+        for face in skeleton
+    )
+    matches = trop_sets == tropical
+    return _status(
+        matches and on_skeleton,
+        tropical_cones=len(trop_sets),
+        matches_stated=matches,
+        matches_skeleton=on_skeleton,
+    )
+
+
+def _fixture_stage(cones: list[Cone], fx: AppendixFixture | None) -> dict:
+    if fx is None:
+        return {"status": "skipped"}
+    by_rays = {frozenset(c.generators): c for c in cones}
+    mismatches = []
+    for fc in fx.cones:
+        c = by_rays.get(frozenset(fc.rays))
+        if c is None:
+            mismatches.append({"label": fc.label, "reason": "cone not found"})
+            continue
+        diff = _missing_extra(fc.hilbert, c.hilbert)
+        if any(diff.values()):
+            mismatches.append({"label": fc.label, **diff})
+    return _status(
+        not mismatches and len(fx.cones) == len(cones),
+        cones=len(fx.cones),
+        mismatches=mismatches,
+    )
+
+
+def _determinants_stage(rec: _Stated) -> dict:
+    if rec.determinants is None:
+        # a stated refinement whose certificates are not on file says so
+        reason = {} if rec.valuations is None else {"reason": "not stated"}
+        return {"status": "skipped", **reason}
+    fams = rec.determinants
+    bad = [
+        {"label": f["label"], "matrix": _lists(m)}
+        for f in fams
+        for m in f["matrices"]
+        if abs(unimodular_det(*m)) != 1
+    ]
+    return _status(
+        not bad, matrices=sum(len(f["matrices"]) for f in fams), failures=bad
+    )
 
 
 def verify(
@@ -671,232 +831,28 @@ def verify(
     Stages that a family does not state data for are marked skipped; the
     overall flag is the conjunction of the non-skipped stages.
     """
-    ent = entry(family)
-    ps = _resolve_params(ent, params)
-    p = Polynomial.from_dict(ent.builder(ps))
-    rec = ent.stated(ps)
-    stated, evs = rec.cones, rec.valuations
-    stages: dict[str, dict] = {}
-
-    computed = dual_newton_cones(p)
-    cone_sets = {frozenset(c.generators) for c, _ in computed}
-    if stated is not None:
-        stated_sets = {frozenset(c.generators) for c in stated}
-        ok = stated_sets == cone_sets
-        stages["dual_fan"] = {
-            "status": "ok" if ok else "fail",
-            "cones": len(computed),
-            "matches_stated": ok,
-        }
-    else:
-        stages["dual_fan"] = {"status": "ok", "cones": len(computed)}
-
-    cone_reports = [
-        _check_cone(c, vtx, [v for v in evs or () if c.contains(v)], ent.rtp)
+    inst = instance(family, params)
+    ent, rec = inst.entry, inst.stated
+    computed = dual_newton_cones(inst.poly)
+    cones = [c for c, _ in computed]
+    rows = [
+        _cone_row(c, vtx, [v for v in rec.valuations or () if c.contains(v)], ent.rtp)
         for c, vtx in computed
     ]
-
-    stages["hilbert"] = {
-        "status": "ok",
-        "sizes": [len(cr["hilbert"]) for cr in cone_reports],
+    stages = {
+        "dual_fan": _dual_fan_stage(cones, rec.cones),
+        "hilbert": _status(True, sizes=[len(c.hilbert) for c in cones]),
+        "refinement": _refinement_stage(rows, rec.valuations is not None),
+        "profile_coverage": _coverage_stage(rows, ent.rtp),
+        "profile_containment": _containment_stage(rows, ent.escape_observational),
+        "subprofile": _subprofile_stage(rec),
+        "valuations": _valuations_stage(cones, rec.valuations),
+        "groebner": _groebner_stage(inst.poly, cones, rec.tropical),
+        "fixture": _fixture_stage(cones, inst.fixture),
+        "determinants": _determinants_stage(rec),
     }
-
-    refinement_ok = all(
-        cr["unimodular"]
-        and cr["covering_ok"]
-        and cr["face_fitting_ok"]
-        and cr["all_rays_irreducible"]
-        for cr in cone_reports
-    )
-    stages["refinement"] = {
-        "status": "ok" if refinement_ok else "fail",
-        "source": "embedded-valuations" if evs is not None else "hilbert-basis",
-        "all_unimodular": all(cr["unimodular"] for cr in cone_reports),
-        "all_rays_irreducible": all(cr["all_rays_irreducible"] for cr in cone_reports),
-    }
-
-    covered = all(cr["covered"] for cr in cone_reports)
-    if ent.rtp:
-        stages["profile_coverage"] = {
-            "status": "ok" if covered else "fail",
-            "covered": covered,
-        }
-    else:
-        stages["profile_coverage"] = {
-            "status": "ok",
-            "observational": True,
-            "covered": covered,
-            "uncovered": [
-                [list(v) for v in cr["uncovered"]] for cr in cone_reports
-            ],
-        }
-
-    witnesses = sorted({tuple(v) for cr in cone_reports for v in cr["escapes"]})
-    if not witnesses:
-        stages["profile_containment"] = {"status": "ok", "witnesses": []}
-    elif ent.escape_observational:
-        stages["profile_containment"] = {
-            "status": "ok",
-            "observational": True,
-            "witnesses": [list(v) for v in witnesses],
-        }
-    else:
-        stages["profile_containment"] = {
-            "status": "fail",
-            "witnesses": [list(v) for v in witnesses],
-        }
-
-    if evs is not None:
-        hyps = [rec.subprofiles[i] for i in range(len(stated))]
-        failures = []
-        for v in evs:
-            containing = [i for i, c in enumerate(stated) if c.contains(v)]
-            in_profiles = all(contains_point(stated[i].profile, v) for i in containing)
-            reaches = any(
-                any(h.functional(v) == 0 for h in hyps[i]) for i in containing
-            )
-            if not (containing and in_profiles and reaches):
-                failures.append(
-                    {
-                        "vector": list(v),
-                        "containing": containing,
-                        "in_profiles": in_profiles,
-                        "reaches": reaches,
-                    }
-                )
-        reports = []
-        for i, c in enumerate(stated):
-            spec = SubprofileSpec(
-                c,
-                tuple(h.functional for h in hyps[i]),
-                recomputed=any(h.recomputed for h in hyps[i]),
-            )
-            members = [v for v in evs if c.contains(v)]
-            reports.append(subprofile_check(spec, members).to_obj())
-        stages["subprofile"] = {
-            "status": "ok" if not failures else "fail",
-            "vectors": len(evs),
-            "failures": failures,
-            "per_cone": reports,
-        }
-    elif rec.subprofiles is not None:
-        # without valuations to place, each stated list must be the whole
-        # facet list of its cone's profile
-        match = all(
-            [facet_equation(f) for f in stated[i].profile.bounding]
-            == [str(h) for h in hyps]
-            for i, hyps in rec.subprofiles.items()
-        )
-        stages["subprofile"] = {
-            "status": "ok" if match else "fail",
-            "matches_profile_facet": match,
-        }
-    else:
-        stages["subprofile"] = {"status": "skipped"}
-
-    if evs is not None:
-        union_h = {v for cr in cone_reports for v in cr["hilbert"]}
-        missing = sorted(set(evs) - union_h)
-        extra = sorted(union_h - set(evs))
-        stages["valuations"] = {
-            "status": "ok" if not missing and not extra else "fail",
-            "missing": [list(v) for v in missing],
-            "extra": [list(v) for v in extra],
-        }
-    else:
-        stages["valuations"] = {"status": "skipped"}
-
-    if rec.tropical is not None:
-        trop = tropical_variety(p)
-        trop_sets = {
-            frozenset(trop.rays[i] for i in fc.rays) for fc in trop.cones
-        }
-        # the 2-skeleton of the fan: walls and the rays of two or more cones
-        maximal = [c for c, _ in computed]
-        skeleton = {
-            frozenset(face)
-            for face, normals in _facet_incidence(maximal).items()
-            if len(normals) == 2
-        }
-        uses = Counter(g for c in maximal for g in c.generators)
-        skeleton.update(frozenset({g}) for g, k in uses.items() if k >= 2)
-        # support equality: larger classes absorb their boundary sub-faces,
-        # so compare point sets, not the face lists themselves
-        trop_cones = [Cone.from_generators(fs) for fs in trop_sets]
-        skeleton_covered = all(
-            any(all(tc.contains(g) for g in face) for tc in trop_cones)
-            for face in skeleton
-        )
-        inside_skeleton = trop_sets <= skeleton
-        groebner_ok = (
-            trop_sets == rec.tropical and skeleton_covered and inside_skeleton
-        )
-        stages["groebner"] = {
-            "status": "ok" if groebner_ok else "fail",
-            "tropical_cones": len(trop_sets),
-            "matches_stated": trop_sets == rec.tropical,
-            "matches_skeleton": skeleton_covered and inside_skeleton,
-        }
-    else:
-        stages["groebner"] = {"status": "skipped"}
-
-    fx = _fixture(family, ps)
-    if fx is not None:
-        by_rays = {
-            frozenset(tuple(v) for v in cr["rays"]): cr for cr in cone_reports
-        }
-        mismatches = []
-        for fc in fx.cones:
-            cr = by_rays.get(frozenset(fc.rays))
-            if cr is None:
-                mismatches.append({"label": fc.label, "reason": "cone not found"})
-            elif set(cr["hilbert"]) != set(fc.hilbert):
-                mismatches.append(
-                    {
-                        "label": fc.label,
-                        "missing": [
-                            list(v) for v in sorted(set(fc.hilbert) - set(cr["hilbert"]))
-                        ],
-                        "extra": [
-                            list(v) for v in sorted(set(cr["hilbert"]) - set(fc.hilbert))
-                        ],
-                    }
-                )
-        fixture_ok = not mismatches and len(fx.cones) == len(cone_reports)
-        stages["fixture"] = {
-            "status": "ok" if fixture_ok else "fail",
-            "cones": len(fx.cones),
-            "mismatches": mismatches,
-        }
-    else:
-        stages["fixture"] = {"status": "skipped"}
-
-    fams = rec.determinants
-    if fams is not None:
-        bad = [
-            {"label": f["label"], "matrix": [list(v) for v in m]}
-            for f in fams
-            for m in f["matrices"]
-            if abs(unimodular_det(*m)) != 1
-        ]
-        stages["determinants"] = {
-            "status": "ok" if not bad else "fail",
-            "matrices": sum(len(f["matrices"]) for f in fams),
-            "failures": bad,
-        }
-    elif evs is not None:
-        # a stated refinement whose certificates are not on file
-        stages["determinants"] = {"status": "skipped", "reason": "not stated"}
-    else:
-        stages["determinants"] = {"status": "skipped"}
-
     overall = all(st["status"] != "fail" for st in stages.values())
-    public_cones = [
-        {k: v for k, v in cr.items() if k != "hilbert"}
-        | {"hilbert": [list(v) for v in cr["hilbert"]]}
-        for cr in cone_reports
-    ]
-    return VerificationReport(family, ps, str(p), stages, public_cones, overall)
+    return VerificationReport(family, inst.params, str(inst.poly), stages, rows, overall)
 
 
 def verify_grid(family: str) -> list[VerificationReport]:
@@ -909,20 +865,13 @@ def groebner_meet(family: str, params: Mapping[str, int] | None = None) -> dict:
     Vectors come from the embedded-valuation list when the family states
     one and from the union of per-cone Hilbert bases otherwise.
     """
-    ent = entry(family)
-    ps = _resolve_params(ent, params)
-    p = Polynomial.from_dict(ent.builder(ps))
-    vectors = ent.stated(ps).valuations
-    if vectors is not None:
-        source = "embedded-valuations"
-    else:
-        seen: set[Vec] = set()
-        for c, _ in dual_newton_cones(p):
-            seen.update(c.hilbert)
-        vectors = sorted(seen)
-        source = "hilbert-basis"
-    gf = groebner_fan(p)
-    by_support = {g.initial_form.support(): g for g in gf}
+    inst = instance(family, params)
+    p = inst.poly
+    vectors = inst.stated.valuations
+    source = "hilbert-basis" if vectors is None else "embedded-valuations"
+    if vectors is None:
+        vectors = sorted({v for c, _ in dual_newton_cones(p) for v in c.hilbert})
+    by_support = {g.initial_form.support(): g for g in groebner_fan(p)}
     entries = []
     for v in vectors:
         form = initial_form(p, v)
@@ -932,13 +881,13 @@ def groebner_meet(family: str, params: Mapping[str, int] | None = None) -> dict:
                 "vector": list(v),
                 "initial_form": str(form),
                 "cone_dim": g.cone.dim,
-                "cone_rays": [list(r) for r in g.cone.generators],
+                "cone_rays": _lists(g.cone.generators),
                 "monomial": form.is_monomial(),
             }
         )
     return {
         "family": family,
-        "params": ps,
+        "params": inst.params,
         "equation": str(p),
         "source": source,
         "entries": entries,

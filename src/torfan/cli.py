@@ -370,7 +370,7 @@ def _entry_fields(ent) -> dict:
 
 
 def _run_catalog(ns) -> tuple[bool, str, dict]:
-    from .catalog import entry, equation, families, fixture_instances
+    from .catalog import entry, families, fixture_instances, instance
 
     if ns.action == "list":
         fams = [
@@ -379,15 +379,12 @@ def _run_catalog(ns) -> tuple[bool, str, dict]:
             for name in families()
         ]
         return True, "catalog-list", {"families": fams}
-    ent = entry(ns.family)
-    obj = _entry_fields(ent)
-    params = _params_from(ns)
-    poly = equation(ns.family, params)
-    resolved = params or (dict(ent.grid[0]) if ent.parameters else {})
-    obj["params"] = resolved
-    obj["equation"] = str(poly)
-    obj["fixture"] = (ns.family, resolved) in fixture_instances()
-    rec = ent.stated(resolved)
+    inst = instance(ns.family, _params_from(ns))
+    obj = _entry_fields(inst.entry)
+    obj["params"] = inst.params
+    obj["equation"] = str(inst.poly)
+    obj["fixture"] = inst.fixture is not None
+    rec = inst.stated
     if rec.cones is not None:
         obj["stated_maximal_cones"] = [_vecs(c.generators) for c in rec.cones]
         by_cone = rec.subprofiles or {}

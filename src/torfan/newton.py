@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cones import (
@@ -19,6 +20,7 @@ from .cones import (
     ZERO,
     _rank,
     _supporting_pairs,
+    cross,
     dot,
     triangulate,
     vadd,
@@ -219,11 +221,30 @@ def _facet_incidence(cones: Iterable[Cone]) -> dict[tuple[Vec, Vec], list[Vec]]:
     return owners
 
 
+def _interiors_disjoint(a: Cone, b: Cone) -> bool:
+    """Do the pointed 3-dimensional cones a and b have disjoint interiors?
+
+    Exactly when a plane through the origin separates them, and then one
+    spanned by two of their rays does: the separating normals form a
+    pointed cone whose extremal rays are cut out by two of those rays.
+    """
+    for u, w in combinations(sorted({*a.generators, *b.generators}), 2):
+        n = cross(u, w)
+        if n == ZERO:
+            continue
+        da = [dot(n, g) for g in a.generators]
+        db = [dot(n, g) for g in b.generators]
+        if max(da) <= 0 <= min(db) or max(db) <= 0 <= min(da):
+            return True
+    return False
+
+
 def _tiling_certificate(cones: Sequence[Cone], support: Sequence[Cone]) -> dict:
     """Do the 3-dimensional octant cones tile the support face to face?
 
     ``covering_ok``: the cones have the octant volume of the support.
-    ``face_fitting_ok``: every 2-face is a facet of two cones with opposite
+    ``face_fitting_ok``: the support cones have pairwise disjoint
+    interiors, and every 2-face is a facet of two cones with opposite
     inner normals, or of one cone and then inside a support facet with the
     same inner normal that no other support cone has.  The number of cones
     over a point cannot change across a paired facet, so it is constant
@@ -246,6 +267,8 @@ def _tiling_certificate(cones: Sequence[Cone], support: Sequence[Cone]) -> dict:
     return {
         "covering_ok": octant_solid_volume(cones) == octant_solid_volume(support),
         "face_fitting_ok": all(
+            _interiors_disjoint(a, b) for a, b in combinations(support, 2)
+        ) and all(
             fits(a, b, normals)
             for (a, b), normals in _facet_incidence(cones).items()
         ),

@@ -21,6 +21,7 @@ from torfan.catalog import (
 from torfan.cones import Cone, hilbert_basis, is_irreducible
 from torfan.newton import dual_newton_cones
 from torfan.polyparse import parse_polynomial
+from torfan.valuation import initial_form
 
 B22 = {"r": 2, "n": 2}
 
@@ -300,3 +301,24 @@ def test_groebner_meet_sources_and_walls():
     gm_b = groebner_meet("B-odd", B22)
     assert gm_b["source"] == "embedded-valuations"
     assert all(len(e["cone_rays"]) >= 1 for e in gm_b["entries"])
+
+
+def test_groebner_meet_entries_over_the_grid():
+    non_monomial = b_entries = 0
+    for family in ALL_FAMILIES:
+        stated = family in ("B-odd", "B-even")
+        for params in default_grid(family):
+            gm = groebner_meet(family, params)
+            p = equation(family, params)
+            assert gm["source"] == ("embedded-valuations" if stated else "hilbert-basis")
+            for e in gm["entries"]:
+                v = tuple(e["vector"])
+                cone = Cone.from_generators([tuple(r) for r in e["cone_rays"]])
+                assert cone.contains(v)
+                assert e["initial_form"] == str(initial_form(p, v))
+            if stated:
+                b_entries += len(gm["entries"])
+                non_monomial += sum(not e["monomial"] for e in gm["entries"])
+    # the stated valuations of the seven B instances with a non-monomial
+    # initial form
+    assert (non_monomial, b_entries) == (84, 225)

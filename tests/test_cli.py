@@ -155,6 +155,24 @@ def test_verify_exit_codes(capsys):
     assert obj["stages"]["profile_containment"]["witnesses"] == [[1, 2, 2]]
 
 
+def test_verify_text_lists_every_stage_in_order(capsys):
+    assert cli.run(["verify", "B-odd", "--r", "2", "--n", "2", "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "family: B-odd  params: {'r': 2, 'n': 2}",
+        "dual_fan: ok",
+        "hilbert: ok",
+        "refinement: ok",
+        "profile_coverage: ok",
+        "profile_containment: ok",
+        "subprofile: ok",
+        "valuations: ok",
+        "groebner: ok",
+        "fixture: skipped",
+        "determinants: ok",
+        "overall: True",
+    ]
+
+
 def test_render_svg(tmp_path, capsys):
     fan_path = tmp_path / "fan.json"
     svg_path = tmp_path / "fan.svg"

@@ -262,6 +262,37 @@ def test_refine_fan_of_a_doubled_cone_is_not_face_fitting():
     assert rep.covering_ok and not rep.face_fitting_ok
 
 
+def test_refine_fan_of_overlapping_sources_is_not_face_fitting():
+    # a fourth source across a wall of the dual fan: every piece is
+    # unimodular and the volumes agree, but the sources overlap
+    inner = Cone.from_generators([(1, 1, 1), (2, 1, 1), (1, 2, 1)])
+    rep = refine.refine_fan(ELL_CONES + [inner])
+    assert rep.all_unimodular() and rep.covering_ok
+    assert not rep.face_fitting_ok
+    assert refine.refine_fan(ELL_CONES).face_fitting_ok
+
+
+@pytest.mark.parametrize("a, b, disjoint", [
+    (ELL_CONES[0], ELL_CONES[1], True),  # a wall between them
+    (A, OCTANT, False),  # nested
+    (A, A, False),
+    (ELL_CONES[1], Cone.from_generators([(1, 1, 1), (2, 1, 1), (1, 2, 1)]), False),
+    # only the origin in common
+    (
+        Cone.from_generators([E1, (2, 1, 0), (2, 0, 1)]),
+        Cone.from_generators([E2, E3, (1, 2, 2)]),
+        True,
+    ),
+])
+def test_interiors_disjoint_agrees_with_the_sampling_oracle(a, b, disjoint):
+    from torfan.newton import _interiors_disjoint
+
+    assert _interiors_disjoint(a, b) == _interiors_disjoint(b, a) == disjoint
+    # the box holds a point of each overlap here; it need not in general
+    defects = octant_tiling_defects([a.generators, b.generators])
+    assert any(kind == "overlap" for _, kind in defects) == (not disjoint)
+
+
 def test_facet_incidence_keys_sorted_ray_pairs_with_inner_normals():
     from torfan.newton import _facet_incidence
 
