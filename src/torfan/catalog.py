@@ -1,18 +1,23 @@
 """Catalog of singularity families with end-to-end verification.
 
-Each registry entry carries a defining equation template, its parameter
-domain, a small default parameter grid and, for the families that state
-closed-form data (B-odd, B-even, ELLIPTIC-1), a builder of that data for one
-instance: the maximal cones, subprofile hyperplanes, embedded valuations,
-tropical cones and determinant certificates.  Tabulated per-cone Hilbert
-bases for the instances shipped in ``data/appendix_fixtures.json`` sit
-beside the registry.  ``instance`` resolves a family and its parameters into
-one record; ``verify`` runs the whole pipeline on it, one helper per stage.
+Each registry entry carries its defining equation as a printed template,
+its parameter domain, a small default parameter grid and, for the families
+that state closed-form data (B-odd, B-even, ELLIPTIC-1), a builder of that
+data for one instance: the maximal cones, subprofile hyperplanes, embedded
+valuations, tropical cones and determinant certificates.  The template is
+the one statement of the equation: an instance's polynomial is the template
+with each exponent, ``^(linear form)`` or ``^parameter``, replaced by its
+value and parsed; an exponent below 1 is refused with ``CatalogError``.
+Tabulated per-cone Hilbert bases for the instances shipped in
+``data/appendix_fixtures.json`` sit beside the registry.  ``instance``
+resolves a family and its parameters into one record; ``verify`` runs the
+whole pipeline on it, one helper per stage.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, partial
@@ -21,7 +26,7 @@ from typing import Callable, Mapping
 
 from .cones import Cone, Vec, unimodular_det
 from .newton import _facet_incidence, dual_newton_cones
-from .polyparse import Polynomial
+from .polyparse import Polynomial, parse_polynomial
 from .profile import (
     AffineFunctional,
     SubprofileSpec,
@@ -39,7 +44,6 @@ class CatalogError(ValueError):
 
 
 Params = dict[str, int]
-Terms = dict[tuple[int, int, int], int]
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,9 @@ class CatalogEntry:
     constraint: str
     # keyword arguments named after ``parameters``; True inside the domain
     domain: Callable[..., bool] = field(repr=False)
+    # the defining equation, as printed and as instantiated (Instance.poly)
     template: str
     grid: tuple[Params, ...]
-    builder: Callable[[Params], Terms] = field(repr=False)
     rtp: bool = True
     note: str = ""
     # containment failures (Hilbert elements outside their profile) are
@@ -95,76 +99,6 @@ def _a3_domain(l: int, m: int, k: int) -> bool:
 
 def _a4_domain(l: int, m: int, k: int) -> bool:
     return l < m < k and l + k <= 2 * m and (l + k) % 2 == 1
-
-
-def _terms_a1(p: Params) -> Terms:
-    m = p["m"]
-    return {(0, 3 * m + 3, 0): 1, (1, m + 1, 1): 1, (1, 0, 2): -1, (0, 0, 3): -1}
-
-
-def _terms_a2(p: Params) -> Terms:
-    k, m = p["k"], p["m"]
-    return {
-        (0, 2 * k + m + 3, 0): 1,
-        (0, 2 * k + 2, 1): 1,
-        (0, k + 1, 2): 1,
-        (1, k + 1, 1): 1,
-        (1, 0, 2): 1,
-        (0, 0, 3): -1,
-    }
-
-
-def _terms_a3(p: Params) -> Terms:
-    l, m, k = p["l"], p["m"], p["k"]
-    out: Terms = {(0, 3 * k, 0): 1}
-    # the two pure-y terms coincide when l + k = 2m + 2
-    e = (0, 2 * k + m + l - 2, 0)
-    out[e] = out.get(e, 0) + 1
-    out[(0, l + k, 1)] = -2
-    out[(1, k, 1)] = -1
-    out[(0, m, 2)] = 1
-    out[(1, 0, 2)] = 1
-    out[(0, 0, 3)] = -1
-    return out
-
-
-def _terms_a4(p: Params) -> Terms:
-    l, m, k = p["l"], p["m"], p["k"]
-    return {
-        (0, 2 * k + m, 0): 1,
-        (0, k + m, 1): 1,
-        (0, l + k, 1): 1,
-        (1, k, 1): 1,
-        (0, k, 2): -1,
-        (0, l, 2): 1,
-        (1, 0, 2): 1,
-        (0, 0, 3): -1,
-    }
-
-
-def _terms_b_odd(p: Params) -> Terms:
-    r, n = p["r"], p["n"]
-    return {(2 * n + 3, 0, 1): 1, (r, 2, 0): -1, (0, 2, 1): -1}
-
-
-def _terms_b_even(p: Params) -> Terms:
-    r, n = p["r"], p["n"]
-    return {(n + r + 2, 1, 0): 1, (2 * n + 3, 0, 1): -1, (0, 2, 1): 1}
-
-
-def _terms_c(p: Params) -> Terms:
-    n, m = p["n"], p["m"]
-    return {(n - 1, 2 * m + 2, 0): 1, (0, 2 * m + 4, 0): 1, (1, 0, 2): -1}
-
-
-def _terms_d(p: Params) -> Terms:
-    n = p["n"]
-    return {(2 * n + 2, 2, 0): 1, (n + 3, 0, 1): -1, (0, 1, 2): 1}
-
-
-def _terms_f(p: Params) -> Terms:
-    k = p["k"]
-    return {(0, 2 * k + 3, 0): 1, (2, 2 * k, 0): 1, (1, 0, 2): -1}
 
 
 # ---------------------------------------------------------------------------
@@ -298,96 +232,80 @@ _ENTRIES: dict[str, CatalogEntry] = {
         CatalogEntry(
             "A1", ("m",), "m >= 2", lambda m: m >= 2,
             "y^(3m+3) + x*y^(m+1)*z - x*z^2 - z^3",
-            ({"m": 2}, {"m": 3}, {"m": 5}), _terms_a1,
+            ({"m": 2}, {"m": 3}, {"m": 5}),
         ),
         CatalogEntry(
             "A2", ("k", "m"), "1 <= k < m", lambda k, m: 1 <= k < m,
             "y^(2k+m+3) + y^(2k+2)*z + y^(k+1)*z^2 + x*y^(k+1)*z + x*z^2 - z^3",
-            ({"k": 1, "m": 2}, {"k": 1, "m": 3}, {"k": 2, "m": 5}), _terms_a2,
+            ({"k": 1, "m": 2}, {"k": 1, "m": 3}, {"k": 2, "m": 5}),
         ),
         CatalogEntry(
             "A3", ("l", "m", "k"), "l < m < k and (l+k > 2m or l+k even)", _a3_domain,
             "y^(3k) + y^(2k+m+l-2) - 2*y^(l+k)*z - x*y^k*z + y^m*z^2 + x*z^2 - z^3",
             ({"l": 1, "m": 2, "k": 3}, {"l": 1, "m": 2, "k": 5}, {"l": 2, "m": 3, "k": 6}),
-            _terms_a3,
         ),
         CatalogEntry(
             "A4", ("l", "m", "k"), "l < m < k, l+k <= 2m, l+k odd", _a4_domain,
             "y^(2k+m) + y^(k+m)*z + y^(l+k)*z + x*y^k*z - y^k*z^2 + y^l*z^2 + x*z^2 - z^3",
             ({"l": 1, "m": 3, "k": 4}, {"l": 1, "m": 4, "k": 6}, {"l": 2, "m": 5, "k": 7}),
-            _terms_a4,
         ),
         CatalogEntry(
             "B-odd", ("r", "n"), "r >= 1, n >= 2", lambda r, n: r >= 1 and n >= 2,
             "x^(2n+3)*z - x^r*y^2 - y^2*z",
             ({"r": 1, "n": 2}, {"r": 2, "n": 2}, {"r": 2, "n": 3}, {"r": 3, "n": 4}),
-            _terms_b_odd, stated=partial(_b_series, True),
+            stated=partial(_b_series, True),
         ),
         CatalogEntry(
             "B-even", ("r", "n"), "r >= 1, n >= 2", lambda r, n: r >= 1 and n >= 2,
             "x^(n+r+2)*y - x^(2n+3)*z + y^2*z",
             ({"r": 1, "n": 2}, {"r": 2, "n": 2}, {"r": 3, "n": 3}),
-            _terms_b_even, stated=partial(_b_series, False),
+            stated=partial(_b_series, False),
         ),
         CatalogEntry(
             "C", ("n", "m"), "n >= 3, m >= 2", lambda n, m: n >= 3 and m >= 2,
             "x^(n-1)*y^(2m+2) + y^(2m+4) - x*z^2",
-            ({"n": 3, "m": 2}, {"n": 4, "m": 2}, {"n": 5, "m": 3}), _terms_c,
+            ({"n": 3, "m": 2}, {"n": 4, "m": 2}, {"n": 5, "m": 3}),
         ),
         CatalogEntry(
             "D", ("n",), "n >= 1", lambda n: n >= 1,
             "x^(2n+2)*y^2 - x^(n+3)*z + y*z^2",
-            ({"n": 1}, {"n": 2}, {"n": 4}), _terms_d,
+            ({"n": 1}, {"n": 2}, {"n": 4}),
         ),
         CatalogEntry(
             "D-appendix", ("n",), "n >= 1", lambda n: n >= 1,
             "x^(2n+2)*y^2 - x^(n+3)*z + y*z^2",
-            ({"n": 1}, {"n": 2}, {"n": 4}), _terms_d,
+            ({"n": 1}, {"n": 2}, {"n": 4}),
             note="same defining equation as D; carries the tabulated per-cone bases",
         ),
-        CatalogEntry(
-            "E60", (), "", lambda: True, "z^3 + y^3*z + x^2*y^2", ({},),
-            lambda p: {(0, 0, 3): 1, (0, 3, 1): 1, (2, 2, 0): 1},
-        ),
-        CatalogEntry(
-            "E07", (), "", lambda: True, "z^3 + y^5 + x^2*y^2", ({},),
-            lambda p: {(0, 0, 3): 1, (0, 5, 0): 1, (2, 2, 0): 1},
-        ),
-        CatalogEntry(
-            "E70", (), "", lambda: True, "z^3 + x^2*y*z + y^4", ({},),
-            lambda p: {(0, 0, 3): 1, (2, 1, 1): 1, (0, 4, 0): 1},
-        ),
+        CatalogEntry("E60", (), "", lambda: True, "z^3 + y^3*z + x^2*y^2", ({},)),
+        CatalogEntry("E07", (), "", lambda: True, "z^3 + y^5 + x^2*y^2", ({},)),
+        CatalogEntry("E70", (), "", lambda: True, "z^3 + x^2*y*z + y^4", ({},)),
         CatalogEntry(
             "F", ("k",), "k >= 2", lambda k: k >= 2,
             "y^(2k+3) + x^2*y^(2k) - x*z^2",
-            ({"k": 2}, {"k": 3}, {"k": 5}), _terms_f,
+            ({"k": 2}, {"k": 3}, {"k": 5}),
         ),
         CatalogEntry(
             "H-3k-1", ("k",), "k >= 1", lambda k: k >= 1,
             "z^3 + x^3*y + x^2*y^k",
             ({"k": 1}, {"k": 2}, {"k": 4}),
-            lambda p: {(0, 0, 3): 1, (3, 1, 0): 1, (2, p["k"], 0): 1},
         ),
         CatalogEntry(
             "H-3k", ("k",), "k >= 1", lambda k: k >= 1,
             "z^3 + x*y^k*z + x^3*y",
             ({"k": 1}, {"k": 2}, {"k": 4}),
-            lambda p: {(0, 0, 3): 1, (1, p["k"], 1): 1, (3, 1, 0): 1},
         ),
         CatalogEntry(
             "H-3k+1", ("k",), "k >= 1", lambda k: k >= 1,
             "z^3 + x*y^(k+1)*z + x^3*y^2",
             ({"k": 1}, {"k": 2}, {"k": 4}),
-            lambda p: {(0, 0, 3): 1, (1, p["k"] + 1, 1): 1, (3, 2, 0): 1},
         ),
         CatalogEntry(
             "ELLIPTIC-1", (), "", lambda: True, "y^3 + x*z^2 - x^4", ({},),
-            lambda p: {(0, 3, 0): 1, (1, 0, 2): 1, (4, 0, 0): -1},
             rtp=False, stated=_elliptic1,
         ),
         CatalogEntry(
             "ELLIPTIC-2", (), "", lambda: True, "z^2 + y^3 + x^21", ({},),
-            lambda p: {(0, 0, 2): 1, (0, 3, 0): 1, (21, 0, 0): 1},
             rtp=False, escape_observational=True,
         ),
     )
@@ -406,6 +324,12 @@ def entry(family: str) -> CatalogEntry:
         raise CatalogError(f"unknown family {family!r}; known: {known}") from None
 
 
+# a template exponent: ^(linear form in the parameters) or ^parameter letter;
+# integer exponents are left to the polynomial parser
+_EXPONENT = re.compile(r"\^(?:\(([^)]*)\)|([a-z]))")
+_LINEAR_TERM = re.compile(r"([+-]?)(\d*)([a-z]?)")
+
+
 @dataclass(frozen=True)
 class Instance:
     """One catalog instance with its parameters resolved; the polynomial,
@@ -416,7 +340,23 @@ class Instance:
 
     @cached_property
     def poly(self) -> Polynomial:
-        return Polynomial.from_dict(self.entry.builder(self.params))
+        return parse_polynomial(_EXPONENT.sub(self._exponent, self.entry.template))
+
+    def _exponent(self, match: re.Match) -> str:
+        """The integer value of one template exponent, ``^(linear form)`` or
+        ``^letter``; CatalogError below 1, where the template stops being
+        the family's equation."""
+        value = 0
+        for sign, coeff, name in _LINEAR_TERM.findall(match[1] or match[2]):
+            if coeff or name:
+                term = int(coeff or 1) * (self.params[name] if name else 1)
+                value += -term if sign == "-" else term
+        if value < 1:
+            raise CatalogError(
+                f"exponent {match[0][1:]} of {self.entry.name} at {self.params} "
+                f"is {value}; every template exponent must be at least 1"
+            )
+        return f"^{value}"
 
     @cached_property
     def stated(self) -> _Stated:

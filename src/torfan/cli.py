@@ -18,8 +18,8 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .cones import _VECTOR_TEXT, hilbert_basis, parse_cone
-from .polyparse import parse_polynomial
+from .cones import _VECTOR_TEXT, Cone, Vec, hilbert_basis, parse_cone
+from .polyparse import Polynomial, parse_polynomial
 from .profile import contains_point, facet_equation, profile_lattice_points
 
 if TYPE_CHECKING:
@@ -214,17 +214,26 @@ def _vecs(vs) -> list[list[int]]:
     return [list(v) for v in vs]
 
 
+def _dual_cones(text: str) -> tuple[Polynomial, list[tuple[Cone, Vec]]]:
+    """The polynomial of ``text`` and its (cone, vertex) pairs; ValueError
+    when the dual Newton fan has no full-dimensional cone."""
+    from .newton import dual_newton_cones
+
+    p = parse_polynomial(text)
+    pairs = dual_newton_cones(p)
+    if not pairs:
+        raise ValueError("the dual Newton fan has no full-dimensional cones")
+    return p, pairs
+
+
 # ---------------------------------------------------------------------------
 # verb handlers: each returns (flags_ok, schema_key, payload)
 
 
 def _run_dnp(ns) -> tuple[bool, str, dict]:
-    from .newton import Fan, dual_newton_cones, fan_consistency_report
+    from .newton import Fan, fan_consistency_report
 
-    p = parse_polynomial(ns.poly)
-    pairs = dual_newton_cones(p)
-    if not pairs:
-        raise ValueError("the dual Newton fan has no full-dimensional cones")
+    p, pairs = _dual_cones(ns.poly)
     fan = Fan.from_cones(
         [c for c, _ in pairs], ["vertex (%d,%d,%d)" % v for _, v in pairs]
     )
@@ -245,13 +254,10 @@ def _run_hilbert(ns) -> tuple[bool, str, list]:
 
 
 def _run_resolve(ns) -> tuple[bool, str, dict]:
-    from .newton import dual_newton_cones
     from .refine import refine_fan
 
-    p = parse_polynomial(ns.poly)
-    cones = [c for c, _ in dual_newton_cones(p)]
-    if not cones:
-        raise ValueError("the dual Newton fan has no full-dimensional cones")
+    p, pairs = _dual_cones(ns.poly)
+    cones = [c for c, _ in pairs]
     inserted = _read_vectors(ns.rays) if ns.rays else None
     report = refine_fan(cones, inserted)
     obj = {
@@ -279,12 +285,7 @@ def _run_profile(ns) -> tuple[bool, str, dict]:
         obj["cone"] = _vecs(cones[0].generators)
         rows = [{}]
     else:
-        from .newton import dual_newton_cones
-
-        p = parse_polynomial(text)
-        pairs = dual_newton_cones(p)
-        if not pairs:
-            raise ValueError("the dual Newton fan has no full-dimensional cones")
+        p, pairs = _dual_cones(text)
         cones = [c for c, _ in pairs]
         obj["equation"] = str(p)
         rows = [{"vertex": list(v)} for _, v in pairs]

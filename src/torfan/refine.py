@@ -9,10 +9,10 @@ triangulation first.  That matters: a forced starting diagonal can be an
 edge that no unimodular subdivision through the prescribed rays contains,
 which would make regularity unreachable no matter the insertion order.
 One insertion loop (``_ray_pieces``) serves both refinements: rays go in
-by increasing profile level, and a piece left non-simplicial is pulled at
-a Hilbert element inside it, or triangulated.  The Hilbert-driven
-refinement then splits each non-regular piece at the element of least
-value of that piece's l-functional.
+by increasing profile level, and a non-simplicial cone that no ray fell
+inside is pulled at a Hilbert element inside it, or triangulated.  The
+Hilbert-driven refinement then splits each non-regular piece at the
+element of least value of that piece's l-functional.
 Every report carries exact certificates (per-piece multiplicities) and
 the tiling certificate of ``newton._tiling_certificate`` against the
 source cones: the pieces have the sources' volume, and each piece facet is
@@ -52,9 +52,8 @@ def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
 
 
 def _snapshot(history: list[tuple[int, ...]], pieces: Sequence[Cone]) -> None:
-    """Record the sorted multiplicities once every piece is simplicial."""
-    if all(p.is_simplicial() for p in pieces):
-        history.append(tuple(sorted((p.multiplicity for p in pieces), reverse=True)))
+    """Record the sorted multiplicities of simplicial pieces."""
+    history.append(tuple(sorted((p.multiplicity for p in pieces), reverse=True)))
 
 
 def _certified_fan(
@@ -151,28 +150,25 @@ def _ray_pieces(
     c: Cone, rays: Iterable[Vec], pool: Sequence[Vec] = ()
 ) -> tuple[list[Cone], list[tuple[int, ...]]]:
     """Pieces of c and their determinant history: the rays are inserted by
-    increasing (profile level, lexicographic) order, then the least piece
-    left non-simplicial is split at its least-level pool element, or
-    triangulated when the pool has none inside it, until none is left."""
+    increasing (profile level, lexicographic) order.  The first insertion
+    that changes anything pulls c into simplices, so only an untouched
+    non-simplicial c is left; it is pulled at its least-level pool element,
+    or triangulated when the pool has none inside it."""
     level = c.profile.level
     pieces: list[Cone] = [c]
     history: list[tuple[int, ...]] = []
-    _snapshot(history, pieces)
+    if c.is_simplicial():
+        _snapshot(history, pieces)
     for v in sorted(rays, key=lambda v: (level(v), v)):
         pieces, changed = stellar_insert(pieces, v)
         if changed:
             _snapshot(history, pieces)
-    while open_pieces := [p for p in pieces if not p.is_simplicial()]:
-        tau = min(open_pieces, key=lambda p: p.generators)
-        inside = [h for h in pool if h not in tau.generators and tau.contains(h)]
+    if pieces == [c] and not c.is_simplicial():
+        inside = [h for h in pool if h not in c.generators and c.contains(h)]
         if inside:
-            v = min(inside, key=lambda h: (level(h), h))
-            pieces, changed = stellar_insert(pieces, v)
-            if not changed:
-                raise RuntimeError(f"inserting {v} left {tau} unsplit")
+            pieces = list(c.pulled(min(inside, key=lambda h: (level(h), h))))
         else:
-            pieces = [q for p in pieces for q in
-                      (triangulate(p) if p is tau else (p,))]
+            pieces = list(triangulate(c))
         _snapshot(history, pieces)
     return pieces, history
 

@@ -365,47 +365,49 @@ def random_simplicial_octant_cones(count: int, max_entry: int, seed: int):
 
 
 def sympy_jet_oracle(p, m):
-    """Truncated-series jet equations by direct sympy expansion.
+    """Truncated-series jet equations by sympy's ring series.
 
-    Substitutes x = x0 + x1 t + ... + xm t^m (likewise y, z) into f,
-    expands fully, and reads off the t^0..t^m coefficients.  Shares no
-    code with torfan.valuation.jet_equations.
+    Substitutes x = x0 + x1 t + ... + xm t^m (likewise y, z) into f, with
+    every power and product truncated at t^(m+1) (``rs_pow``/``rs_mul``),
+    and reads off the t^0..t^m coefficients.  Returns the variable names
+    x0, y0, z0, x1, ... and, for each t-degree, the exact coefficient dict
+    keyed by exponent tuples over those variables.  Shares no code with
+    torfan.valuation.jet_equations.
     """
-    import sympy
+    from sympy import ZZ
+    from sympy.polys.ring_series import rs_mul, rs_pow
+    from sympy.polys.rings import ring
 
-    t = sympy.Symbol("t")
     names = [f"{axis}{j}" for j in range(m + 1) for axis in "xyz"]
-    syms = sympy.symbols(names)
+    R, t, *gens = ring(["t", *names], ZZ)
     series = [
-        sum(syms[3 * j + axis] * t**j for j in range(m + 1))
+        sum((gens[3 * j + axis] * t**j for j in range(m + 1)), R.zero)
         for axis in range(3)
     ]
-    expr = sympy.expand(
-        sum(
-            coeff * series[0] ** a * series[1] ** b * series[2] ** c
-            for (a, b, c), coeff in p
-        )
-    )
-    return syms, [sympy.expand(expr.coeff(t, i)) for i in range(m + 1)]
+    f = R.zero
+    for exponent, coeff in p:
+        term = R(coeff)
+        for s, e in zip(series, exponent):
+            if e:
+                term = rs_mul(term, rs_pow(s, e, t, m + 1), t, m + 1)
+        f += term
+    expected = [{} for _ in range(m + 1)]
+    for (degree, *rest), coeff in f.terms():
+        expected[degree][tuple(rest)] = int(coeff)
+    return tuple(names), expected
 
 
 def jets_match_oracle(p, m, system, oracle=None) -> bool:
-    """Coefficient-by-coefficient equality of a JetSystem against the oracle.
+    """Exact equality of a JetSystem's coefficient dicts with the oracle's.
 
-    Pass oracle=(syms, expected) computed at order >= m to reuse one
-    expansion across several truncation orders (F_i is m-independent).
+    Pass oracle=(names, expected) computed at order >= m to reuse one
+    expansion across several truncation orders (F_i is m-independent); the
+    system's exponent tuples are padded with zeros to the oracle's variables.
     """
-    import sympy
-
-    syms, expected = oracle if oracle is not None else sympy_jet_oracle(p, m)
-    dicts = system.equation_dicts()
-    if len(dicts) != m + 1:
-        return False
-    for i, eq in enumerate(dicts):
-        mine = sum(
-            coeff * sympy.prod([s**e for s, e in zip(syms, term)])
-            for term, coeff in eq.items()
-        )
-        if sympy.expand(mine - expected[i]) != 0:
-            return False
-    return True
+    names, expected = oracle if oracle is not None else sympy_jet_oracle(p, m)
+    pad = (0,) * (len(names) - 3 * (m + 1))
+    dicts = [
+        {term + pad: coeff for term, coeff in eq.items()}
+        for eq in system.equation_dicts()
+    ]
+    return dicts == expected[: m + 1]

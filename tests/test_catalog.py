@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 
 from oracle import det3
@@ -109,6 +112,62 @@ def test_equations_instantiate():
     }
     for (fam, items), text in cases.items():
         assert equation(fam, dict(items)).as_dict() == parse_polynomial(text).as_dict()
+
+
+def _sympy_template(template: str):
+    """The template as a sympy expression in x, y, z and the parameters."""
+    from sympy.parsing.sympy_parser import (
+        convert_xor,
+        implicit_multiplication_application,
+        parse_expr,
+        standard_transformations,
+    )
+
+    return parse_expr(
+        template,
+        transformations=standard_transformations
+        + (implicit_multiplication_application, convert_xor),
+    )
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_equation_matches_a_sympy_expansion_of_the_template(family):
+    sympy = pytest.importorskip("sympy")
+    ent = entry(family)
+    expr = _sympy_template(ent.template)
+    x, y, z = sympy.symbols("x y z")
+    tuples = [
+        dict(zip(ent.parameters, vals))
+        for vals in itertools.product(range(1, 7), repeat=len(ent.parameters))
+    ]
+    in_domain = [ps for ps in tuples if ent.domain(**ps)]
+    for ps in [*ent.grid, *in_domain]:
+        subs = {sympy.Symbol(k): v for k, v in ps.items()}
+        expected = sympy.Poly(expr.subs(subs), x, y, z).as_dict()
+        got = equation(family, ps).as_dict()
+        assert got == {e: int(c) for e, c in expected.items()}, (family, ps)
+
+
+def test_a3_pure_y_terms_merge_where_the_exponents_coincide():
+    # 3k = 2k+m+l-2 at (l, m, k) = (3, 4, 5): both pure-y terms are y^15
+    assert (
+        str(equation("A3", {"l": 3, "m": 4, "k": 5}))
+        == "2*y^15-2*y^8*z-x*y^5*z+y^4*z^2+x*z^2-z^3"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, params, exponent",
+    [
+        ("A4", {"l": 0, "m": 2, "k": 3}, "l"),
+        ("A4", {"l": -1, "m": 1, "k": 2}, "l"),
+        ("A3", {"l": -2, "m": 0, "k": 2}, "(2k+m+l-2)"),
+    ],
+)
+def test_template_exponents_below_one_are_refused(family, params, exponent):
+    assert entry(family).domain(**params)
+    with pytest.raises(CatalogError, match=re.escape(f"exponent {exponent} of {family}")):
+        equation(family, params)
 
 
 def test_equation_defaults_to_first_grid_tuple():

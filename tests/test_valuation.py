@@ -1,5 +1,4 @@
 import pytest
-import sympy
 
 from oracle import sympy_jet_oracle
 from torfan.cones import Cone, dot
@@ -162,14 +161,10 @@ def test_jets_product_rule():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_jets_match_full_expansion(m):
-    syms, expected = sympy_jet_oracle(B22, m)
+    names, expected = sympy_jet_oracle(B22, m)
     js = jet_equations(B22, m)
-    for i, eq in enumerate(js.equation_dicts()):
-        mine = sum(
-            coeff * sympy.prod([s**e for s, e in zip(syms, term)])
-            for term, coeff in eq.items()
-        )
-        assert sympy.expand(mine - expected[i]) == 0
+    assert js.variables == names
+    assert js.equation_dicts() == expected
 
 
 def test_jets_t_degree_homogeneous():
