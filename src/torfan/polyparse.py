@@ -13,9 +13,6 @@ from typing import Iterable, Iterator, Mapping
 Exponent = tuple[int, int, int]
 
 _VARIABLES = ("x", "y", "z")
-_VAR_INDEX = {"x": 0, "y": 1, "z": 2}
-
-_TRAILING_EQ_ZERO = re.compile(r"=\s*0\s*$")
 
 
 class ParseError(ValueError):
@@ -32,6 +29,27 @@ def _grevord(e: Exponent) -> tuple[int, int, int, int]:
     return (-(e[0] + e[1] + e[2]), -e[0], -e[1], -e[2])
 
 
+def _format_sum(
+    terms: Iterable[tuple[Iterable[tuple[str, int]], int]], plus: str = "+", minus: str = "-"
+) -> str:
+    """Print ``(((name, power), ...), coeff)`` terms as a signed sum.
+
+    Unit coefficients, first powers and zero powers are omitted; only a
+    negative first term carries a sign.  The empty sum prints as ``0``.
+    """
+    text = ""
+    for factors, coeff in terms:
+        parts = [name if power == 1 else f"{name}^{power}" for name, power in factors if power]
+        if abs(coeff) != 1 or not parts:
+            parts.insert(0, str(abs(coeff)))
+        if text:
+            text += minus if coeff < 0 else plus
+        elif coeff < 0:
+            text = "-"
+        text += "*".join(parts)
+    return text or "0"
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Immutable sparse polynomial; ``terms`` maps exponents to nonzero ints."""
@@ -40,15 +58,19 @@ class Polynomial:
 
     @classmethod
     def from_dict(cls, mapping: Mapping[Exponent, int]) -> "Polynomial":
-        cleaned = {}
         for exponent, coeff in mapping.items():
-            e = tuple(int(a) for a in exponent)
-            if len(e) != 3 or any(a < 0 for a in e):
-                raise ValueError(f"bad exponent vector {exponent!r}")
-            if coeff:
-                cleaned[e] = cleaned.get(e, 0) + int(coeff)
+            values = (*exponent, coeff)
+            if (
+                len(exponent) != 3
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+                or min(exponent) < 0
+            ):
+                raise ValueError(
+                    f"bad term {exponent!r}: {coeff!r} (want three non-negative int"
+                    " exponents and an int coefficient)"
+                )
         items = tuple(
-            (e, c) for e, c in sorted(cleaned.items(), key=lambda t: _grevord(t[0])) if c
+            sorted(((tuple(e), c) for e, c in mapping.items() if c), key=lambda t: _grevord(t[0]))
         )
         if not items:
             raise ValueError("polynomial has no terms")
@@ -59,12 +81,6 @@ class Polynomial:
 
     def support(self) -> frozenset[Exponent]:
         return frozenset(e for e, _ in self.terms)
-
-    def coefficient(self, exponent: Exponent) -> int:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return 0
 
     def restricted_to(self, exponents: Iterable[Exponent]) -> "Polynomial":
         keep = set(exponents)
@@ -80,27 +96,7 @@ class Polynomial:
         return len(self.terms)
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for exponent, coeff in self.terms:
-            factors = []
-            for name, power in zip(_VARIABLES, exponent):
-                if power == 1:
-                    factors.append(name)
-                elif power > 1:
-                    factors.append(f"{name}^{power}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            sign = "-" if coeff < 0 else "+"
-            if not parts:
-                parts.append(body if sign == "+" else "-" + body)
-            else:
-                parts.append(sign + body)
-        return "".join(parts)
+        return _format_sum((zip(_VARIABLES, e), c) for e, c in self.terms)
 
 
 def support(p: Polynomial) -> frozenset[Exponent]:
@@ -108,149 +104,27 @@ def support(p: Polynomial) -> frozenset[Exponent]:
     return p.support()
 
 
-# --- tokenizer -------------------------------------------------------------
+# One token per match, after optional whitespace.  A variable token takes
+# its power with it; ``power`` is empty when ``^`` or ``**`` has no digits
+# after it, and a ``pow`` token is one that follows no variable.  ``end``
+# is the end of the text, after an optional ``= 0``; ``\d`` takes only
+# decimal digits, so ``²`` is ``bad``.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)"
+    r"|(?P<var>[xyz](?:\s*(?:\^|\*\*)\s*(?P<power>\d*))?)"
+    r"|(?P<pow>\^|\*\*)|(?P<mul>\*)|(?P<sign>[-+\u2212])"
+    r"|(?P<end>(?:=\s*0\s*)?\Z)|(?P<bad>\S))"
+)
 
-_TOKEN_INT = "int"
-_TOKEN_VAR = "var"
-_TOKEN_POW = "pow"
-_TOKEN_MUL = "mul"
-_TOKEN_PLUS = "plus"
-_TOKEN_MINUS = "minus"
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append((_TOKEN_INT, text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            if ch not in _VAR_INDEX:
-                raise ParseError(f"unknown variable {ch!r} (only x, y, z)", text, i)
-            tokens.append((_TOKEN_VAR, ch, i))
-            i += 1
-            continue
-        if ch == "^":
-            tokens.append((_TOKEN_POW, ch, i))
-            i += 1
-            continue
-        if ch == "*":
-            if i + 1 < n and text[i + 1] == "*":
-                tokens.append((_TOKEN_POW, "**", i))
-                i += 2
-            else:
-                tokens.append((_TOKEN_MUL, ch, i))
-                i += 1
-            continue
-        if ch == "+":
-            tokens.append((_TOKEN_PLUS, ch, i))
-            i += 1
-            continue
-        if ch in "-−":
-            tokens.append((_TOKEN_MINUS, "-", i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", text, i)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text, len(self.text))
-        self.pos += 1
-        return tok
-
-    def parse(self) -> dict[Exponent, int]:
-        acc: dict[Exponent, int] = {}
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok[0] in (_TOKEN_PLUS, _TOKEN_MINUS):
-            self.take()
-            sign = -1 if tok[0] == _TOKEN_MINUS else 1
-        while True:
-            exponent, coeff = self.term()
-            acc[exponent] = acc.get(exponent, 0) + sign * coeff
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok[0] not in (_TOKEN_PLUS, _TOKEN_MINUS):
-                raise ParseError(f"expected '+' or '-', got {tok[1]!r}", self.text, tok[2])
-            self.take()
-            sign = -1 if tok[0] == _TOKEN_MINUS else 1
-        return acc
-
-    def term(self) -> tuple[Exponent, int]:
-        coeff = 1
-        exponent = [0, 0, 0]
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a term", self.text, len(self.text))
-        if tok[0] == _TOKEN_INT:
-            self.take()
-            coeff = int(tok[1])
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == _TOKEN_MUL:
-                self.take()
-                self.factor(exponent)      # '*' must be followed by a factor
-            elif nxt is not None and nxt[0] == _TOKEN_VAR:
-                self.factor(exponent)      # juxtaposition: 2x
-            else:
-                return tuple(exponent), coeff  # bare integer term
-        elif tok[0] == _TOKEN_VAR:
-            self.factor(exponent)
-        else:
-            raise ParseError(f"expected a term, got {tok[1]!r}", self.text, tok[2])
-        while True:
-            nxt = self.peek()
-            if nxt is None or nxt[0] in (_TOKEN_PLUS, _TOKEN_MINUS):
-                break
-            if nxt[0] == _TOKEN_MUL:
-                self.take()
-                self.factor(exponent)
-            elif nxt[0] == _TOKEN_VAR:
-                self.factor(exponent)
-            else:
-                raise ParseError(f"unexpected {nxt[1]!r} inside a term", self.text, nxt[2])
-        return tuple(exponent), coeff
-
-    def factor(self, exponent: list[int]) -> None:
-        tok = self.take()
-        if tok[0] != _TOKEN_VAR:
-            raise ParseError(f"expected a variable, got {tok[1]!r}", self.text, tok[2])
-        index = _VAR_INDEX[tok[1]]
-        power = 1
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == _TOKEN_POW:
-            self.take()
-            ptok = self.peek()
-            if ptok is not None and ptok[0] == _TOKEN_MINUS:
-                raise ParseError("exponent must be a positive integer", self.text, ptok[2])
-            ptok = self.take()
-            if ptok[0] != _TOKEN_INT:
-                raise ParseError("exponent must be a positive integer", self.text, ptok[2])
-            power = int(ptok[1])
-            if power < 1:
-                raise ParseError("exponent must be a positive integer", self.text, ptok[2])
-        exponent[index] += power
+# The token kinds allowed after each kind: a term is an optional
+# coefficient, then variable powers joined by ``*`` or juxtaposition.
+_FOLLOWS = {
+    None: {"sign", "int", "var"},
+    "sign": {"int", "var"},
+    "int": {"mul", "var", "sign", "end"},
+    "mul": {"var"},
+    "var": {"mul", "var", "sign", "end"},
+}
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -261,9 +135,36 @@ def parse_polynomial(text: str) -> Polynomial:
     A trailing ``= 0`` is allowed and ignored.  Like terms are combined; if
     everything cancels the input is rejected.
     """
-    stripped = _TRAILING_EQ_ZERO.sub("", text)
-    parser = _Parser(stripped)
-    acc = parser.parse()
+    tokens = list(_TOKEN.finditer(text))
+    bad = next((m for m in tokens if m["bad"]), None)
+    if bad is not None:
+        ch = bad["bad"]
+        if ch.isalpha():
+            raise ParseError(f"unknown variable {ch!r} (only x, y, z)", text, bad.start("bad"))
+        raise ParseError(f"unexpected character {ch!r}", text, bad.start("bad"))
+    acc: dict[Exponent, int] = {}
+    prev, sign, coeff, exponent = None, 1, 1, [0, 0, 0]
+    for m in tokens:
+        kind = m.lastgroup
+        if kind not in _FOLLOWS[prev]:
+            got = "end of input" if kind == "end" else repr(m[kind])
+            raise ParseError(f"unexpected {got}", text, m.start(kind))
+        if kind in ("sign", "end") and prev is not None:
+            key = tuple(exponent)
+            acc[key] = acc.get(key, 0) + sign * coeff
+            coeff, exponent = 1, [0, 0, 0]
+        if kind == "end":
+            break  # after a trailing "= 0", \Z matches once more
+        if kind == "int":
+            coeff = int(m[kind])
+        elif kind == "sign":
+            sign = 1 if m[kind] == "+" else -1
+        elif kind == "var":
+            power = 1 if m["power"] is None else int(m["power"] or 0)
+            if power < 1:
+                raise ParseError("exponent must be a positive integer", text, m.start("power"))
+            exponent[_VARIABLES.index(m[kind][0])] += power
+        prev = kind
     if not any(acc.values()):
         raise ParseError("polynomial is empty after cancellation", text, len(text))
     return Polynomial.from_dict(acc)

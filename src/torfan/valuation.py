@@ -11,28 +11,25 @@ over strictly positive weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator, Sequence
 
 from .cones import Cone, Vec, dot
 from .newton import Fan, dual_newton_cones, fan_faces
-from .polyparse import Polynomial
+from .polyparse import Polynomial, _format_sum
 
 
 def w_order(p: Polynomial, w: Sequence[int]) -> int:
     """Minimum of w . a over the support of p."""
     if len(p) == 0:
         raise ValueError("the zero polynomial has no w-order")
-    t = (int(w[0]), int(w[1]), int(w[2]))
-    return min(dot(t, e) for e in p.support())
+    return min(dot(w, e) for e in p.support())
 
 
 def initial_form(p: Polynomial, w: Sequence[int]) -> Polynomial:
     """Sub-sum of the terms of p attaining the w-order, coefficients kept."""
-    if len(p) == 0:
-        raise ValueError("the zero polynomial has no initial form")
-    t = (int(w[0]), int(w[1]), int(w[2]))
-    o = min(dot(t, e) for e in p.support())
-    return p.restricted_to(e for e in p.support() if dot(t, e) == o)
+    o = w_order(p, w)
+    return p.restricted_to(e for e in p.support() if dot(w, e) == o)
 
 
 @dataclass(frozen=True)
@@ -93,65 +90,24 @@ def tropical_variety(p: Polynomial) -> Fan:
 # jet systems: x(t) = x_0 + x_1 t + ... + x_m t^m and likewise for y, z;
 # F_i is the t^i coefficient of f(x(t), y(t), z(t)).  Variables are
 # ordered x0,y0,z0,x1,y1,z1,... and a jet monomial is an exponent tuple
-# over that list.
+# over that list.  While the series are multiplied, each key carries the
+# monomial's t-degree in front of its exponents.
 
 JetTerm = tuple[int, ...]
-_AXES = "xyz"
 
 
-def _jet_variables(m: int) -> tuple[str, ...]:
-    return tuple(f"{_AXES[axis]}{j}" for j in range(m + 1) for axis in range(3))
+def _truncated_mul(a: dict[JetTerm, int], b: dict[JetTerm, int], m: int) -> dict[JetTerm, int]:
+    """Product of two jet series without the monomials of t-degree above m.
 
-
-def _poly_mul(a: dict[JetTerm, int], b: dict[JetTerm, int]) -> dict[JetTerm, int]:
+    Adding two keys adds the t-degrees in front along with the exponents.
+    """
     out: dict[JetTerm, int] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
+            if ea[0] + eb[0] <= m:
+                key = tuple(map(add, ea, eb))
+                out[key] = out.get(key, 0) + ca * cb
     return out
-
-
-def _series_mul(
-    s: list[dict[JetTerm, int]], t: list[dict[JetTerm, int]]
-) -> list[dict[JetTerm, int]]:
-    m = len(s) - 1
-    out: list[dict[JetTerm, int]] = [dict() for _ in range(m + 1)]
-    for i, si in enumerate(s):
-        if not si:
-            continue
-        for j in range(m + 1 - i):
-            if not t[j]:
-                continue
-            piece = _poly_mul(si, t[j])
-            tgt = out[i + j]
-            for e, c in piece.items():
-                c2 = tgt.get(e, 0) + c
-                if c2:
-                    tgt[e] = c2
-                else:
-                    tgt.pop(e, None)
-    return out
-
-
-def _jet_monomial_string(term: JetTerm, coeff: int, variables: Sequence[str]) -> str:
-    # factors ordered x before y before z, then by series index
-    order = sorted(range(len(term)), key=lambda k: (k % 3, k // 3))
-    parts = [
-        variables[k] if term[k] == 1 else f"{variables[k]}^{term[k]}"
-        for k in order
-        if term[k]
-    ]
-    mag = abs(coeff)
-    if not parts:
-        return str(mag)
-    if mag != 1:
-        parts.insert(0, str(mag))
-    return "*".join(parts)
 
 
 @dataclass(frozen=True)
@@ -166,20 +122,16 @@ class JetSystem:
         return [dict(eq) for eq in self.equations]
 
     def equation_strings(self) -> list[str]:
-        out = []
-        for eq in self.equations:
-            if not eq:
-                out.append("0")
-                continue
-            text = ""
-            for term, coeff in eq:
-                mono = _jet_monomial_string(term, coeff, self.variables)
-                if not text:
-                    text = mono if coeff > 0 else f"-{mono}"
-                else:
-                    text += f" + {mono}" if coeff > 0 else f" - {mono}"
-            out.append(text)
-        return out
+        # factors ordered x before y before z, then by series index
+        order = [k for axis in range(3) for k in range(axis, len(self.variables), 3)]
+        return [
+            _format_sum(
+                ((((self.variables[k], term[k]) for k in order), c) for term, c in eq),
+                " + ",
+                " - ",
+            )
+            for eq in self.equations
+        ]
 
     def __iter__(self) -> Iterator[tuple[tuple[JetTerm, int], ...]]:
         return iter(self.equations)
@@ -196,34 +148,31 @@ def jet_equations(p: Polynomial, m: int) -> JetSystem:
     """Coefficients F_0..F_m of f along degree-m truncated coordinate series."""
     if m < 0:
         raise ValueError("jet order must be non-negative")
-    nv = 3 * (m + 1)
-    one: dict[JetTerm, int] = {(0,) * nv: 1}
-    coordinate: list[list[dict[JetTerm, int]]] = []
+    one = (0,) * (3 * m + 4)
+    # powers[axis][k] is the k-th power of that coordinate's series
+    powers = []
     for axis in range(3):
-        series = []
-        for j in range(m + 1):
-            e = [0] * nv
-            e[3 * j + axis] = 1
-            series.append({tuple(e): 1})
-        coordinate.append(series)
+        series = {
+            (j,) + tuple(int(k == 3 * j + axis) for k in range(3 * m + 3)): 1
+            for j in range(m + 1)
+        }
+        ladder = [{one: 1}]
+        for _ in range(max(e[axis] for e, _ in p)):
+            ladder.append(_truncated_mul(ladder[-1], series, m))
+        powers.append(ladder)
 
-    total: list[dict[JetTerm, int]] = [dict() for _ in range(m + 1)]
+    total: dict[JetTerm, int] = {}
     for exponent, coeff in p:
-        prod = [dict(one)] + [dict() for _ in range(m)]
-        for axis in range(3):
-            for _ in range(exponent[axis]):
-                prod = _series_mul(prod, coordinate[axis])
-        for i in range(m + 1):
-            tgt = total[i]
-            for e, c in prod[i].items():
-                c2 = tgt.get(e, 0) + coeff * c
-                if c2:
-                    tgt[e] = c2
-                else:
-                    tgt.pop(e, None)
+        prod = powers[0][exponent[0]]
+        for axis in (1, 2):
+            if exponent[axis]:
+                prod = _truncated_mul(prod, powers[axis][exponent[axis]], m)
+        for key, c in prod.items():
+            total[key] = total.get(key, 0) + coeff * c
 
-    equations = tuple(
-        tuple(sorted(eq.items(), key=lambda kv: kv[0], reverse=True))
-        for eq in total
-    )
-    return JetSystem(m, _jet_variables(m), equations)
+    equations: list[list[tuple[JetTerm, int]]] = [[] for _ in range(m + 1)]
+    for key, c in sorted(total.items(), reverse=True):
+        if c:
+            equations[key[0]].append((key[1:], c))
+    variables = tuple(f"{name}{j}" for j in range(m + 1) for name in "xyz")
+    return JetSystem(m, variables, tuple(map(tuple, equations)))

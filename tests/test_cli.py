@@ -295,6 +295,12 @@ def test_text_format(capsys):
     assert capsys.readouterr().out.splitlines() == ["(0,0,1)", "(0,1,0)", "(1,0,0)"]
 
 
+def test_non_decimal_digit_is_a_positioned_input_error(capsys):
+    # str.isdigit accepts the superscript two, int() does not
+    assert cli.run(["jets", "x^2\u00b2", "--m", "1"]) == 2
+    assert "position 3" in capsys.readouterr().err
+
+
 def test_usage_and_input_errors(capsys, tmp_path):
     assert cli.run(["dnp", "y^3 + $"]) == 2
     assert "position" in capsys.readouterr().err

@@ -94,8 +94,74 @@ exponents = st.tuples(
 coefficients = st.integers(min_value=-9, max_value=9).filter(lambda c: c != 0)
 
 
-@given(st.dictionaries(exponents, coefficients, min_size=1, max_size=6))
-def test_round_trip_property(terms):
+@given(st.dictionaries(exponents, coefficients, min_size=1, max_size=6), st.data())
+def test_round_trip_property(terms, data):
+    """The printed form and a random valid spelling both parse back to p."""
     p = Polynomial.from_dict(terms)
     assert parse_polynomial(str(p)) == p
     assert len(p.support()) == len(p.terms)
+
+    def pick(*options):
+        return data.draw(st.sampled_from(options))
+
+    def blank():
+        return pick("", " ", "  ", "\t")
+
+    text = blank()
+    for k, (exponent, coeff) in enumerate(p):
+        factors = [
+            name if power == 1 and pick(True, False)
+            else name + blank() + pick("^", "**") + blank() + str(power)
+            for name, power in zip("xyz", exponent)
+            if power
+        ]
+        words = [str(abs(coeff))] if abs(coeff) != 1 or not factors or pick(True, False) else []
+        body = ""
+        for word in words + factors:
+            body += (blank() + pick("*", "") + blank() if body else "") + word
+        if coeff < 0:
+            text += pick("-", "\u2212")
+        elif k > 0 or pick(True, False):
+            text += "+"
+        text += blank() + body + blank()
+    text += pick("", "= 0", "=0 ")
+    assert parse_polynomial(text) == p
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("x + * y", 4),
+        ("   ", 3),
+        ("2*", 2),
+        ("--x", 1),
+        ("1 2", 2),
+        ("x2", 1),
+        ("x*2", 2),
+        ("2*x*3", 4),
+        ("x^", 2),
+        ("x^-2", 2),
+        ("x^0 + y", 2),
+        ("y^3 + $", 6),
+        ("x + w^2", 4),
+        ("x^2²", 3),
+    ],
+)
+def test_refusal_positions(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text)
+    assert err.value.pos == pos
+
+
+def test_unicode_decimal_digits_are_integers():
+    assert parse_polynomial("٣x+y") == parse_polynomial("3x+y")
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(1, 0, 0): 1.5, (0, 2, 0): 1}, {(1.7, 0, 0): 1}, {(1, 0, 0): "3"},
+     {(1, 0, 0): True}, {(True, 0, 0): 1}, {(1, 0): 1}, {(0, -1, 0): 1}],
+)
+def test_from_dict_refuses_non_int_terms(terms):
+    with pytest.raises(ValueError, match="bad term"):
+        Polynomial.from_dict(terms)

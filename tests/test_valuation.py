@@ -159,6 +159,15 @@ def test_jets_product_rule():
     assert js.equation_strings() == ["x0*y0", "x0*y1 + x1*y0"]
 
 
+def test_jet_text_with_coefficients_and_negative_leading_term():
+    p = parse_polynomial("3*z-2*x^2*y")
+    assert str(p) == "-2*x^2*y+3*z"
+    assert jet_equations(p, 1).equation_strings() == [
+        "-2*x0^2*y0 + 3*z0",
+        "-2*x0^2*y1 - 4*x0*x1*y0 + 3*z1",
+    ]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_jets_match_full_expansion(m):
     names, expected = sympy_jet_oracle(B22, m)
