@@ -127,6 +127,15 @@ _FOLLOWS = {
 }
 
 
+def _integer(m: re.Match, group: str) -> int:
+    """The digits of ``group`` as an int (0 if none); a ParseError at the
+    first digit when there are more than ``int()`` converts."""
+    try:
+        return int(m[group] or 0)
+    except ValueError:
+        raise ParseError("integer has too many digits", m.string, m.start(group)) from None
+
+
 def parse_polynomial(text: str) -> Polynomial:
     """Parse ``text`` into a canonical :class:`Polynomial`.
 
@@ -156,11 +165,11 @@ def parse_polynomial(text: str) -> Polynomial:
         if kind == "end":
             break  # after a trailing "= 0", \Z matches once more
         if kind == "int":
-            coeff = int(m[kind])
+            coeff = _integer(m, kind)
         elif kind == "sign":
             sign = 1 if m[kind] == "+" else -1
         elif kind == "var":
-            power = 1 if m["power"] is None else int(m["power"] or 0)
+            power = 1 if m["power"] is None else _integer(m, "power")
             if power < 1:
                 raise ParseError("exponent must be a positive integer", text, m.start("power"))
             exponent[_VARIABLES.index(m[kind][0])] += power

@@ -23,8 +23,8 @@ face, so regularity never rests on the construction being correct.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .cones import Cone, Vec, dot, primitive, triangulate
 from .newton import Fan, _tiling_certificate
@@ -51,11 +51,6 @@ def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
     return out, changed
 
 
-def _snapshot(history: list[tuple[int, ...]], pieces: Sequence[Cone]) -> None:
-    """Record the sorted multiplicities of simplicial pieces."""
-    history.append(tuple(sorted((p.multiplicity for p in pieces), reverse=True)))
-
-
 def _certified_fan(
     pieces: Sequence[Cone],
 ) -> tuple[Fan, tuple[tuple[tuple[int, ...], int], ...]]:
@@ -79,7 +74,6 @@ class RefinementReport:
     face_fitting_ok: bool
     all_rays_irreducible: bool
     new_rays: tuple[Vec, ...]
-    det_history: tuple[tuple[int, ...], ...] = ()
     used_fallback: bool = False
 
     def all_unimodular(self) -> bool:
@@ -121,7 +115,6 @@ def _irreducible_rays(
 def _build_report(
     sources: Sequence[Cone],
     pieces: Sequence[Cone],
-    det_history: Sequence[tuple[int, ...]],
     used_fallback: bool,
 ) -> RefinementReport:
     fan, certificates = _certified_fan(pieces)
@@ -141,46 +134,36 @@ def _build_report(
         tiling["face_fitting_ok"],
         all(ok for _, ok in _irreducible_rays(sources, fan.rays)),
         new_rays,
-        tuple(det_history),
         used_fallback,
     )
 
 
-def _ray_pieces(
-    c: Cone, rays: Iterable[Vec], pool: Sequence[Vec] = ()
-) -> tuple[list[Cone], list[tuple[int, ...]]]:
-    """Pieces of c and their determinant history: the rays are inserted by
-    increasing (profile level, lexicographic) order.  The first insertion
-    that changes anything pulls c into simplices, so only an untouched
-    non-simplicial c is left; it is pulled at its least-level pool element,
-    or triangulated when the pool has none inside it."""
+def _ray_pieces(c: Cone, rays: Iterable[Vec], pool: Sequence[Vec] = ()) -> list[Cone]:
+    """Pieces of c with the rays inserted by increasing (profile level,
+    lexicographic) order.  The first insertion that changes anything pulls
+    c into simplices, so only an untouched non-simplicial c is left; it is
+    pulled at its least-level pool element, or triangulated when the pool
+    has none inside it."""
     level = c.profile.level
     pieces: list[Cone] = [c]
-    history: list[tuple[int, ...]] = []
-    if c.is_simplicial():
-        _snapshot(history, pieces)
     for v in sorted(rays, key=lambda v: (level(v), v)):
-        pieces, changed = stellar_insert(pieces, v)
-        if changed:
-            _snapshot(history, pieces)
+        pieces, _ = stellar_insert(pieces, v)
     if pieces == [c] and not c.is_simplicial():
         inside = [h for h in pool if h not in c.generators and c.contains(h)]
         if inside:
-            pieces = list(c.pulled(min(inside, key=lambda h: (level(h), h))))
-        else:
-            pieces = list(triangulate(c))
-        _snapshot(history, pieces)
-    return pieces, history
+            return list(c.pulled(min(inside, key=lambda h: (level(h), h))))
+        return list(triangulate(c))
+    return pieces
 
 
-def _hilbert_pieces(c: Cone) -> tuple[list[Cone], list[tuple[int, ...]], bool]:
-    """Unimodular pieces of c split at Hilbert-basis rays, their determinant
-    history and whether the fallback ran."""
+def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
+    """Unimodular pieces of c split at Hilbert-basis rays, and whether the
+    fallback ran."""
     basis = c.hilbert.elements
     # Every basis element lies in c, so it lies on the 2-face of a facet
     # exactly when that facet's normal vanishes on it.  A cone whose basis
     # meets no boundary 2-face is split at an interior element, or fanned.
-    pieces, history = _ray_pieces(c, [
+    pieces = _ray_pieces(c, [
         h for h in basis
         if h not in c.generators and any(dot(n, h) == 0 for n in c.facet_normals)
     ], basis)
@@ -196,16 +179,23 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], list[tuple[int, ...]], bool]:
         pieces, changed = stellar_insert(pieces, chosen)
         if not changed:
             raise RuntimeError(f"inserting {chosen} left {tau} unsplit")
-        _snapshot(history, pieces)
-    return pieces, history, used_fallback
+    return pieces, used_fallback
+
+
+def _integer_ray(r: Vec) -> Vec:
+    """r as a tuple of three ints, or a ValueError naming it; a bool is not
+    an int here, as in ``Polynomial.from_dict``."""
+    v = tuple(r) if isinstance(r, Sequence) else ()
+    if len(v) != 3 or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+        raise ValueError(f"prescribed ray {r!r} needs three int coordinates")
+    return v
 
 
 def _checked_rays(c: Cone, rays: Sequence[Vec]) -> list[Vec]:
-    """The prescribed rays that are not generators of c, as integer tuples;
-    each must be primitive, lie in c and be listed once."""
+    """The prescribed integer rays that are not generators of c; each must
+    be primitive, lie in c and be listed once."""
     cleaned: list[Vec] = []
-    for r in rays:
-        v = (int(r[0]), int(r[1]), int(r[2]))
+    for v in rays:
         if primitive(v) != v:
             raise ValueError(f"prescribed ray {v} is not primitive")
         if not c.contains(v):
@@ -233,7 +223,8 @@ def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
     being the height against the profile hull; a prescribed ray equal to
     an extremal ray is a no-op.
     """
-    return _build_report([c], *_ray_pieces(c, _checked_rays(c, rays)), False)
+    rays = [_integer_ray(r) for r in rays]
+    return _build_report([c], _ray_pieces(c, _checked_rays(c, rays)), False)
 
 
 def refine_fan(
@@ -248,20 +239,19 @@ def refine_fan(
                 f"refine_fan needs 3-dimensional cones, got {c}; refine rays "
                 "and planar cones with regular_refinement or refinement_from_rays"
             )
-    for r in rays or ():
-        if not any(c.contains(r) for c in cones):
-            v = tuple(int(x) for x in r)
+    rays = None if rays is None else [_integer_ray(r) for r in rays]
+    for v in rays or ():
+        if not any(c.contains(v) for c in cones):
             raise ValueError(f"prescribed ray {v} lies in no cone of the fan")
     parts = [
         _hilbert_pieces(c) if rays is None
-        else (*_ray_pieces(c, _checked_rays(c, [r for r in rays if c.contains(r)])), False)
+        else (_ray_pieces(c, _checked_rays(c, [v for v in rays if c.contains(v)])), False)
         for c in cones
     ]
     return _build_report(
         cones,
-        [p for pieces, _, _ in parts for p in pieces],
-        [h for _, history, _ in parts for h in history],
-        any(fallback for _, _, fallback in parts),
+        [p for pieces, _ in parts for p in pieces],
+        any(fallback for _, fallback in parts),
     )
 
 

@@ -20,8 +20,9 @@ box in the octant against inequality descriptions it builds itself with
 and volumes instead, without sampling a single point.
 
 ``caratheodory_extremal_rays`` decides pointedness and extremality by
-Caratheodory subset searches (Fraction elimination, Cramer's rule); torfan
-decides both from the integer supporting planes through pairs of rays.
+Caratheodory subset searches (fraction-free integer elimination, Cramer's
+rule); torfan decides both from the integer supporting planes through pairs
+of rays.
 """
 
 from __future__ import annotations
@@ -241,8 +242,9 @@ def det3(a: Vec, b: Vec, c: Vec) -> int:
 
 
 def _solve_exact(rows, rhs):
-    """Gaussian elimination over Q; the unique solution of rows*x = rhs,
-    or None when there is none or it is not unique."""
+    """Fraction-free Gauss-Jordan elimination on integer rows: the unique
+    solution of rows*x = rhs as Fractions, or None when there is none or it
+    is not unique."""
     m, n = len(rows), len(rows[0])
     aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
     pivots = []
@@ -253,11 +255,10 @@ def _solve_exact(rows, rhs):
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
         pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
         for i in range(m):
             if i != r and aug[i][col] != 0:
                 f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+                aug[i] = [pv * x - f * y for x, y in zip(aug[i], aug[r])]
         pivots.append(col)
         r += 1
         if r == m:
@@ -266,7 +267,7 @@ def _solve_exact(rows, rhs):
         return None
     sol = [Fraction(0)] * n
     for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
+        sol[col] = Fraction(aug[i][n], aug[i][col])
     return sol
 
 
@@ -276,9 +277,9 @@ def _zero_in_convex_hull(points) -> bool:
         return True
     for k in (2, 3, 4):
         for subset in combinations(points, k):
-            rows = [[Fraction(p[i]) for p in subset] for i in range(3)]
-            rows.append([Fraction(1)] * k)
-            lam = _solve_exact(rows, [Fraction(0)] * 3 + [Fraction(1)])
+            rows = [[p[i] for p in subset] for i in range(3)]
+            rows.append([1] * k)
+            lam = _solve_exact(rows, [0, 0, 0, 1])
             if lam is not None and all(x >= 0 for x in lam):
                 return True
     return False

@@ -239,7 +239,7 @@ def refinement_flags(sources, cones):
     """covering_ok and face_fitting_ok of a refinement report of the
     sources whose pieces are the cones, triangulated."""
     pieces = [q for c in cones for q in triangulate(c)]
-    rep = refine._build_report(sources, pieces, [], False)
+    rep = refine._build_report(sources, pieces, False)
     return rep.covering_ok, rep.face_fitting_ok
 
 

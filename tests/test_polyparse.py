@@ -145,6 +145,8 @@ def test_round_trip_property(terms, data):
         ("y^3 + $", 6),
         ("x + w^2", 4),
         ("x^2²", 3),
+        pytest.param("x^" + "9" * 5000, 2, id="x^9*5000-2"),
+        pytest.param("9" * 5000 + "*x", 0, id="9*5000*x-0"),
     ],
 )
 def test_refusal_positions(text, pos):

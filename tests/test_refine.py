@@ -1,4 +1,5 @@
 import random
+import re
 from functools import cmp_to_key
 
 import pytest
@@ -149,6 +150,23 @@ def test_insufficient_rays_reported_not_raised():
     assert max(dets) > 1
 
 
+# rays that int() coerced to (1, 1, 1) or (1, 0, 0), and rays without three coordinates
+NON_INTEGER_RAYS = [
+    (1.9, 1.2, 1.0),
+    ("1", "1", "1"),
+    (True, True, 1),
+    (1.5, 0, 0),
+    (1, 1),
+    (1, 1, 1, 1),
+    "111",
+    7,
+]
+
+
+def non_integer_ray_message(ray):
+    return re.escape(f"prescribed ray {ray!r} needs three int coordinates")
+
+
 def test_refinement_from_rays_validation():
     with pytest.raises(ValueError):
         refinement_from_rays(OCTANT, [(2, 4, 6)])
@@ -156,6 +174,9 @@ def test_refinement_from_rays_validation():
         refinement_from_rays(ELL_CONES[2], [(1, 0, 0)])
     with pytest.raises(ValueError):
         refinement_from_rays(OCTANT, [(1, 1, 1), (1, 1, 1)])
+    for ray in NON_INTEGER_RAYS:
+        with pytest.raises(ValueError, match=non_integer_ray_message(ray)):
+            refinement_from_rays(OCTANT, [ray])
 
 
 def test_refinement_rays_octant_identity():
@@ -178,13 +199,6 @@ def test_elliptic_per_cone_rays_match_hilbert():
         assert rep.all_unimodular()
 
 
-def test_det_history_strictly_decreasing():
-    for c in (*ELL_CONES, *B_CONES):
-        h = regular_refinement(c).det_history
-        assert all(h[i] > h[i + 1] for i in range(len(h) - 1))
-        assert all(d == 1 for d in h[-1])
-
-
 def test_two_dimensional_face_refinement():
     face = Cone.from_generators([E1, E2])
     rep = refinement_from_rays(face, [(1, 1, 0)])
@@ -201,6 +215,8 @@ def test_two_dimensional_regular_refinement_chain():
     rep = regular_refinement(wide)
     assert set(rep.result.rays) == {(1, k, 0) for k in range(6)}
     assert rep.all_unimodular()
+    for c in random_planar_cones(30, 6, seed=6):
+        assert regular_refinement(c).all_unimodular()
 
 
 def random_planar_cones(count, max_entry, seed):
@@ -241,24 +257,11 @@ def test_planar_refinements_are_the_chain_through_their_rays():
         assert sorted(piece_triples(rep)) == chain_pairs(a, b, chosen)
 
 
-def test_planar_det_history_has_a_falling_row_per_insertion():
-    for c in random_planar_cones(30, 6, seed=6):
-        rep = regular_refinement(c)
-        h = rep.det_history
-        assert len(h) == len(rep.new_rays) + 1
-        assert h[0] == (c.multiplicity,)
-        assert all(h[i] > h[i + 1] for i in range(len(h) - 1))
-        assert all(d == 1 for d in h[-1])
-
-
 def test_refinement_from_no_rays_triangulates_a_non_simplicial_cone():
     for c in (ELL_CONES[0], *B_CONES):
         rep = refinement_from_rays(c, [])
         pieces = triangulate(c)
         assert sorted(piece_triples(rep)) == [p.generators for p in pieces]
-        assert rep.det_history == (
-            tuple(sorted((p.multiplicity for p in pieces), reverse=True)),
-        )
 
 
 def test_one_dimensional_identity():
@@ -354,8 +357,6 @@ def test_random_cones_refine_regular_and_conserve_volume():
         )
         if not rep.used_fallback:
             assert set(rep.result.rays) <= set(hilbert_basis(c).elements)
-        h = rep.det_history
-        assert all(h[i] > h[i + 1] for i in range(len(h) - 1))
 
 
 def test_random_cones_every_new_ray_irreducible():
@@ -424,6 +425,13 @@ def test_refine_fan_refuses_a_ray_in_no_cone():
         refine_fan([OCTANT], rays=[(-1, 2, 3)])
     with pytest.raises(ValueError, match="lies in no cone"):
         refine_fan(ELL_CONES, rays=[(1, 1, 1), (0, -1, 0)])
+    # a ray without three int coordinates is refused before any containment
+    # test, even after a ray that lies in no cone
+    for ray in NON_INTEGER_RAYS:
+        with pytest.raises(ValueError, match=non_integer_ray_message(ray)):
+            refine_fan([OCTANT], rays=[ray])
+        with pytest.raises(ValueError, match=non_integer_ray_message(ray)):
+            refine_fan([OCTANT], rays=[(1, 1, 1), (-1, 0, 0), ray])
 
 
 @pytest.fixture
@@ -455,11 +463,31 @@ def test_refine_fan_builds_one_report(report_calls):
     assert len(report_calls) == 1
 
 
-def test_refine_fan_history_and_fallback_join_the_cones():
-    rep = refine_fan(ELL_CONES)
-    per_cone = [regular_refinement(c) for c in ELL_CONES]
-    assert rep.det_history == tuple(h for r in per_cone for h in r.det_history)
-    assert rep.used_fallback == any(r.used_fallback for r in per_cone)
+def piece_dets(report):
+    """Sorted (generators, |det|) of every piece, read from the certificates."""
+    rays = report.result.rays
+    return sorted((tuple(rays[i] for i in idx), det) for idx, det in report.certificates)
+
+
+def assert_pieces_join(rep, per_cone):
+    """The fan report has exactly the per-cone pieces, with their |det|."""
+    assert sorted(piece_triples(rep)) == sorted(t for r in per_cone for t in piece_triples(r))
+    assert piece_dets(rep) == sorted(pd for r in per_cone for pd in piece_dets(r))
+
+
+def test_refine_fan_pieces_and_fallback_join_the_cones():
+    for cones in (ELL_CONES, B_CONES):
+        per_cone = [regular_refinement(c) for c in cones]
+        assert all(r.all_unimodular() for r in per_cone)
+        rep = refine_fan(cones)
+        assert_pieces_join(rep, per_cone)
+        assert rep.used_fallback == any(r.used_fallback for r in per_cone)
+    # prescribed rays: each cone gets the rays it contains
+    rays = sorted(B_EV)
+    per_cone = [refinement_from_rays(c, [v for v in rays if c.contains(v)]) for c in B_CONES]
+    rep = refine_fan(B_CONES, rays=rays)
+    assert_pieces_join(rep, per_cone)
+    assert not rep.used_fallback
     # Each cone is refined on its own, so any list of cones will do here:
     # pair a cone that needs the fallback with one that does not.
     fallback, plain = None, None
@@ -472,5 +500,5 @@ def test_refine_fan_history_and_fallback_join_the_cones():
     for cones in ([plain, fallback], [fallback, plain], [plain]):
         per_cone = [regular_refinement(c) for c in cones]
         rep = refine_fan(cones)
-        assert rep.det_history == tuple(h for r in per_cone for h in r.det_history)
+        assert_pieces_join(rep, per_cone)
         assert rep.used_fallback == any(r.used_fallback for r in per_cone)
