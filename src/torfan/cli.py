@@ -188,18 +188,17 @@ def render_svg(fan: Fan) -> str:
 
 
 def _read_vectors(path: str) -> list[tuple[int, int, int]]:
-    """Vectors from a file: (a,b,c) literals, or whitespace triples per line."""
-    text = Path(path).read_text()
-    vecs = [tuple(int(g) for g in m.groups()) for m in _VECTOR_TEXT.finditer(text)]
-    if not vecs:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            toks = body.replace(",", " ").split()
-            if len(toks) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 integers, got {body!r}")
-            vecs.append(tuple(int(t) for t in toks))
+    """Vectors from a file: after its ``#`` comment, each line holds (a,b,c)
+    literals or one triple of integers split by whitespace or commas."""
+    vecs = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body and "(" not in body:  # a plain triple reads as one literal
+            body = "(" + ",".join(body.replace(",", " ").split()) + ")"
+        if _VECTOR_TEXT.sub("", body).replace(",", " ").strip():
+            reason = f"expected (a,b,c) literals or 3 integers, got {line.strip()[:80]!r}"
+            raise ValueError(f"{path}:{lineno}: {reason}")
+        vecs += [tuple(int(g) for g in v) for v in _VECTOR_TEXT.findall(body)]
     if not vecs:
         raise ValueError(f"no vectors found in {path}")
     return vecs

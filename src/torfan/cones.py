@@ -7,6 +7,11 @@ facets, membership) is made with integer cross products and determinants;
 these cones elsewhere.  Cones handed to the semigroup routines (irreducibility,
 Hilbert bases) must live in the non-negative octant, where the coordinate
 sum is a positive grading that orders the reduction of candidates.
+
+Hilbert bases and profile points read one enumeration, the half-open
+parallelepiped walk of each simplicial piece (``_half_open_points``): a
+lattice point u + sum n_i g_i (u half-open, n_i >= 0) that is irreducible,
+or has l <= 1, is a generator or u itself.
 """
 
 from __future__ import annotations
@@ -283,18 +288,35 @@ def triangulate(c: Cone) -> tuple[Cone, ...]:
     return tuple(sorted(c.pulled(min(c.generators)), key=lambda p: p.generators))
 
 
-def _half_open_points(
-    g1: Vec, g2: Vec, g3: Vec
-) -> tuple[int, tuple[Vec, Vec, Vec], list[tuple[Vec, Vec]]]:
-    """Elements of the group Z^3/<g1,g2,g3> as half-open parallelepiped points.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
-    Returns ``(D, rows, pairs)``.  D = |det(g1,g2,g3)|, and ``rows`` are the
-    adjugate rows g2 x g3, g3 x g1, g1 x g2 times sign(det), so that
-    u = sum t_i g_i has u.rows[i] = D*t_i.  There is one pair ``(u, q)`` per
-    group element: u = (q1*g1 + q2*g2 + q3*g3)/D with integers 0 <= q_i < D.
-    The group is walked as a chain of cyclic subgroups generated by the
-    residues of e1, e2, e3, so the cost is D, not the volume of a box.
+
+def _unit_dual(n: Vec) -> Vec:
+    """An integer vector w with n.w = 1, for a primitive n."""
+    g, x, y = _xgcd(n[0], n[1])
+    _, u, z = _xgcd(g, n[2])
+    return (u * x, u * y, z)
+
+
+def _half_open_points(c: Cone) -> tuple[int, list[tuple[Vec, Vec]]]:
+    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for a 2- or 3-dimensional
+    simplicial cone, as ``(D, [(u, q)])``: u = (q1*g1 + q2*g2 + q3*g3)/D with
+    integers 0 <= q_i < D, one per element of Z^3/<g1,g2,g3>, D = |det|.
+    A planar cone is completed by g3 with n.g3 = 1 for its primitive normal
+    n; then D is the plane index and every q3 is 0.  The adjugate rows (times
+    sign(det)) send u to D*t, so the residues of e1, e2, e3 under them
+    generate the group; it is walked as a chain of cyclic subgroups, so the
+    cost is D, not the volume of a box.
     """
+    gens = c.generators
+    g1, g2, g3 = gens if c.dim == 3 else (*gens, _unit_dual(c.plane_normal))
     d = unimodular_det(g1, g2, g3)
     s = 1 if d > 0 else -1
     big = s * d
@@ -320,56 +342,27 @@ def _half_open_points(
     for q1, q2, q3 in group:
         u = tuple((q1 * g1[i] + q2 * g2[i] + q3 * g3[i]) // big for i in range(3))
         pairs.append((u, (q1, q2, q3)))
-    return big, rows, pairs
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
-
-
-def _unit_dual(n: Vec) -> Vec:
-    """An integer vector w with n.w = 1, for a primitive n."""
-    g, x, y = _xgcd(n[0], n[1])
-    _, u, z = _xgcd(g, n[2])
-    return (u * x, u * y, z)
-
-
-def _parallelepiped(c: Cone) -> tuple[int, Vec, set[Vec]]:
-    """Closed parallelepiped of a 2- or 3-dimensional simplicial cone.
-
-    Returns ``(D, w, points)``: for u = sum t_i g_i, w.u = D * sum t_i, so
-    w.u <= D cuts out the simplex conv(0, g_1, ..., g_k).  A 2-dimensional
-    cone is completed by a vector w3 with n.w3 = 1 for its primitive normal
-    n; then Z^3/<g1,g2,w3> is the group of its plane lattice, |det| is the
-    plane index, and every half-open point has t3 = 0.
-    The closed points are u + sum(g_i for i in S), for S within {i: q_i = 0}.
-    """
-    gens = c.generators
-    frame = gens if c.dim == 3 else (*gens, _unit_dual(c.plane_normal))
-    big, rows, pairs = _half_open_points(*frame)
-    points: set[Vec] = set()
-    for u, q in pairs:
-        corners = [u]
-        for g, qi in zip(gens, q):
-            if qi == 0:
-                corners += [vadd(p, g) for p in corners]
-        points.update(corners)
-    return big, vadd(vadd(rows[0], rows[1]), rows[2]), points
+    return big, pairs
 
 
 def parallelepiped_points(c: Cone) -> tuple[Vec, ...]:
-    """Lattice points of {sum t_i * g_i : 0 <= t_i <= 1} for a simplicial cone."""
+    """Lattice points of {sum t_i * g_i : 0 <= t_i <= 1} for a simplicial cone.
+
+    These are the corners u + sum(g_i for i in S) of the half-open points u,
+    for S within {i : q_i = 0}.
+    """
     if not c.is_simplicial():
         raise ValueError("parallelepiped needs a simplicial cone; triangulate first")
     if c.dim == 1:
         return tuple(sorted({ZERO, c.generators[0]}))
-    return tuple(sorted(_parallelepiped(c)[2]))
+    points: set[Vec] = set()
+    for u, q in _half_open_points(c)[1]:
+        corners = [u]
+        for g, qi in zip(c.generators, q):
+            if qi == 0:
+                corners += [vadd(p, g) for p in corners]
+        points.update(corners)
+    return tuple(sorted(points))
 
 
 def _require_octant_semigroup(c: Cone) -> None:
@@ -412,15 +405,17 @@ class HilbertBasis:
 def hilbert_basis(c: Cone) -> HilbertBasis:
     """Irreducible lattice points of a pointed cone in the octant.
 
-    Candidates come from the parallelepipeds of a triangulation (every
-    irreducible point of the cone is irreducible in the piece containing it,
-    hence lies in that piece's parallelepiped).
+    Candidates are the generators and the half-open parallelepiped points of
+    each piece of a triangulation.  An irreducible point v of the cone lies
+    in a piece, where v = u + sum n_i g_i with u half-open and n_i >= 0
+    integers; v is irreducible there too, so either v = u or u = 0 and v is
+    a single generator.
     """
     _require_octant_semigroup(c)
-    candidates: set[Vec] = set()
+    candidates: set[Vec] = set(c.generators)
     for piece in triangulate(c):
-        candidates.update(parallelepiped_points(piece))
-    candidates.discard(ZERO)
+        if piece.dim > 1:
+            candidates.update(u for u, q in _half_open_points(piece)[1] if any(q))
 
     # Reduction by degree (Bruns-Ichim): the coordinate sum is a positive
     # grading on the octant, and a reducible v is v = h + w with h an

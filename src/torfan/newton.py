@@ -90,8 +90,8 @@ class Fan:
     @classmethod
     def from_obj(cls, obj: dict) -> "Fan":
         """Read a fan object; ValueError with the reason on any other shape."""
-        def integers(v) -> bool:
-            return isinstance(v, list) and all(isinstance(x, int) for x in v)
+        def integers(v) -> bool:  # JSON true/false load as bool, an int subclass
+            return isinstance(v, list) and all(type(x) is int for x in v)
 
         if not isinstance(obj, dict):
             raise ValueError("a fan must be an object with 'rays' and 'cones'")

@@ -21,7 +21,11 @@ class ParseError(ValueError):
     def __init__(self, message: str, text: str, pos: int):
         self.text = text
         self.pos = pos
-        super().__init__(f"{message} (position {pos} in {text!r})")
+        where = repr(text)
+        if len(text) > 80:  # quote the 80 characters around pos
+            a = max(0, min(pos - 40, len(text) - 80))
+            where = f"{text[a:a + 80]!r} (characters {a}-{a + 80} of {len(text)})"
+        super().__init__(f"{message} (position {pos} in {where})")
 
 
 def _grevord(e: Exponent) -> tuple[int, int, int, int]:

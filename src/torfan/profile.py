@@ -20,7 +20,7 @@ from .cones import (
     Cone,
     Vec,
     ZERO,
-    _parallelepiped,
+    _half_open_points,
     cross,
     dot,
     triangulate,
@@ -204,17 +204,16 @@ def contains_point(p: Profile, v: Sequence[int]) -> bool:
 def profile_lattice_points(p: Profile) -> list[Vec]:
     """Nonzero lattice points of the profile conv(0, generators).
 
-    A simplicial profile is the simplex conv(0, g_1, ..., g_k), whose lattice
-    points are the points of the closed parallelepiped (from the lattice
-    group Z^3/<g>) with l <= 1.  Otherwise every generator is a vertex of
-    the hull, so the profile is the union of such simplices over a
-    triangulation of the generators on each off-origin hull facet.
+    A simplicial profile is the simplex conv(0, g_1, ..., g_k).  Its point
+    u + sum n_i g_i, with u half-open and n_i >= 0, has l = sum(q)/D + sum n_i,
+    so it is a generator or a nonzero u with q_1 + q_2 + q_3 <= D.  Otherwise
+    every generator is a vertex of the hull, so the profile is the union of
+    such simplices over a triangulation of the generators on each off-origin
+    hull facet.
     """
     c = p.cone
-    if c.dim == 1:
-        return [c.generators[0]]
     if c.is_simplicial():
-        simplices: tuple[Cone, ...] = (c,)
+        simplices: tuple[Cone, ...] = (c,) if c.dim > 1 else ()
     else:
         simplices = tuple(
             piece
@@ -223,11 +222,10 @@ def profile_lattice_points(p: Profile) -> list[Vec]:
                 Cone.from_generators([g for g in c.generators if f(g) == 0])
             )
         )
-    out: set[Vec] = set()
+    out: set[Vec] = set(c.generators)
     for sigma in simplices:
-        big, level, points = _parallelepiped(sigma)
-        out.update(v for v in points if dot(level, v) <= big)
-    out.discard(ZERO)
+        big, pairs = _half_open_points(sigma)
+        out.update(u for u, q in pairs if 0 < sum(q) <= big)
     return sorted(out)
 
 

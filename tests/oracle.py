@@ -189,12 +189,31 @@ def box_parallelepiped_points(gens) -> tuple[Vec, ...]:
 
 def box_profile_points(gens) -> list[Vec]:
     """Nonzero lattice points of conv(0, gens) for the extremal rays of a
-    3-D cone, by box search.
+    2- or 3-D cone, by box search.
 
-    A point is in the hull exactly when it is in some simplex
+    For two rays a, b this is the triangle conv(0, a, b): a box point in
+    their plane whose coordinates in a and b, by Cramer's rule against the
+    normal n = a x b, are non-negative with sum at most 1.  For three or
+    more, a point is in the hull exactly when it is in some simplex
     conv(0, a, b, c) over independent rays a, b, c: coning the hull's
     off-origin facets from 0 covers it with such simplices.
     """
+    box = [
+        range(min(0, min(g[i] for g in gens)), max(0, max(g[i] for g in gens)) + 1)
+        for i in range(3)
+    ]
+    if len(gens) == 2:
+        a, b = gens
+        n = _cross(a, b)
+        k = _dot(n, n)
+        out = []
+        for u in product(*box):
+            if u == (0, 0, 0) or _dot(n, u) != 0:
+                continue
+            s, t = _dot(_cross(u, b), n), _dot(_cross(a, u), n)
+            if s >= 0 and t >= 0 and s + t <= k:
+                out.append(u)
+        return out
     simplices = []
     for i, a in enumerate(gens):
         for j in range(i + 1, len(gens)):
@@ -204,10 +223,6 @@ def box_profile_points(gens) -> list[Vec]:
                 if det:
                     rows = (_cross(b, c), _cross(c, a), _cross(a, b))
                     simplices.append((det, rows))
-    box = [
-        range(min(0, min(g[i] for g in gens)), max(0, max(g[i] for g in gens)) + 1)
-        for i in range(3)
-    ]
     out = []
     for u in product(*box):
         if u == (0, 0, 0):

@@ -230,10 +230,15 @@ def test_render_rejects_empty_fan(tmp_path, capsys):
             '{"rays": [[1, 0, 0]], "cones": [{"rays": [0], "label": 5}]}',
             "fan cone labels must be strings",
         ),
+        ('{"rays": [[true, 0, 0]], "cones": [{"rays": [0]}]}', "fan rays must be 3-vectors"),
+        (
+            '{"rays": [[1, 0, 0]], "cones": [{"rays": [false]}]}',
+            "fan cones must be objects with a 'rays' index list",
+        ),
     ],
     ids=[
         "empty-object", "list", "non-list-ray", "non-object-cone", "deep", "truncated",
-        "non-string-label",
+        "non-string-label", "bool-ray-coordinate", "bool-cone-index",
     ],
 )
 def test_render_rejects_malformed_fans_with_a_reason(tmp_path, capsys, text, reason):
@@ -299,6 +304,13 @@ def test_non_decimal_digit_is_a_positioned_input_error(capsys):
     # str.isdigit accepts the superscript two, int() does not
     assert cli.run(["jets", "x^2\u00b2", "--m", "1"]) == 2
     assert "position 3" in capsys.readouterr().err
+
+
+def test_long_input_error_quotes_an_excerpt(capsys):
+    # 5,000 nines overflow int(); the message quotes 80 characters, not 5,002
+    assert cli.run(["jets", "x^" + "9" * 5000, "--m", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "position 2" in err and len(err) < 200
 
 
 def test_usage_and_input_errors(capsys, tmp_path):
@@ -422,10 +434,21 @@ def test_vectors_file_formats(tmp_path, capsys):
     vf.write_text("# comment\n1 1 1\n2, 3, 3\n")
     code, obj = run_json(capsys, ["profile", ELL, "--vectors", str(vf)])
     assert [row["vector"] for row in obj["vectors"]] == [[1, 1, 1], [2, 3, 3]]
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1 2\n")
-    assert cli.run(["profile", ELL, "--vectors", str(bad)]) == 2
-    capsys.readouterr()
+    # literal and plain lines mix; a literal inside a comment is not read
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("(1,0,1)\n1 1 1  # not (2,3,3)\n")
+    code, obj = run_json(capsys, ["profile", ELL, "--vectors", str(mixed)])
+    assert [row["vector"] for row in obj["vectors"]] == [[1, 0, 1], [1, 1, 1]]
+    for name, text, lineno in [
+        ("bad.txt", "1 2\n", 1),
+        ("broken-literal.txt", "(1,1,1)\n(1,0,1) (1,1,x)\n", 2),
+        ("literal-and-plain.txt", "(1,0,1) 1 1 1\n", 1),
+        ("words.txt", "(1,1,1)\n1 1 x\n", 2),
+    ]:
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert cli.run(["profile", ELL, "--vectors", str(bad)]) == 2
+        assert f"{bad}:{lineno}:" in capsys.readouterr().err
 
 
 def _term_text(coeff: int, exponents: tuple[int, int, int]) -> str:

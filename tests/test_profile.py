@@ -160,7 +160,25 @@ def test_profile_lattice_points_match_box_oracle():
             cones.append(c)
     non_simplicial = sum(not c.is_simplicial() for c in cones)
     assert 20 <= non_simplicial <= 40
-    for c in cones:
+    planar = []
+    while len(planar) < 30:
+        vectors = [tuple(rng.randint(-6, 9) for _ in range(3)) for _ in range(2)]
+        if any(cross(*vectors)):
+            planar.append(Cone.from_generators(vectors))
+    negative = []
+    while len(negative) < 30:
+        k = rng.randint(3, 5)
+        vectors = [tuple(rng.randint(-4, 6) for _ in range(3)) for _ in range(k)]
+        if (0, 0, 0) in vectors:
+            continue
+        try:
+            c = Cone.from_generators(vectors)
+        except ValueError:
+            continue  # not pointed
+        if c.dim == 3 and not c.in_octant():
+            negative.append(c)
+    assert 5 <= sum(not c.is_simplicial() for c in negative) <= 25
+    for c in cones + planar + negative:
         assert profile_lattice_points(profile(c)) == box_profile_points(c.generators), c
 
 
