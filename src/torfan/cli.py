@@ -18,8 +18,8 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .cones import _VECTOR_TEXT, Cone, Vec, hilbert_basis, parse_cone
-from .polyparse import Polynomial, parse_polynomial
+from .cones import _VECTOR_TEXT, Cone, Vec, _vector_literals, hilbert_basis, parse_cone
+from .polyparse import ParseError, Polynomial, parse_polynomial
 from .profile import contains_point, facet_equation, profile_lattice_points
 
 if TYPE_CHECKING:
@@ -198,7 +198,10 @@ def _read_vectors(path: str) -> list[tuple[int, int, int]]:
         if _VECTOR_TEXT.sub("", body).replace(",", " ").strip():
             reason = f"expected (a,b,c) literals or 3 integers, got {line.strip()[:80]!r}"
             raise ValueError(f"{path}:{lineno}: {reason}")
-        vecs += [tuple(int(g) for g in v) for v in _VECTOR_TEXT.findall(body)]
+        try:
+            vecs += _vector_literals(body)
+        except ParseError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     if not vecs:
         raise ValueError(f"no vectors found in {path}")
     return vecs

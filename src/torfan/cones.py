@@ -1,8 +1,9 @@
 """Exact lattice-cone algebra in 3-space.
 
 Cones are strongly convex (pointed) rational polyhedral cones given by their
-primitive extremal rays.  Every cone decision (pointedness, extremal rays,
-facets, membership) is made with integer cross products and determinants;
+primitive extremal rays and the inner normals that cut them out within their
+span, all found in one integer pass per cone (``Cone.from_generators``): every
+cone decision is made with integer cross products and determinants.
 ``Fraction`` appears only in the profile functionals and volumes built on
 these cones elsewhere.  Cones handed to the semigroup routines (irreducibility,
 Hilbert bases) must live in the non-negative octant, where the coordinate
@@ -23,6 +24,8 @@ from itertools import combinations
 from math import gcd
 from operator import le
 from typing import Iterable, Sequence
+
+from .polyparse import _integer
 
 Vec = tuple[int, int, int]
 
@@ -80,101 +83,94 @@ def _rank(vectors: Sequence[Vec]) -> int:
     return 1
 
 
-def _supporting_pairs(gens: Sequence[Vec]) -> dict[Vec, tuple[int, int]]:
-    """Primitive inner normals of the planes through two of gens that leave
-    every generator on their non-negative side, each with the first index
-    pair (i, j), i < j, that spans it."""
-    out: dict[Vec, tuple[int, int]] = {}
-    for (i, g1), (j, g2) in combinations(enumerate(gens), 2):
+def _supporting_normals(gens: Sequence[Vec]) -> list[Vec]:
+    """Sorted primitive inner normals of the planes through two of gens that
+    leave every generator on their non-negative side."""
+    out: set[Vec] = set()
+    for g1, g2 in combinations(gens, 2):
         n = cross(g1, g2)
         if n == ZERO:
             continue
-        values = [dot(n, g) for g in gens]
-        if all(v >= 0 for v in values):
-            pass
-        elif all(v <= 0 for v in values):
-            n = vneg(n)
-        else:
-            continue
-        out.setdefault(primitive(n), (i, j))
-    return out
-
-
-def _between(v: Vec, a: Vec, b: Vec) -> bool:
-    """Is v a non-negative combination of a and b, given a x b != 0?"""
-    n = cross(a, b)
-    return dot(v, n) == 0 and dot(cross(a, v), n) >= 0 and dot(cross(v, b), n) >= 0
+        a, b, c = n
+        values = [a * x + b * y + c * z for x, y, z in gens]
+        if min(values) >= 0:
+            out.add(primitive(n))
+        elif max(values) <= 0:
+            out.add(primitive(vneg(n)))
+    return sorted(out)
 
 
 def extremal_rays(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
-    """Sorted primitive extremal rays of the pointed cone spanned by vectors.
-
-    Decided with integers only.  In rank 3 the facets are the supporting
-    planes through two rays: the cone is pointed exactly when their normals
-    span 3-space, and a ray is extremal exactly when two of them vanish on
-    it; three independent rays are always extremal, so they skip this.  In
-    rank 2 the cone is pointed exactly when two independent rays hold every
-    ray between them, and those two are the answer; in rank 1, when one
-    primitive ray is left.  Raises ValueError on a non-pointed cone.
-    """
-    rays: list[Vec] = []
-    for v in vectors:
-        t = (int(v[0]), int(v[1]), int(v[2]))
-        if t == ZERO:
-            continue
-        p = primitive(t)
-        if p not in rays:
-            rays.append(p)
-    rank = _rank(rays)
-    if rank == 3:
-        if len(rays) == 3:
-            return tuple(sorted(rays))
-        normals = list(_supporting_pairs(rays))
-        if _rank(normals) == 3:
-            return tuple(
-                sorted(g for g in rays if sum(dot(n, g) == 0 for n in normals) >= 2)
-            )
-    elif rank == 2:
-        for a, b in combinations(rays, 2):
-            if cross(a, b) != ZERO and all(_between(g, a, b) for g in rays):
-                return tuple(sorted((a, b)))
-    elif len(rays) < 2:
-        return tuple(rays)
-    raise ValueError("generators span a non-pointed cone")
+    """Sorted primitive extremal rays of the pointed cone spanned by vectors
+    (``Cone.from_generators``), or () when none is nonzero."""
+    vs = [(int(v[0]), int(v[1]), int(v[2])) for v in vectors]
+    return Cone.from_generators(vs).generators if any(t != ZERO for t in vs) else ()
 
 
 @dataclass(frozen=True)
 class Cone:
     """Pointed rational cone; ``generators`` are its primitive extremal rays.
 
-    For 3-dimensional cones ``facet_normals[i]`` is the primitive inner normal
-    of the 2-face spanned by the ray pair ``facets[i]`` (indices into
-    ``generators``); membership is the conjunction of those inequalities.
-    ``plane_normal`` is set for 2-dimensional cones only.  ``hilbert`` and
-    ``profile`` are the cone's Hilbert basis and profile, each computed on
-    first use and then kept.
+    ``facet_normals[i]`` is the primitive inner normal, within the span of
+    the cone, of the facet spanned by the generators ``facets[i]`` (indices
+    into ``generators``): a ray pair in dimension 3, one ray in dimension 2,
+    and no ray for a ray, whose one normal is its generator.  Membership is
+    the conjunction of those inequalities and, below dimension 3, lying in
+    the span.  ``plane_normal`` is set for 2-dimensional cones only.
+    ``hilbert`` and ``profile`` are the cone's Hilbert basis and profile,
+    each computed on first use and then kept.
     """
 
     generators: tuple[Vec, ...]
     dim: int
     facet_normals: tuple[Vec, ...] = ()
-    facets: tuple[tuple[int, int], ...] = ()
+    facets: tuple[tuple[int, ...], ...] = ()
     plane_normal: Vec | None = None
 
     @classmethod
     def from_generators(cls, vectors: Iterable[Sequence[int]]) -> "Cone":
-        gens = extremal_rays(vectors)
-        if not gens:
+        """The pointed cone spanned by vectors, decided with integers only.
+
+        The nonzero vectors are taken as distinct primitive rays.  Three
+        independent rays are a simplex (``_simplex``).  Otherwise in rank 3
+        one supporting-plane pass (``_supporting_normals``) gives the facet
+        normals: the cone is pointed exactly when they span 3-space, a ray
+        is extremal exactly when two of them vanish on it, and each facet is
+        the pair of extremal rays its normal vanishes on.  In rank 2 the
+        cone is pointed exactly when two independent rays hold every ray
+        between them, and those two are its generators; in rank 1, when one
+        primitive ray is left.  Raises ValueError on a non-pointed cone.
+        """
+        rays: list[Vec] = []
+        for v in vectors:
+            t = (int(v[0]), int(v[1]), int(v[2]))
+            if t != ZERO and (p := primitive(t)) not in rays:
+                rays.append(p)
+        if not rays:
             raise ValueError("a cone needs at least one nonzero generator")
-        if len(gens) == 3:
-            return cls._simplex(*gens)
-        if len(gens) > 3:
-            normals, pairs = zip(*sorted(_supporting_pairs(gens).items()))
-            return cls(gens, 3, normals, pairs, None)
-        if len(gens) == 2:
-            n = primitive(cross(gens[0], gens[1]))
-            return cls(gens, 2, (), ((0, 1),), n)
-        return cls(gens, 1, (), (), None)
+        rank = _rank(rays)
+        if rank == 3 and len(rays) == 3:
+            return cls._simplex(*rays)
+        if rank == 3:
+            normals = _supporting_normals(rays)
+            if _rank(normals) == 3:
+                gens = tuple(
+                    sorted(g for g in rays if sum(dot(n, g) == 0 for n in normals) >= 2)
+                )
+                facets = tuple(
+                    tuple(i for i, g in enumerate(gens) if dot(n, g) == 0) for n in normals
+                )
+                return cls(gens, 3, tuple(normals), facets, None)
+        elif rank == 2:
+            for a, b in combinations(sorted(rays), 2):
+                n = cross(a, b)
+                forms = (cross(n, a), cross(b, n))
+                if n != ZERO and all(dot(f, g) >= 0 for f in forms for g in rays):
+                    normals = tuple(map(primitive, forms))
+                    return cls((a, b), 2, normals, ((0,), (1,)), primitive(n))
+        elif len(rays) == 1:
+            return cls(tuple(rays), 1, tuple(rays), ((),), None)
+        raise ValueError("generators span a non-pointed cone")
 
     @classmethod
     def _simplex(cls, a: Vec, b: Vec, c: Vec) -> "Cone":
@@ -227,26 +223,24 @@ class Cone:
 
     def contains(self, v: Sequence[int]) -> bool:
         x, y, z = t = (int(v[0]), int(v[1]), int(v[2]))
+        for a, b, c in self.facet_normals:
+            if a * x + b * y + c * z < 0:
+                return False
         if self.dim == 3:
-            for a, b, c in self.facet_normals:
-                if a * x + b * y + c * z < 0:
-                    return False
-            return True
-        if t == ZERO:
             return True
         if self.dim == 2:
-            return _between(t, *self.generators)
-        g = self.generators[0]
-        return cross(t, g) == ZERO and dot(t, g) > 0
+            return dot(self.plane_normal, t) == 0
+        return cross(t, self.generators[0]) == ZERO
 
     def pulled(self, v: Vec) -> tuple["Cone", ...]:
         """The joins of a primitive v in the cone with the facets that miss
         it: the pulling refinement at v (De Loera-Rambau-Santos,
         *Triangulations*, 2010, 4.3).  A 3-dimensional cone gives one
         simplex per facet whose inner normal is positive on v; a planar
-        cone, with v inside and not a generator, gives (v, g) per ray g."""
+        cone, with v inside and not a generator, gives (v, g) per ray g, and
+        a ray, pulled at itself, gives itself."""
         gens = self.generators
-        if self.dim == 2:
+        if self.dim < 3:
             return tuple(Cone.from_generators((v, g)) for g in gens)
         return tuple(
             Cone._simplex(v, gens[i], gens[j])
@@ -423,18 +417,11 @@ def hilbert_basis(c: Cone) -> HilbertBasis:
     # points are candidates, so by induction on the degree the points kept
     # before v are exactly the Hilbert elements of smaller degree.  All
     # candidates lie in the span of c, where w = v - h is in the cone
-    # exactly when no support form is smaller on v than on h.
-    if c.dim == 3:
-        forms = c.facet_normals
-    elif c.dim == 2:
-        a, b = c.generators
-        forms = (cross(c.plane_normal, a), cross(b, c.plane_normal))
-    else:
-        forms = c.generators
+    # exactly when no facet normal is smaller on v than on h.
     kept: list[Vec] = []
     heights: list[tuple[int, ...]] = []
     for v in sorted(candidates, key=lambda u: (u[0] + u[1] + u[2], u)):
-        height = tuple(dot(n, v) for n in forms)
+        height = tuple(dot(n, v) for n in c.facet_normals)
         for hh in heights:
             if all(map(le, hh, height)):
                 break
@@ -448,14 +435,19 @@ _CONE_TEXT = re.compile(r"^\s*<\s*(.*?)\s*>\s*$", re.S)
 _VECTOR_TEXT = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
 
+def _vector_literals(text: str) -> list[Vec]:
+    """The (a,b,c) literals in text; a coordinate with more digits than
+    ``int()`` converts is a ParseError at its offset."""
+    return [tuple(_integer(m, i) for i in (1, 2, 3)) for m in _VECTOR_TEXT.finditer(text)]
+
+
 def parse_cone(text: str) -> Cone:
     """Parse cone text like ``"<(0,0,1),(1,0,2),(0,1,2),(2,7,4)>"``."""
     m = _CONE_TEXT.match(text)
     if not m:
         raise ValueError(f"cone text must look like <(a,b,c),...>: {text!r}")
-    body = m.group(1)
-    vectors = [tuple(int(g) for g in v) for v in _VECTOR_TEXT.findall(body)]
-    remainder = _VECTOR_TEXT.sub("", body).replace(",", "").strip()
+    vectors = _vector_literals(text)
+    remainder = _VECTOR_TEXT.sub("", m.group(1)).replace(",", "").strip()
     if not vectors or remainder:
         raise ValueError(f"malformed cone text: {text!r}")
     return Cone.from_generators(vectors)

@@ -19,8 +19,7 @@ from .cones import (
     Vec,
     ZERO,
     _rank,
-    _supporting_pairs,
-    cross,
+    _supporting_normals,
     dot,
     triangulate,
     vadd,
@@ -130,7 +129,7 @@ def _normal_cone_rays(s: Vec, support: Sequence[Vec]) -> list[Vec]:
     constraints = [E1, E2, E3] + [vsub(a, s) for a in support if a != s]
     # the rays of this cone are the facet normals of the cone over the
     # constraints, which span 3-space because E1, E2, E3 are among them
-    return sorted(_supporting_pairs(constraints))
+    return _supporting_normals(constraints)
 
 
 def dual_newton_cones(p: Polynomial) -> list[tuple[Cone, Vec]]:
@@ -226,17 +225,10 @@ def _interiors_disjoint(a: Cone, b: Cone) -> bool:
 
     Exactly when a plane through the origin separates them, and then one
     spanned by two of their rays does: the separating normals form a
-    pointed cone whose extremal rays are cut out by two of those rays.
+    pointed cone whose extremal rays are cut out by two of those rays.  Such
+    a plane is a supporting plane of the rays of a and the negated rays of b.
     """
-    for u, w in combinations(sorted({*a.generators, *b.generators}), 2):
-        n = cross(u, w)
-        if n == ZERO:
-            continue
-        da = [dot(n, g) for g in a.generators]
-        db = [dot(n, g) for g in b.generators]
-        if max(da) <= 0 <= min(db) or max(db) <= 0 <= min(da):
-            return True
-    return False
+    return bool(_supporting_normals([*a.generators, *map(vneg, b.generators)]))
 
 
 def _tiling_certificate(cones: Sequence[Cone], support: Sequence[Cone]) -> dict:

@@ -131,7 +131,7 @@ _FOLLOWS = {
 }
 
 
-def _integer(m: re.Match, group: str) -> int:
+def _integer(m: re.Match, group: str | int) -> int:
     """The digits of ``group`` as an int (0 if none); a ParseError at the
     first digit when there are more than ``int()`` converts."""
     try:

@@ -105,9 +105,10 @@ def _irreducible_rays(
 ) -> tuple[tuple[Vec, bool], ...]:
     """Each ray with whether it lies in some source and in the Hilbert basis
     of every source that contains it."""
+    bases = [(s, set(s.hilbert.elements)) for s in sources]
     entries = []
     for ray in rays:
-        flags = [ray in s.hilbert.elements for s in sources if s.contains(ray)]
+        flags = [ray in basis for s, basis in bases if s.contains(ray)]
         entries.append((ray, bool(flags) and all(flags)))
     return tuple(entries)
 
@@ -194,16 +195,16 @@ def _integer_ray(r: Vec) -> Vec:
 def _checked_rays(c: Cone, rays: Sequence[Vec]) -> list[Vec]:
     """The prescribed integer rays that are not generators of c; each must
     be primitive, lie in c and be listed once."""
-    cleaned: list[Vec] = []
+    seen: set[Vec] = set()
     for v in rays:
         if primitive(v) != v:
             raise ValueError(f"prescribed ray {v} is not primitive")
         if not c.contains(v):
             raise ValueError(f"prescribed ray {v} lies outside the cone")
-        if v in cleaned:
+        if v in seen:
             raise ValueError(f"duplicate prescribed ray {v}")
-        cleaned.append(v)
-    return [v for v in cleaned if v not in c.generators]
+        seen.add(v)
+    return [v for v in rays if v not in c.generators]
 
 
 def regular_refinement(c: Cone) -> RefinementReport:

@@ -444,6 +444,7 @@ def test_vectors_file_formats(tmp_path, capsys):
         ("broken-literal.txt", "(1,1,1)\n(1,0,1) (1,1,x)\n", 2),
         ("literal-and-plain.txt", "(1,0,1) 1 1 1\n", 1),
         ("words.txt", "(1,1,1)\n1 1 x\n", 2),
+        ("long-digits.txt", "(1,1,1)\n(1,1," + "9" * 5000 + ")\n", 2),
     ]:
         bad = tmp_path / name
         bad.write_text(text)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from torfan.cones import (
     Cone,
-    _supporting_pairs,
+    _supporting_normals,
     cross,
     dot,
     extremal_rays,
@@ -25,6 +25,7 @@ from torfan.cones import (
 
 from oracle import (
     box_is_irreducible,
+    _in_cone_span,
     box_parallelepiped_points,
     brute_force_hilbert_planar,
     brute_force_hilbert_simplicial,
@@ -72,6 +73,29 @@ def test_contains_low_dimensional():
     assert ray.dim == 1
     assert ray.contains((0, 0, 5))
     assert not ray.contains((0, 1, 0))
+    # random planar cones and rays, at random points and at the lattice
+    # points s*a + t*b of their span, against Cramer's rule
+    rng = random.Random(20261019)
+    draw = lambda: tuple(rng.randint(-6, 9) for _ in range(3))
+    checked = 0
+    while checked < 300:
+        gens = [draw() for _ in range(rng.choice((1, 2)))]
+        try:
+            c = Cone.from_generators(gens)
+        except ValueError:
+            continue
+        if c.dim != len(gens):
+            continue
+        checked += 1
+        a, b = (*c.generators, (0, 0, 0))[:2]
+        span = [
+            tuple(s * x + t * y for x, y in zip(a, b))
+            for s in range(-3, 4)
+            for t in range(-3, 4)
+        ]
+        for v in [*span, *(draw() for _ in range(20))]:
+            expected = v == (0, 0, 0) or _in_cone_span(v, c.generators)
+            assert c.contains(v) == expected, (c, v)
 
 
 def test_extremal_rays():
@@ -119,6 +143,8 @@ def test_extremal_rays_match_caratheodory_oracle():
         vectors = _random_generators(rng)
         got = _rays_or_error(extremal_rays, vectors)
         assert got == _rays_or_error(caratheodory_extremal_rays, vectors), vectors
+        if isinstance(got, tuple) and got:
+            assert got == Cone.from_generators(vectors).generators, vectors
         if isinstance(got, tuple) and len(got) >= 3:
             c = Cone.from_generators(vectors)
             if c.dim == 3:
@@ -350,7 +376,8 @@ def test_simplex_matches_general_kernel_and_oracle(a, b, c, points):
     assert gens == tuple(sorted((a, b, c)))
     # the simplex facets are those of the all-pairs kernel, in the same order
     assert tuple(zip(simplex.facet_normals, simplex.facets)) == tuple(
-        sorted(_supporting_pairs(gens).items())
+        (n, tuple(i for i, g in enumerate(gens) if dot(n, g) == 0))
+        for n in _supporting_normals(gens)
     )
     normals = [_gcd_primitive(n) for n in supporting_normals(gens)]
     assert sorted(simplex.facet_normals) == sorted(normals)
@@ -431,6 +458,9 @@ def test_parse_cone_errors():
         parse_cone("<(1,0),(0,1,0)>")
     with pytest.raises(ValueError):
         parse_cone("<>")
+    # a coordinate past int()'s digit limit is refused at its offset
+    with pytest.raises(ValueError, match=r"too many digits \(position 6 "):
+        parse_cone("<(1,1," + "9" * 5000 + ")>")
 
 
 entry = st.integers(min_value=0, max_value=5)

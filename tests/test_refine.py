@@ -7,7 +7,8 @@ import pytest
 from torfan import refine
 from torfan.cones import (
     Cone,
-    _supporting_pairs,
+    _supporting_normals,
+    dot,
     hilbert_basis,
     is_irreducible,
     triangulate,
@@ -328,7 +329,8 @@ def test_refinement_pieces_equal_the_general_constructor():
         for p in [*refine._hilbert_pieces(c)[0], *triangulate(c), *pulled]:
             assert p == Cone.from_generators(p.generators), p
             assert tuple(zip(p.facet_normals, p.facets)) == tuple(
-                sorted(_supporting_pairs(p.generators).items())
+                (n, tuple(i for i, g in enumerate(p.generators) if dot(n, g) == 0))
+                for n in _supporting_normals(p.generators)
             ), p
         # pulled at any of its points, the cone keeps its volume
         volume = octant_slice_volume([p.generators for p in triangulate(c)])
