@@ -18,12 +18,12 @@ or has l <= 1, is a generator or u itself.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import le
-from typing import Iterable, Sequence
 
 from .polyparse import _integer
 
@@ -118,7 +118,8 @@ class Cone:
     the conjunction of those inequalities and, below dimension 3, lying in
     the span.  ``plane_normal`` is set for 2-dimensional cones only.
     ``hilbert`` and ``profile`` are the cone's Hilbert basis and profile,
-    each computed on first use and then kept.
+    each computed on first use and then kept; ``hilbert_basis(c)`` and
+    ``profile(c)`` read them.
     """
 
     generators: tuple[Vec, ...]
@@ -195,13 +196,13 @@ class Cone:
 
     @cached_property
     def hilbert(self) -> "HilbertBasis":
-        return hilbert_basis(self)
+        return _hilbert_basis(self)
 
     @cached_property
     def profile(self) -> "Profile":
-        from .profile import profile  # profile.py builds on this module
+        from .profile import _profile  # profile.py builds on this module
 
-        return profile(self)
+        return _profile(self)
 
     @cached_property
     def multiplicity(self) -> int:
@@ -222,15 +223,17 @@ class Cone:
         return len(self.generators) == self.dim
 
     def contains(self, v: Sequence[int]) -> bool:
-        x, y, z = t = (int(v[0]), int(v[1]), int(v[2]))
+        """Membership of v, decided on its coordinates as given: exact for
+        ints and ``Fraction``s."""
+        x, y, z = v
         for a, b, c in self.facet_normals:
             if a * x + b * y + c * z < 0:
                 return False
         if self.dim == 3:
             return True
         if self.dim == 2:
-            return dot(self.plane_normal, t) == 0
-        return cross(t, self.generators[0]) == ZERO
+            return dot(self.plane_normal, v) == 0
+        return cross(v, self.generators[0]) == ZERO
 
     def pulled(self, v: Vec) -> tuple["Cone", ...]:
         """The joins of a primitive v in the cone with the facets that miss
@@ -366,14 +369,24 @@ def _require_octant_semigroup(c: Cone) -> None:
         )
 
 
+def _integer_vector(v: Sequence[int], name: str) -> Vec:
+    """v as a tuple of three ints, or a ValueError naming it; a bool is not
+    an int here, as in ``Polynomial.from_dict``."""
+    t = tuple(v) if isinstance(v, Sequence) else ()
+    if len(t) != 3 or not all(isinstance(x, int) and not isinstance(x, bool) for x in t):
+        raise ValueError(f"{name} {v!r} needs three int coordinates")
+    return t
+
+
 def is_irreducible(c: Cone, v: Sequence[int]) -> bool:
-    """No way to write v as a sum of two nonzero lattice points of the cone.
+    """No way to write the lattice point v as a sum of two nonzero lattice
+    points of the cone; v must have three int coordinates.
 
     For a cone in the octant this is membership of v in the Hilbert basis,
     which is the set of irreducible points; the basis is computed once per
     cone object (``Cone.hilbert``).
     """
-    t = (int(v[0]), int(v[1]), int(v[2]))
+    t = _integer_vector(v, "vector")
     if t == ZERO:
         raise ValueError("the zero vector is not in the semigroup")
     if not c.contains(t):
@@ -397,7 +410,15 @@ class HilbertBasis:
 
 
 def hilbert_basis(c: Cone) -> HilbertBasis:
-    """Irreducible lattice points of a pointed cone in the octant.
+    """Irreducible lattice points of a pointed cone in the octant: the
+    cone's own basis, ``c.hilbert``, computed on the first call for that
+    cone object and then read.  A cone outside the octant raises
+    ValueError on every call."""
+    return c.hilbert
+
+
+def _hilbert_basis(c: Cone) -> HilbertBasis:
+    """The computation behind ``Cone.hilbert``.
 
     Candidates are the generators and the half-open parallelepiped points of
     each piece of a triangulation.  An irreducible point v of the cone lies

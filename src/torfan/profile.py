@@ -190,6 +190,13 @@ def _hull_facets_off_origin(points: Sequence[Vec]) -> list[AffineFunctional]:
 
 
 def profile(c: Cone) -> Profile:
+    """The profile of c: the cone's own ``c.profile``, computed on the first
+    call for that cone object and then read."""
+    return c.profile
+
+
+def _profile(c: Cone) -> Profile:
+    """The computation behind ``Cone.profile``."""
     if c.is_simplicial():
         l = _l_any_dim(c)
         return Profile(c, (AffineFunctional(l.coeffs, l.constant - 1),), "simplicial")

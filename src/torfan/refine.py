@@ -12,7 +12,10 @@ One insertion loop (``_ray_pieces``) serves both refinements: rays go in
 by increasing profile level, and a non-simplicial cone that no ray fell
 inside is pulled at a Hilbert element inside it, or triangulated.  The
 Hilbert-driven refinement then splits each non-regular piece at the
-element of least value of that piece's l-functional.
+source-basis element of least value of that piece's l-functional; a piece
+that holds none is split at its nonzero half-open point of least l, which
+is its least-l Hilbert element that is not a generator, so only the source
+cone's Hilbert basis is ever computed.
 Every report carries exact certificates (per-piece multiplicities) and
 the tiling certificate of ``newton._tiling_certificate`` against the
 source cones: the pieces have the sources' volume, and each piece facet is
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .cones import Cone, Vec, dot, primitive, triangulate
+from .cones import Cone, Vec, _half_open_points, _integer_vector, dot, primitive, triangulate
 from .newton import Fan, _tiling_certificate
 from .profile import _l_any_dim
 
@@ -157,9 +160,28 @@ def _ray_pieces(c: Cone, rays: Iterable[Vec], pool: Sequence[Vec] = ()) -> list[
     return pieces
 
 
+def _least_half_open_point(tau: Cone) -> Vec:
+    """The (l, h)-least Hilbert element of a non-regular simplicial tau that
+    is not a generator: its nonzero half-open point of least
+    (q1 + q2 + q3, u).
+
+    With D the multiplicity, a half-open point u has l(u) = (q1 + q2 + q3)/D,
+    q3 = 0 for a planar tau.  A nonzero non-generator lattice point of tau is
+    u + sum n_i g_i: either u != 0 and l >= m, the least l of a nonzero
+    half-open point, or sum n_i >= 2 and l >= 2.  The map q_i -> D - q_i
+    (q_i != 0) pairs nonzero half-open points with l(u) + l(u*) <= 3, so
+    m <= 3/2.  A point at level m that splits as a + b would need
+    m >= 2*min(m, 1), impossible for 0 < m < 2.  So the non-generator
+    Hilbert elements at level m are exactly the nonzero half-open points
+    there, and none lies lower.
+    """
+    return min((sum(q), u) for u, q in _half_open_points(tau)[1] if any(q))[1]
+
+
 def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
     """Unimodular pieces of c split at Hilbert-basis rays, and whether the
-    fallback ran."""
+    fallback ran: a piece holding no element of c's basis is split at
+    ``_least_half_open_point``, so no piece gets a Hilbert basis of its own."""
     basis = c.hilbert.elements
     # Every basis element lies in c, so it lies on the 2-face of a facet
     # exactly when that facet's normal vanishes on it.  A cone whose basis
@@ -172,24 +194,18 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
     while worst := [p for p in pieces if p.multiplicity != 1]:
         tau = min(worst, key=lambda p: p.generators)
         pool = [h for h in basis if h not in tau.generators and tau.contains(h)]
-        if not pool:
-            pool = [h for h in tau.hilbert.elements if h not in tau.generators]
+        if pool:
+            # l = (a*x + b*y + c*z)/q with q > 0 fixed per tau, so the
+            # numerator orders the pool as l does
+            la, lb, lc, _, _ = _l_any_dim(tau).integer_form
+            chosen = min(pool, key=lambda h: (la * h[0] + lb * h[1] + lc * h[2], h))
+        else:
+            chosen = _least_half_open_point(tau)
             used_fallback = True
-        l = _l_any_dim(tau)
-        chosen = min(pool, key=lambda h: (l(h), h))
         pieces, changed = stellar_insert(pieces, chosen)
         if not changed:
             raise RuntimeError(f"inserting {chosen} left {tau} unsplit")
     return pieces, used_fallback
-
-
-def _integer_ray(r: Vec) -> Vec:
-    """r as a tuple of three ints, or a ValueError naming it; a bool is not
-    an int here, as in ``Polynomial.from_dict``."""
-    v = tuple(r) if isinstance(r, Sequence) else ()
-    if len(v) != 3 or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
-        raise ValueError(f"prescribed ray {r!r} needs three int coordinates")
-    return v
 
 
 def _checked_rays(c: Cone, rays: Sequence[Vec]) -> list[Vec]:
@@ -212,7 +228,9 @@ def regular_refinement(c: Cone) -> RefinementReport:
 
     Boundary 2-faces are refined first (so adjacent cones subdivide
     identically), then the lexicographically first non-regular piece is
-    split at the Hilbert element of least l-value until none remain.
+    split at the element of the cone's Hilbert basis of least l-value, or
+    at its own least-l Hilbert element that is not a generator when it
+    holds none, until none remain.
     """
     return _build_report([c], *_hilbert_pieces(c))
 
@@ -224,7 +242,7 @@ def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
     being the height against the profile hull; a prescribed ray equal to
     an extremal ray is a no-op.
     """
-    rays = [_integer_ray(r) for r in rays]
+    rays = [_integer_vector(r, "prescribed ray") for r in rays]
     return _build_report([c], _ray_pieces(c, _checked_rays(c, rays)), False)
 
 
@@ -240,7 +258,7 @@ def refine_fan(
                 f"refine_fan needs 3-dimensional cones, got {c}; refine rays "
                 "and planar cones with regular_refinement or refinement_from_rays"
             )
-    rays = None if rays is None else [_integer_ray(r) for r in rays]
+    rays = None if rays is None else [_integer_vector(r, "prescribed ray") for r in rays]
     for v in rays or ():
         if not any(c.contains(v) for c in cones):
             raise ValueError(f"prescribed ray {v} lies in no cone of the fan")

@@ -28,14 +28,16 @@ def _count_calls(monkeypatch, module_name: str, name: str) -> list:
 
 @pytest.fixture
 def hilbert_calls(monkeypatch):
-    """The cones passed to ``torfan.cones.hilbert_basis``, in call order."""
-    return _count_calls(monkeypatch, "torfan.cones", "hilbert_basis")
+    """The cones whose Hilbert basis is computed (``torfan.cones._hilbert_basis``,
+    behind ``Cone.hilbert``), in call order."""
+    return _count_calls(monkeypatch, "torfan.cones", "_hilbert_basis")
 
 
 @pytest.fixture
 def profile_calls(monkeypatch):
-    """The cones passed to ``torfan.profile.profile``, in call order."""
-    return _count_calls(monkeypatch, "torfan.profile", "profile")
+    """The cones whose profile is computed (``torfan.profile._profile``, behind
+    ``Cone.profile``), in call order."""
+    return _count_calls(monkeypatch, "torfan.profile", "_profile")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
@@ -22,6 +23,7 @@ from torfan.cones import (
     vadd,
     vsub,
 )
+from torfan.profile import profile
 
 from oracle import (
     box_is_irreducible,
@@ -96,6 +98,21 @@ def test_contains_low_dimensional():
         for v in [*span, *(draw() for _ in range(20))]:
             expected = v == (0, 0, 0) or _in_cone_span(v, c.generators)
             assert c.contains(v) == expected, (c, v)
+
+
+def test_contains_decides_non_integer_points_exactly():
+    # each coordinate is read as given, not truncated by int()
+    assert not OCTANT.contains((-0.5, 1, 1))
+    assert not OCTANT.contains((Fraction(-1, 2), 1, 1))
+    assert OCTANT.contains((Fraction(1, 2), 1, 1))
+    assert not Cone.from_generators([E1, E2]).contains((1, 1, 0.5))
+    ray = Cone.from_generators([(1, 1, 1)])
+    assert not ray.contains((1, 1, 1.9))
+    assert ray.contains((Fraction(1, 2),) * 3)
+    # irreducibility is a question about lattice points
+    for v in [(1.7, 0, 0), (Fraction(2), 0, 0), (True, 0, 0), (1, 0), (1, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="needs three int coordinates"):
+            is_irreducible(OCTANT, v)
 
 
 def test_extremal_rays():
@@ -345,9 +362,15 @@ def test_cone_hilbert_is_computed_once_per_cone(hilbert_calls):
     c = Cone.from_generators([E2, (3, 1, 0), (6, 8, 9)])
     assert c.hilbert is c.hilbert
     assert is_irreducible(c, (2, 3, 3))
+    assert hilbert_basis(c) is c.hilbert  # the public function reads the cone's basis
     assert hilbert_calls == [c]
-    fresh = hilbert_basis(c)  # the function itself keeps nothing
-    assert fresh == c.hilbert and fresh is not c.hilbert
+
+
+def test_cone_profile_is_computed_once_per_cone(profile_calls):
+    c = Cone.from_generators([E2, (3, 1, 0), (6, 8, 9)])
+    assert c.profile is c.profile
+    assert profile(c) is c.profile  # the public function reads the cone's profile
+    assert profile_calls == [c]
 
 
 def test_hilbert_basis_requires_octant():

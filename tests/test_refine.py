@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
@@ -8,6 +9,7 @@ from torfan import refine
 from torfan.cones import (
     Cone,
     _supporting_normals,
+    cross,
     dot,
     hilbert_basis,
     is_irreducible,
@@ -26,6 +28,7 @@ from torfan.refine import (
 
 from oracle import (
     brute_force_hilbert_planar,
+    brute_force_hilbert_simplicial,
     det3,
     octant_slice_volume,
     random_simplicial_octant_cones,
@@ -375,7 +378,7 @@ def test_random_cones_every_new_ray_irreducible():
 
 def test_regular_refinement_reuses_the_cone_basis(hilbert_calls):
     rng = random.Random(20261018)
-    plain = 0
+    plain = fallback = 0
     while plain < 20:
         k = rng.randint(3, 5)
         vs = [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(k)]
@@ -386,12 +389,45 @@ def test_regular_refinement_reuses_the_cone_basis(hilbert_calls):
         hilbert_calls.clear()
         rep = regular_refinement(c)
         assert c.hilbert is basis
-        if rep.used_fallback:
-            # only the pieces split by the fallback get a basis of their own
-            assert hilbert_calls and c not in hilbert_calls
-        else:
-            assert hilbert_calls == []
-            plain += 1
+        # the fallback reads the half-open walk, so no piece gets a basis
+        assert hilbert_calls == [], c
+        fallback += rep.used_fallback
+        plain += not rep.used_fallback
+    assert fallback == 15
+
+
+def _cramer_level(gens, h) -> Fraction:
+    """The sum of the coordinates of h in the frame of gens, a planar pair
+    completed by its cross product, by Cramer's rule."""
+    frame = list(gens) if len(gens) == 3 else [*gens, cross(*gens)]
+    d = det3(*frame)
+    return sum(
+        Fraction(det3(*(h if j == i else g for j, g in enumerate(frame))), d)
+        for i in range(len(gens))
+    )
+
+
+def test_fallback_point_is_the_least_level_hilbert_element():
+    # the half-open point the fallback inserts against the (l, h)-least
+    # non-generator of an independently computed Hilbert basis
+    rng = random.Random(20261019)
+    oracles = {3: brute_force_hilbert_simplicial, 2: brute_force_hilbert_planar}
+    wanted = {3: 150, 2: 50}
+    while any(wanted.values()):
+        k = rng.choice((2, 3))
+        gens = [tuple(rng.randint(0, 9) for _ in range(3)) for _ in range(k)]
+        if not wanted[k] or (0, 0, 0) in gens:
+            continue
+        c = Cone.from_generators(gens)
+        if c.dim != k or c.multiplicity == 1:
+            continue
+        wanted[k] -= 1
+        basis = oracles[k](*c.generators)
+        level, expected = min(
+            (_cramer_level(c.generators, h), h) for h in basis if h not in c.generators
+        )
+        assert level <= Fraction(3, 2), c
+        assert refine._least_half_open_point(c) == expected, c
 
 
 def test_extended_brieskorn_rung_resolves_with_sound_cones():
