@@ -29,6 +29,7 @@ if TYPE_CHECKING:
 # process compiles only what its verb uses.
 
 PARAM_FLAGS = ("r", "n", "k", "l", "m")
+_FORMATS = ("json", "text")
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +509,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(sp, formats=("json", "text")):
+    def common(sp):
         sp.add_argument("--out", help="write the artifact to this file")
         sp.add_argument(
-            "--format", choices=formats, default=formats[0], help="output format"
+            "--format", choices=_FORMATS, default=_FORMATS[0], help="output format"
         )
 
     sp = sub.add_parser("dnp", help="dual Newton fan of a polynomial")

@@ -18,7 +18,7 @@ or has l <= 1, is a generator or u itself.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -62,12 +62,11 @@ def unimodular_det(v1: Vec, v2: Vec, v3: Vec) -> int:
 
 
 def primitive(v: Sequence[int]) -> Vec:
-    """Divide out the gcd of the coordinates; error on the zero vector."""
-    t = (int(v[0]), int(v[1]), int(v[2]))
-    g = gcd(gcd(abs(t[0]), abs(t[1])), abs(t[2]))
+    """Divide out the gcd of the int coordinates; error on the zero vector."""
+    g = gcd(v[0], v[1], v[2])
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return (t[0] // g, t[1] // g, t[2] // g)
+    return (v[0] // g, v[1] // g, v[2] // g)
 
 
 def _rank(vectors: Sequence[Vec]) -> int:
@@ -83,10 +82,10 @@ def _rank(vectors: Sequence[Vec]) -> int:
     return 1
 
 
-def _supporting_normals(gens: Sequence[Vec]) -> list[Vec]:
-    """Sorted primitive inner normals of the planes through two of gens that
-    leave every generator on their non-negative side."""
-    out: set[Vec] = set()
+def _supporting_planes(gens: Sequence[Vec]) -> Iterator[Vec]:
+    """Inner normals, not necessarily primitive or distinct, of the planes
+    through two of gens that leave every generator on their non-negative
+    side, found lazily."""
     for g1, g2 in combinations(gens, 2):
         n = cross(g1, g2)
         if n == ZERO:
@@ -94,16 +93,21 @@ def _supporting_normals(gens: Sequence[Vec]) -> list[Vec]:
         a, b, c = n
         values = [a * x + b * y + c * z for x, y, z in gens]
         if min(values) >= 0:
-            out.add(primitive(n))
+            yield n
         elif max(values) <= 0:
-            out.add(primitive(vneg(n)))
-    return sorted(out)
+            yield vneg(n)
+
+
+def _supporting_normals(gens: Sequence[Vec]) -> list[Vec]:
+    """Sorted distinct primitive ``_supporting_planes`` of gens."""
+    return sorted(set(map(primitive, _supporting_planes(gens))))
 
 
 def extremal_rays(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
     """Sorted primitive extremal rays of the pointed cone spanned by vectors
-    (``Cone.from_generators``), or () when none is nonzero."""
-    vs = [(int(v[0]), int(v[1]), int(v[2])) for v in vectors]
+    of three int coordinates (``Cone.from_generators``), or () when none is
+    nonzero."""
+    vs = [_integer_vector(v, "generator") for v in vectors]
     return Cone.from_generators(vs).generators if any(t != ZERO for t in vs) else ()
 
 
@@ -112,9 +116,9 @@ class Cone:
     """Pointed rational cone; ``generators`` are its primitive extremal rays.
 
     ``facet_normals[i]`` is the primitive inner normal, within the span of
-    the cone, of the facet spanned by the generators ``facets[i]`` (indices
-    into ``generators``): a ray pair in dimension 3, one ray in dimension 2,
-    and no ray for a ray, whose one normal is its generator.  Membership is
+    the cone, of the facet spanned by the sorted generators ``facets[i]``:
+    a ray pair in dimension 3, one ray in dimension 2, and no ray for a
+    ray, whose one normal is its generator.  Membership is
     the conjunction of those inequalities and, below dimension 3, lying in
     the span.  ``plane_normal`` is set for 2-dimensional cones only.
     ``hilbert`` and ``profile`` are the cone's Hilbert basis and profile,
@@ -125,26 +129,28 @@ class Cone:
     generators: tuple[Vec, ...]
     dim: int
     facet_normals: tuple[Vec, ...] = ()
-    facets: tuple[tuple[int, ...], ...] = ()
+    facets: tuple[tuple[Vec, ...], ...] = ()
     plane_normal: Vec | None = None
 
     @classmethod
     def from_generators(cls, vectors: Iterable[Sequence[int]]) -> "Cone":
         """The pointed cone spanned by vectors, decided with integers only.
 
-        The nonzero vectors are taken as distinct primitive rays.  Three
-        independent rays are a simplex (``_simplex``).  Otherwise in rank 3
-        one supporting-plane pass (``_supporting_normals``) gives the facet
-        normals: the cone is pointed exactly when they span 3-space, a ray
-        is extremal exactly when two of them vanish on it, and each facet is
-        the pair of extremal rays its normal vanishes on.  In rank 2 the
+        The nonzero vectors, each of three int coordinates, are taken as
+        distinct primitive rays.  Three independent rays are a simplex
+        (``_simplex``).  Otherwise in rank 3 one supporting-plane pass
+        (``_supporting_normals``) gives the facet normals: the cone is
+        pointed exactly when they span 3-space, a ray is extremal exactly
+        when two of them vanish on it, and each facet is the pair of
+        extremal rays its normal vanishes on.  In rank 2 the
         cone is pointed exactly when two independent rays hold every ray
         between them, and those two are its generators; in rank 1, when one
-        primitive ray is left.  Raises ValueError on a non-pointed cone.
+        primitive ray is left.  Raises ValueError on a non-pointed cone or a
+        vector that is not three ints.
         """
         rays: list[Vec] = []
         for v in vectors:
-            t = (int(v[0]), int(v[1]), int(v[2]))
+            t = _integer_vector(v, "generator")
             if t != ZERO and (p := primitive(t)) not in rays:
                 rays.append(p)
         if not rays:
@@ -158,9 +164,7 @@ class Cone:
                 gens = tuple(
                     sorted(g for g in rays if sum(dot(n, g) == 0 for n in normals) >= 2)
                 )
-                facets = tuple(
-                    tuple(i for i, g in enumerate(gens) if dot(n, g) == 0) for n in normals
-                )
+                facets = tuple(tuple(g for g in gens if dot(n, g) == 0) for n in normals)
                 return cls(gens, 3, tuple(normals), facets, None)
         elif rank == 2:
             for a, b in combinations(sorted(rays), 2):
@@ -168,7 +172,7 @@ class Cone:
                 forms = (cross(n, a), cross(b, n))
                 if n != ZERO and all(dot(f, g) >= 0 for f in forms for g in rays):
                     normals = tuple(map(primitive, forms))
-                    return cls((a, b), 2, normals, ((0,), (1,)), primitive(n))
+                    return cls((a, b), 2, normals, ((a,), (b,)), primitive(n))
         elif len(rays) == 1:
             return cls(tuple(rays), 1, tuple(rays), ((),), None)
         raise ValueError("generators span a non-pointed cone")
@@ -186,9 +190,9 @@ class Cone:
         s = 1 if d > 0 else -1
         items = []
         for pair, n in (
-            ((0, 1), cross(g0, g1)),
-            ((0, 2), cross(g2, g0)),
-            ((1, 2), cross(g1, g2)),
+            ((g0, g1), cross(g0, g1)),
+            ((g0, g2), cross(g2, g0)),
+            ((g1, g2), cross(g1, g2)),
         ):
             items.append((primitive((s * n[0], s * n[1], s * n[2])), pair))
         normals, pairs = zip(*sorted(items))
@@ -238,16 +242,13 @@ class Cone:
     def pulled(self, v: Vec) -> tuple["Cone", ...]:
         """The joins of a primitive v in the cone with the facets that miss
         it: the pulling refinement at v (De Loera-Rambau-Santos,
-        *Triangulations*, 2010, 4.3).  A 3-dimensional cone gives one
-        simplex per facet whose inner normal is positive on v; a planar
+        *Triangulations*, 2010, 4.3), one per facet whose inner normal is
+        positive on v.  A 3-dimensional cone gives simplices; a planar
         cone, with v inside and not a generator, gives (v, g) per ray g, and
         a ray, pulled at itself, gives itself."""
-        gens = self.generators
-        if self.dim < 3:
-            return tuple(Cone.from_generators((v, g)) for g in gens)
         return tuple(
-            Cone._simplex(v, gens[i], gens[j])
-            for n, (i, j) in zip(self.facet_normals, self.facets)
+            Cone._simplex(v, *f) if self.dim == 3 else Cone.from_generators((v, *f))
+            for n, f in zip(self.facet_normals, self.facets)
             if dot(n, v) > 0
         )
 

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .cones import (
@@ -20,6 +21,7 @@ from .cones import (
     ZERO,
     _rank,
     _supporting_normals,
+    _supporting_planes,
     dot,
     triangulate,
     vadd,
@@ -149,10 +151,8 @@ def fan_faces(maximal: Sequence[Cone]) -> list[tuple[tuple[Vec, ...], int]]:
     for c in maximal:
         seen.setdefault(tuple(sorted(c.generators)), c.dim)
         if c.dim == 3:
-            for i, j in c.facets:
-                seen.setdefault(
-                    tuple(sorted((c.generators[i], c.generators[j]))), 2
-                )
+            for f in c.facets:
+                seen.setdefault(f, 2)
         for g in c.generators:
             seen.setdefault((g,), 1)
     return sorted(seen.items(), key=lambda t: (t[1], t[0]))
@@ -194,29 +194,34 @@ _OCTANT = Cone._simplex(E1, E2, E3)
 
 
 def octant_solid_volume(cones: Iterable[Cone]) -> Fraction:
-    """Exact volume under x+y+z <= 1 of 3-dimensional octant cones, summed
-    cone by cone; it is the volume of their union when their interiors are
-    disjoint, which the tiling certificate proves.  Raises ValueError on
-    a ray whose coordinate sum is not positive."""
+    """Exact volume under x+y+z <= 1 of k-dimensional octant cones, summed
+    cone by cone, measured in the lattice of each cone's span: a
+    k-dimensional simplex adds multiplicity / (k! * prod of its ray sums),
+    the euclidean volume when k = 3.  It is the volume of the union of
+    cones of one span when their interiors are disjoint, which the tiling
+    certificate proves.  Raises ValueError on a ray whose coordinate sum is
+    not positive."""
     total = Fraction(0)
     for c in cones:
         for g in c.generators:
             if sum(g) <= 0:
                 raise ValueError(f"ray {g} has coordinate sum {sum(g)} <= 0")
         for piece in triangulate(c):
-            a, b, d = piece.generators
-            total += Fraction(piece.multiplicity, 6 * sum(a) * sum(b) * sum(d))
+            total += Fraction(
+                piece.multiplicity, factorial(piece.dim) * prod(map(sum, piece.generators))
+            )
     return total
 
 
-def _facet_incidence(cones: Iterable[Cone]) -> dict[tuple[Vec, Vec], list[Vec]]:
-    """Each facet of the 3-dimensional cones, keyed by its sorted ray pair,
-    with the inner normal of every cone that has it as a facet."""
-    owners: dict[tuple[Vec, Vec], list[Vec]] = {}
+def _facet_incidence(cones: Iterable[Cone]) -> dict[tuple[Vec, ...], list[Vec]]:
+    """Each facet of the cones, keyed by its rays (``Cone.facets``: a pair
+    in dimension 3, one ray for a planar cone, none for a ray), with the
+    inner normal of every cone that has it as a facet: the facet adjacency
+    of the cones."""
+    owners: dict[tuple[Vec, ...], list[Vec]] = {}
     for c in cones:
-        g = c.generators
-        for n, (i, j) in zip(c.facet_normals, c.facets):
-            owners.setdefault((g[i], g[j]), []).append(n)
+        for n, f in zip(c.facet_normals, c.facets):
+            owners.setdefault(f, []).append(n)
     return owners
 
 
@@ -226,34 +231,38 @@ def _interiors_disjoint(a: Cone, b: Cone) -> bool:
     Exactly when a plane through the origin separates them, and then one
     spanned by two of their rays does: the separating normals form a
     pointed cone whose extremal rays are cut out by two of those rays.  Such
-    a plane is a supporting plane of the rays of a and the negated rays of b.
+    a plane is a supporting plane of the rays of a and the negated rays of
+    b, so the first one found decides.
     """
-    return bool(_supporting_normals([*a.generators, *map(vneg, b.generators)]))
+    planes = _supporting_planes([*a.generators, *map(vneg, b.generators)])
+    return next(planes, None) is not None
 
 
 def _tiling_certificate(cones: Sequence[Cone], support: Sequence[Cone]) -> dict:
-    """Do the 3-dimensional octant cones tile the support face to face?
+    """Do the octant cones tile the support face to face?
 
-    ``covering_ok``: the cones have the octant volume of the support.
-    ``face_fitting_ok``: the support cones have pairwise disjoint
-    interiors, and every 2-face is a facet of two cones with opposite
-    inner normals, or of one cone and then inside a support facet with the
-    same inner normal that no other support cone has.  The number of cones
-    over a point cannot change across a paired facet, so it is constant
-    inside the support, and the volume forces it to be 1.
+    Cones and support share one dimension k, and a planar or ray support is
+    a single cone.  ``covering_ok``: the cones have the k-dimensional
+    octant volume of the support.  ``face_fitting_ok``: the support cones
+    have pairwise disjoint interiors, and every facet is a facet of two
+    cones with opposite inner normals, or of one cone and then inside a
+    support facet with the same inner normal that no other support cone
+    has.  The number of cones over a point cannot change across a paired
+    facet, so it is constant inside the support, and the volume forces it
+    to be 1.
     """
     shared = _facet_incidence(support)
     boundary: dict[Vec, list[Cone]] = {}
     for s in support:
-        for n, (i, j) in zip(s.facet_normals, s.facets):
-            if len(shared[s.generators[i], s.generators[j]]) == 1:
+        for n, f in zip(s.facet_normals, s.facets):
+            if len(shared[f]) == 1:
                 boundary.setdefault(n, []).append(s)
 
-    def fits(a: Vec, b: Vec, normals: list[Vec]) -> bool:
+    def fits(face: tuple[Vec, ...], normals: list[Vec]) -> bool:
         if len(normals) == 2:
             return normals[0] == vneg(normals[1])
         return len(normals) == 1 and any(
-            s.contains(a) and s.contains(b) for s in boundary.get(normals[0], ())
+            all(map(s.contains, face)) for s in boundary.get(normals[0], ())
         )
 
     return {
@@ -261,8 +270,7 @@ def _tiling_certificate(cones: Sequence[Cone], support: Sequence[Cone]) -> dict:
         "face_fitting_ok": all(
             _interiors_disjoint(a, b) for a, b in combinations(support, 2)
         ) and all(
-            fits(a, b, normals)
-            for (a, b), normals in _facet_incidence(cones).items()
+            fits(face, normals) for face, normals in _facet_incidence(cones).items()
         ),
     }
 

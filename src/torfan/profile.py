@@ -21,6 +21,7 @@ from .cones import (
     Vec,
     ZERO,
     _half_open_points,
+    _integer_vector,
     cross,
     dot,
     triangulate,
@@ -285,7 +286,8 @@ class SubprofileReport:
 def subprofile_check(
     spec: SubprofileSpec, vectors: Sequence[Sequence[int]]
 ) -> SubprofileReport:
-    """Which hyperplanes each vector meets exactly, and an overall reach flag.
+    """Which hyperplanes each vector of three int coordinates meets exactly,
+    and an overall reach flag.
 
     Each hyperplane bounds the one-sided region containing the origin;
     ``in_region`` means membership in the union of those regions within the
@@ -298,7 +300,7 @@ def subprofile_check(
         orientations.append(-1 if h.constant > 0 else 1)
     entries = []
     for v in vectors:
-        vec = (int(v[0]), int(v[1]), int(v[2]))
+        vec = _integer_vector(v, "vector")
         values = [h(vec) for h in spec.hyperplanes]
         reaches = tuple(i for i, val in enumerate(values) if val == 0)
         in_region = spec.cone.contains(vec) and any(

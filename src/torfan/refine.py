@@ -16,12 +16,14 @@ source-basis element of least value of that piece's l-functional; a piece
 that holds none is split at its nonzero half-open point of least l, which
 is its least-l Hilbert element that is not a generator, so only the source
 cone's Hilbert basis is ever computed.
-Every report carries exact certificates (per-piece multiplicities) and
-the tiling certificate of ``newton._tiling_certificate`` against the
-source cones: the pieces have the sources' volume, and each piece facet is
-shared with one piece on its other side or lies on the sources' outer
-boundary.  Together these prove that the pieces tile the sources face to
-face, so regularity never rests on the construction being correct.
+Every report carries exact certificates (per-piece multiplicities), the
+irreducibility of each result ray, and the tiling certificate of
+``newton._tiling_certificate`` against the source cones, in every
+dimension: the pieces have the sources' volume in their span, and each
+piece facet is shared with one piece on its other side or lies on the
+sources' outer boundary.  Together these prove that the pieces tile the
+sources face to face, so regularity never rests on the construction being
+correct.
 """
 
 from __future__ import annotations
@@ -54,30 +56,24 @@ def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
     return out, changed
 
 
-def _certified_fan(
-    pieces: Sequence[Cone],
-) -> tuple[Fan, tuple[tuple[tuple[int, ...], int], ...]]:
-    """The fan of the pieces and, per piece in generator order, its ray
-    indices in that fan with its lattice index."""
-    pieces = sorted(pieces, key=lambda p: p.generators)
-    fan = Fan.from_cones(pieces)
-    index = {r: i for i, r in enumerate(fan.rays)}
-    return fan, tuple(
-        (tuple(sorted(index[g] for g in p.generators)), p.multiplicity)
-        for p in pieces
-    )
-
-
 @dataclass(frozen=True)
 class RefinementReport:
+    """``certificates``: each piece's ray indices in ``result`` with its
+    multiplicity.  ``irreducible``: each result ray with whether it lies in
+    some source and in the Hilbert basis of every source that contains it."""
+
     source: tuple[Cone, ...]
     result: Fan
     certificates: tuple[tuple[tuple[int, ...], int], ...]
     covering_ok: bool
     face_fitting_ok: bool
-    all_rays_irreducible: bool
+    irreducible: tuple[tuple[Vec, bool], ...]
     new_rays: tuple[Vec, ...]
     used_fallback: bool = False
+
+    @property
+    def all_rays_irreducible(self) -> bool:
+        return all(ok for _, ok in self.irreducible)
 
     def all_unimodular(self) -> bool:
         return all(det == 1 for _, det in self.certificates)
@@ -103,41 +99,30 @@ class MinimalityReport:
     curve_check: str = "not checked"
 
 
-def _irreducible_rays(
-    sources: Sequence[Cone], rays: Iterable[Vec]
-) -> tuple[tuple[Vec, bool], ...]:
-    """Each ray with whether it lies in some source and in the Hilbert basis
-    of every source that contains it."""
-    bases = [(s, set(s.hilbert.elements)) for s in sources]
-    entries = []
-    for ray in rays:
-        flags = [ray in basis for s, basis in bases if s.contains(ray)]
-        entries.append((ray, bool(flags) and all(flags)))
-    return tuple(entries)
-
-
 def _build_report(
     sources: Sequence[Cone],
     pieces: Sequence[Cone],
     used_fallback: bool,
 ) -> RefinementReport:
-    fan, certificates = _certified_fan(pieces)
-    if all(s.dim == 3 for s in sources):
-        tiling = _tiling_certificate(pieces, sources)
-    else:
-        # a pulled chain of a ray or planar cone: consecutive pieces share
-        # exactly their common ray, so covering and fitting hold by construction
-        tiling = {"covering_ok": True, "face_fitting_ok": True}
+    # generators are sorted and fan ray indices follow the ray order, so the
+    # fan lists its cones in the order of the pieces sorted by generators
+    pieces = sorted(pieces, key=lambda p: p.generators)
+    fan = Fan.from_cones(pieces)
+    tiling = _tiling_certificate(pieces, sources)
+    bases = [(s, set(s.hilbert.elements)) for s in sources]
+    irreducible = []
+    for ray in fan.rays:
+        flags = [ray in basis for s, basis in bases if s.contains(ray)]
+        irreducible.append((ray, bool(flags) and all(flags)))
     source_rays = {g for s in sources for g in s.generators}
-    new_rays = tuple(sorted(set(fan.rays) - source_rays))
     return RefinementReport(
         tuple(sources),
         fan,
-        certificates,
+        tuple((fc.rays, p.multiplicity) for fc, p in zip(fan.cones, pieces)),
         tiling["covering_ok"],
         tiling["face_fitting_ok"],
-        all(ok for _, ok in _irreducible_rays(sources, fan.rays)),
-        new_rays,
+        tuple(irreducible),
+        tuple(sorted(set(fan.rays) - source_rays)),
         used_fallback,
     )
 
@@ -282,5 +267,4 @@ def check_minimal_embedded(r: RefinementReport) -> MinimalityReport:
     """
     if not r.all_unimodular():
         raise ValueError("minimality check expects a regular refinement")
-    entries = _irreducible_rays(r.source, r.result.rays)
-    return MinimalityReport(entries, all(ok for _, ok in entries))
+    return MinimalityReport(r.irreducible, r.all_rays_irreducible)

@@ -399,17 +399,15 @@ def test_simplex_matches_general_kernel_and_oracle(a, b, c, points):
     assert gens == tuple(sorted((a, b, c)))
     # the simplex facets are those of the all-pairs kernel, in the same order
     assert tuple(zip(simplex.facet_normals, simplex.facets)) == tuple(
-        (n, tuple(i for i, g in enumerate(gens) if dot(n, g) == 0))
-        for n in _supporting_normals(gens)
+        (n, tuple(g for g in gens if dot(n, g) == 0)) for n in _supporting_normals(gens)
     )
     normals = [_gcd_primitive(n) for n in supporting_normals(gens)]
     assert sorted(simplex.facet_normals) == sorted(normals)
     inside = lambda v: all(sum(x * y for x, y in zip(n, v)) >= 0 for n in normals)
     for v in [*points, (0, 0, 0)]:
         assert simplex.contains(v) == inside(v), v
-    for i, j in simplex.facets:
-        (k,) = {0, 1, 2} - {i, j}
-        gi, gj, gk = gens[i], gens[j], gens[k]
+    for gi, gj in simplex.facets:
+        (gk,) = set(gens) - {gi, gj}
         for s, t in ((1, 0), (0, 1), (1, 1), (2, 3)):
             on = tuple(s * x + t * y for x, y in zip(gi, gj))
             assert simplex.contains(on) and inside(on)
@@ -454,12 +452,8 @@ def test_hilbert_basis_non_simplicial_against_triangulation_choice():
     # hilbert_basis fans out from the lexmin ray; rebuild the basis from the
     # fan out of the lexmax ray, with box-oracle points and irreducibility.
     c = Cone.from_generators([(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 7, 4)])
-    i0 = c.generators.index(max(c.generators))
-    pieces = [
-        (c.generators[i0], c.generators[i], c.generators[j])
-        for i, j in c.facets
-        if i0 not in (i, j)
-    ]
+    top = max(c.generators)
+    pieces = [(top, a, b) for a, b in c.facets if top not in (a, b)]
     assert len(pieces) == len(c.generators) - 2
     candidates = {v for gens in pieces for v in box_parallelepiped_points(gens)}
     candidates.discard((0, 0, 0))

@@ -151,6 +151,15 @@ def test_fan_consistency_and_covering():
         assert octant_solid_volume(cones) == Fraction(1, 6)
 
 
+def test_octant_volume_of_planar_cones_and_rays_is_measured_in_their_span():
+    wide = Cone.from_generators([E1, (1, 5, 0)])
+    assert octant_solid_volume([Cone.from_generators([E1, E2])]) == Fraction(1, 2)
+    assert octant_solid_volume([wide]) == Fraction(5, 12)
+    assert octant_solid_volume(wide.pulled((1, 1, 0))) == Fraction(5, 12)
+    assert octant_solid_volume([Cone.from_generators([E1, (0, 1, 1)])]) == Fraction(1, 4)
+    assert octant_solid_volume([Cone.from_generators([(2, 3, 5)])]) == Fraction(1, 10)
+
+
 @pytest.mark.parametrize("ray", [(1, -1, 0), (1, -2, 0)])
 def test_octant_volume_refuses_a_ray_of_non_positive_coordinate_sum(ray):
     # (1,-1,0) used to divide by zero and (1,-2,0) to give a negative volume
@@ -254,6 +263,14 @@ def test_broken_fans_fail_the_tiling_certificate(case):
     assert bool(octant_tiling_defects([c.generators for c in cones])) == (
         case != "t-junction"
     )
+
+
+def test_a_piece_facet_across_two_source_facets_does_not_fit():
+    # the octant as one piece of the octant split at (1,1,0): its facet
+    # <e1,e2> lies on z = 0, but in neither source facet there
+    B = Cone.from_generators([(1, 1, 0), E2, E3])
+    assert refinement_flags([A, B], [OCTANT]) == (True, False)
+    assert refinement_flags([A, B], [A, B]) == (True, True)
 
 
 def test_refine_fan_of_a_doubled_cone_is_not_face_fitting():

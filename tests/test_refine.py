@@ -11,13 +11,21 @@ from torfan.cones import (
     _supporting_normals,
     cross,
     dot,
+    extremal_rays,
     hilbert_basis,
     is_irreducible,
+    primitive,
     triangulate,
 )
 from torfan.newton import dual_newton_cones
 from torfan.polyparse import parse_polynomial
-from torfan.profile import profile, profile_lattice_points
+from torfan.profile import (
+    SubprofileSpec,
+    parse_functional,
+    profile,
+    profile_lattice_points,
+    subprofile_check,
+)
 from torfan.refine import (
     check_minimal_embedded,
     refine_fan,
@@ -152,6 +160,9 @@ def test_insufficient_rays_reported_not_raised():
     assert dets == expected
     assert not rep.all_unimodular()
     assert max(dets) > 1
+    # each determinant belongs to the piece its ray indices name
+    for idx, det in rep.certificates:
+        assert det == abs(det3(*(rep.result.rays[i] for i in idx))), idx
 
 
 # rays that int() coerced to (1, 1, 1) or (1, 0, 0), and rays without three coordinates
@@ -220,7 +231,8 @@ def test_two_dimensional_regular_refinement_chain():
     assert set(rep.result.rays) == {(1, k, 0) for k in range(6)}
     assert rep.all_unimodular()
     for c in random_planar_cones(30, 6, seed=6):
-        assert regular_refinement(c).all_unimodular()
+        rep = regular_refinement(c)
+        assert rep.all_unimodular() and rep.covering_ok and rep.face_fitting_ok
 
 
 def random_planar_cones(count, max_entry, seed):
@@ -273,6 +285,70 @@ def test_one_dimensional_identity():
     rep = regular_refinement(ray)
     assert piece_triples(rep) == [((2, 3, 5),)]
     assert rep.certificates == (((0,), 1),)
+
+
+def test_tiling_certificate_refuses_planar_and_ray_pieces_that_do_not_tile():
+    def certified(source, pieces):
+        rep = refine._build_report([source], pieces, False)
+        return rep.covering_ok and rep.face_fitting_ok
+
+    ray = Cone.from_generators([(2, 3, 5)])
+    assert certified(ray, [ray])
+    assert not certified(ray, [])
+    assert not certified(ray, [ray, ray])
+    assert not certified(ray, [Cone.from_generators([(2, 3, 4)])])
+    split = 0
+    for c in random_planar_cones(400, 9, seed=20261019):
+        pieces = refine._hilbert_pieces(c)[0]
+        assert certified(c, pieces), c
+        if len(pieces) == 1:
+            continue
+        split += 1
+        for k, p in enumerate(pieces):
+            assert not certified(c, pieces[:k] + pieces[k + 1:]), (c, "dropped", p)
+            assert not certified(c, [*pieces, p]), (c, "duplicated", p)
+            for g in set(p.generators) & set(c.generators):
+                # the end piece (v, g) stretched to a ray w past g
+                (v,) = set(p.generators) - {g}
+                w = primitive(tuple((sum(v) + 1) * x - y for x, y in zip(g, v)))
+                past = Cone.from_generators([v, w])
+                assert not certified(c, [past if q is p else q for q in pieces]), (c, p)
+    assert split > 100
+
+
+def test_minimality_reads_the_report_irreducibility_table():
+    face = Cone.from_generators([E1, E2])
+    reports = [
+        refine_fan(ELL_CONES),
+        refine_fan(B_CONES),
+        *map(regular_refinement, ELL_CONES + B_CONES),
+        refinement_from_rays(face, [(1, 1, 0)]),
+    ]
+    for rep in reports:
+        recount = []
+        for ray in rep.result.rays:
+            owners = [s for s in rep.source if s.contains(ray)]
+            recount.append((ray, bool(owners) and all(is_irreducible(s, ray) for s in owners)))
+        assert rep.irreducible == tuple(recount)
+        assert rep.all_rays_irreducible == all(ok for _, ok in recount)
+        assert check_minimal_embedded(rep).entries == rep.irreducible
+    assert not reports[-1].all_rays_irreducible
+
+
+def test_vector_entry_points_refuse_non_integer_coordinates():
+    # each of these was read through int(), so 0.5 became 0 and 1.9 became 1
+    spec = SubprofileSpec(OCTANT, (parse_functional("x+y-1"),))
+    for v in [*NON_INTEGER_RAYS, (0.5, 0, 0), (0.4, 0, 0), (1.9, 0.2, 0), (Fraction(1, 2), 0, 0)]:
+        message = re.escape(f"{v!r} needs three int coordinates")
+        with pytest.raises(ValueError, match="generator " + message):
+            Cone.from_generators([v, E2, E3])
+        with pytest.raises(ValueError, match="generator " + message):
+            extremal_rays([v, E2])
+        with pytest.raises(ValueError, match="vector " + message):
+            subprofile_check(spec, [E1, v])
+    for v in [(2.5, 5, 0), (2.0, 4, 0), (Fraction(5, 2), 5, 0)]:
+        with pytest.raises(TypeError):
+            primitive(v)
 
 
 def test_check_minimal_embedded_elliptic():
@@ -332,7 +408,7 @@ def test_refinement_pieces_equal_the_general_constructor():
         for p in [*refine._hilbert_pieces(c)[0], *triangulate(c), *pulled]:
             assert p == Cone.from_generators(p.generators), p
             assert tuple(zip(p.facet_normals, p.facets)) == tuple(
-                (n, tuple(i for i, g in enumerate(p.generators) if dot(n, g) == 0))
+                (n, tuple(g for g in p.generators if dot(n, g) == 0))
                 for n in _supporting_normals(p.generators)
             ), p
         # pulled at any of its points, the cone keeps its volume
