@@ -23,11 +23,8 @@ _EXPORTS = {
         "HilbertBasis",
         "cross",
         "dot",
-        "extremal_rays",
         "hilbert_basis",
         "is_irreducible",
-        "is_regular",
-        "parallelepiped_points",
         "parse_cone",
         "primitive",
         "triangulate",
@@ -37,7 +34,6 @@ _EXPORTS = {
         "Fan",
         "NewtonPolyhedron",
         "dual_newton_cones",
-        "dual_newton_fan",
         "fan_consistency_report",
         "fan_faces",
         "newton_polyhedron",
@@ -50,7 +46,6 @@ _EXPORTS = {
         "contains_point",
         "facet_equation",
         "l_functional",
-        "parse_functional",
         "profile",
         "profile_lattice_points",
         "subprofile_check",
@@ -81,12 +76,10 @@ _EXPORTS = {
         "equation",
         "families",
         "fixture_instances",
-        "groebner_meet",
         "profile_discrepancy",
         "stated_maximal_cones",
         "subprofile_hyperplanes",
         "verify",
-        "verify_grid",
     ),
 }
 

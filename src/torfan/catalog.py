@@ -36,7 +36,7 @@ from .profile import (
     subprofile_check,
 )
 from .refine import refinement_from_rays
-from .valuation import groebner_fan, initial_form, tropical_variety
+from .valuation import tropical_variety
 
 
 class CatalogError(ValueError):
@@ -793,42 +793,3 @@ def verify(
     }
     overall = all(st["status"] != "fail" for st in stages.values())
     return VerificationReport(family, inst.params, str(inst.poly), stages, rows, overall)
-
-
-def verify_grid(family: str) -> list[VerificationReport]:
-    return [verify(family, ps) for ps in default_grid(family)]
-
-
-def groebner_meet(family: str, params: Mapping[str, int] | None = None) -> dict:
-    """Observational report: the Groebner cone met by each resolution ray.
-
-    Vectors come from the embedded-valuation list when the family states
-    one and from the union of per-cone Hilbert bases otherwise.
-    """
-    inst = instance(family, params)
-    p = inst.poly
-    vectors = inst.stated.valuations
-    source = "hilbert-basis" if vectors is None else "embedded-valuations"
-    if vectors is None:
-        vectors = sorted({v for c, _ in dual_newton_cones(p) for v in c.hilbert})
-    by_support = {g.initial_form.support(): g for g in groebner_fan(p)}
-    entries = []
-    for v in vectors:
-        form = initial_form(p, v)
-        g = by_support[form.support()]
-        entries.append(
-            {
-                "vector": list(v),
-                "initial_form": str(form),
-                "cone_dim": g.cone.dim,
-                "cone_rays": _lists(g.cone.generators),
-                "monomial": form.is_monomial(),
-            }
-        )
-    return {
-        "family": family,
-        "params": inst.params,
-        "equation": str(p),
-        "source": source,
-        "entries": entries,
-    }

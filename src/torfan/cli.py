@@ -1,10 +1,11 @@
 """Command-line front end: JSON reports and SVG fan cross-sections.
 
-Every verb emits a deterministic artifact: JSON (validated against the
-shipped schema in ``data/cli_schema.json``) to stdout or ``--out``, a
+Every verb emits a deterministic artifact: JSON to stdout or ``--out``, a
 plain-text summary with ``--format text``, or an SVG cross-section for
-``render``.  Exit codes: 0 success, 1 any verification flag false,
-2 malformed input or usage.
+``render``.  The JSON shapes are published in ``data/cli_schema.json``;
+the tests check outputs against it, the CLI does not check each run.
+Exit codes: 0 success, 1 any verification flag false, 2 malformed input
+or usage.
 """
 
 from __future__ import annotations
@@ -36,66 +37,13 @@ _FORMATS = ("json", "text")
 # output schema
 
 
-class SchemaError(ValueError):
-    pass
-
-
 @cache
 def load_schema() -> dict:
+    """The published JSON contract of every verb, ``data/cli_schema.json``;
+    the tests check outputs against it, not each run."""
     return json.loads(
         resources.files("torfan.data").joinpath("cli_schema.json").read_text()
     )
-
-
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
-    "boolean": bool,
-    "number": (int, float),
-}
-
-
-def _check_schema(obj, schema: dict, defs: dict, path: str) -> None:
-    if "$ref" in schema:
-        _check_schema(obj, defs[schema["$ref"]], defs, path)
-        return
-    t = schema.get("type")
-    if t is not None:
-        ok = isinstance(obj, _TYPES[t])
-        if t in ("integer", "number") and isinstance(obj, bool):
-            ok = False
-        if not ok:
-            raise SchemaError(f"{path}: expected {t}, got {type(obj).__name__}")
-    if "enum" in schema and obj not in schema["enum"]:
-        raise SchemaError(f"{path}: {obj!r} not in {schema['enum']}")
-    if isinstance(obj, dict):
-        props = schema.get("properties", {})
-        for key in schema.get("required", []):
-            if key not in obj:
-                raise SchemaError(f"{path}: missing key {key!r}")
-        extra_ok = schema.get("additionalProperties", True)
-        for key, val in obj.items():
-            if key in props:
-                _check_schema(val, props[key], defs, f"{path}.{key}")
-            elif extra_ok is False:
-                raise SchemaError(f"{path}: unexpected key {key!r}")
-    if isinstance(obj, list):
-        if "minItems" in schema and len(obj) < schema["minItems"]:
-            raise SchemaError(f"{path}: fewer than {schema['minItems']} items")
-        if "maxItems" in schema and len(obj) > schema["maxItems"]:
-            raise SchemaError(f"{path}: more than {schema['maxItems']} items")
-        items = schema.get("items")
-        if items is not None:
-            for i, val in enumerate(obj):
-                _check_schema(val, items, defs, f"{path}[{i}]")
-
-
-def validate_output(verb_key: str, obj) -> None:
-    """Raise SchemaError unless obj matches the shipped schema for the verb."""
-    schema = load_schema()
-    _check_schema(obj, schema["verbs"][verb_key], schema["definitions"], "$")
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +542,7 @@ def run(argv: list[str]) -> int:
         return int(status.code or 0)
     try:
         ok, key, payload = _HANDLERS[ns.verb](ns)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if ns.verb == "render":
@@ -602,7 +550,6 @@ def run(argv: list[str]) -> int:
     elif ns.format == "text":
         _emit("\n".join(_text_lines(key, payload)) + "\n", ns.out)
     else:
-        validate_output(key, payload)
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", ns.out)
     return 0 if ok else 1
 

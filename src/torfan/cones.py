@@ -62,7 +62,13 @@ def unimodular_det(v1: Vec, v2: Vec, v3: Vec) -> int:
 
 
 def primitive(v: Sequence[int]) -> Vec:
-    """Divide out the gcd of the int coordinates; error on the zero vector."""
+    """Divide out the gcd of the coordinates; ValueError unless v is three
+    ints, not all zero."""
+    return _primitive(_integer_vector(v, "vector"))
+
+
+def _primitive(v: Vec) -> Vec:
+    """``primitive`` of an int triple, unchecked: for vectors this code built."""
     g = gcd(v[0], v[1], v[2])
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
@@ -100,15 +106,7 @@ def _supporting_planes(gens: Sequence[Vec]) -> Iterator[Vec]:
 
 def _supporting_normals(gens: Sequence[Vec]) -> list[Vec]:
     """Sorted distinct primitive ``_supporting_planes`` of gens."""
-    return sorted(set(map(primitive, _supporting_planes(gens))))
-
-
-def extremal_rays(vectors: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
-    """Sorted primitive extremal rays of the pointed cone spanned by vectors
-    of three int coordinates (``Cone.from_generators``), or () when none is
-    nonzero."""
-    vs = [_integer_vector(v, "generator") for v in vectors]
-    return Cone.from_generators(vs).generators if any(t != ZERO for t in vs) else ()
+    return sorted(set(map(_primitive, _supporting_planes(gens))))
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,7 @@ class Cone:
         rays: list[Vec] = []
         for v in vectors:
             t = _integer_vector(v, "generator")
-            if t != ZERO and (p := primitive(t)) not in rays:
+            if t != ZERO and (p := _primitive(t)) not in rays:
                 rays.append(p)
         if not rays:
             raise ValueError("a cone needs at least one nonzero generator")
@@ -171,8 +169,8 @@ class Cone:
                 n = cross(a, b)
                 forms = (cross(n, a), cross(b, n))
                 if n != ZERO and all(dot(f, g) >= 0 for f in forms for g in rays):
-                    normals = tuple(map(primitive, forms))
-                    return cls((a, b), 2, normals, ((a,), (b,)), primitive(n))
+                    normals = tuple(map(_primitive, forms))
+                    return cls((a, b), 2, normals, ((a,), (b,)), _primitive(n))
         elif len(rays) == 1:
             return cls(tuple(rays), 1, tuple(rays), ((),), None)
         raise ValueError("generators span a non-pointed cone")
@@ -194,7 +192,7 @@ class Cone:
             ((g0, g2), cross(g2, g0)),
             ((g1, g2), cross(g1, g2)),
         ):
-            items.append((primitive((s * n[0], s * n[1], s * n[2])), pair))
+            items.append((_primitive((s * n[0], s * n[1], s * n[2])), pair))
         normals, pairs = zip(*sorted(items))
         return cls(gens, 3, normals, pairs, None)
 
@@ -267,11 +265,6 @@ class Cone:
         return f"<{inner}>"
 
 
-def is_regular(c: Cone) -> bool:
-    """Unimodularity; non-simplicial cones are reported as not regular."""
-    return c.is_simplicial() and c.multiplicity == 1
-
-
 def triangulate(c: Cone) -> tuple[Cone, ...]:
     """Split into simplicial cones by pulling the lexicographically least
     ray (``Cone.pulled``).
@@ -341,26 +334,6 @@ def _half_open_points(c: Cone) -> tuple[int, list[tuple[Vec, Vec]]]:
         u = tuple((q1 * g1[i] + q2 * g2[i] + q3 * g3[i]) // big for i in range(3))
         pairs.append((u, (q1, q2, q3)))
     return big, pairs
-
-
-def parallelepiped_points(c: Cone) -> tuple[Vec, ...]:
-    """Lattice points of {sum t_i * g_i : 0 <= t_i <= 1} for a simplicial cone.
-
-    These are the corners u + sum(g_i for i in S) of the half-open points u,
-    for S within {i : q_i = 0}.
-    """
-    if not c.is_simplicial():
-        raise ValueError("parallelepiped needs a simplicial cone; triangulate first")
-    if c.dim == 1:
-        return tuple(sorted({ZERO, c.generators[0]}))
-    points: set[Vec] = set()
-    for u, q in _half_open_points(c)[1]:
-        corners = [u]
-        for g, qi in zip(c.generators, q):
-            if qi == 0:
-                corners += [vadd(p, g) for p in corners]
-        points.update(corners)
-    return tuple(sorted(points))
 
 
 def _require_octant_semigroup(c: Cone) -> None:

@@ -71,11 +71,6 @@ class Fan:
             )
         return cls(tuple(rays), tuple(sorted(fan_cones, key=lambda fc: (fc.rays, fc.label or ""))))
 
-    def cone_objects(self) -> list[Cone]:
-        return [
-            Cone.from_generators([self.rays[i] for i in fc.rays]) for fc in self.cones
-        ]
-
     def to_obj(self) -> dict:
         cones = []
         for fc in self.cones:
@@ -181,13 +176,6 @@ def newton_polyhedron(p: Polynomial) -> NewtonPolyhedron:
             compact.append(face)
     compact.sort(key=lambda t: (t[1], t[0]))
     return NewtonPolyhedron(vertices, facets, tuple(compact))
-
-
-def dual_newton_fan(p: Polynomial) -> Fan:
-    cones = dual_newton_cones(p)
-    return Fan.from_cones(
-        [c for c, _ in cones], ["vertex (%d,%d,%d)" % s for _, s in cones]
-    )
 
 
 _OCTANT = Cone._simplex(E1, E2, E3)

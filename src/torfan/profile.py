@@ -29,7 +29,6 @@ from .cones import (
     vadd,
     vsub,
 )
-from .polyparse import parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -86,22 +85,6 @@ class AffineFunctional:
             sign = "-" if self.constant < 0 else ("+" if out else "")
             out.append(sign + str(abs(self.constant)))
         return "".join(out)
-
-
-def parse_functional(text: str) -> AffineFunctional:
-    """Read an affine expression in x, y, z with integer coefficients, e.g. "4x-y-1"."""
-    p = parse_polynomial(text)
-    coeffs = [Fraction(0)] * 3
-    constant = Fraction(0)
-    for exponent, coeff in p:
-        degree = sum(exponent)
-        if degree == 0:
-            constant = Fraction(coeff)
-        elif degree == 1:
-            coeffs[exponent.index(1)] = Fraction(coeff)
-        else:
-            raise ValueError(f"not an affine expression: {text!r}")
-    return AffineFunctional(tuple(coeffs), constant)
 
 
 def facet_equation(bounding: AffineFunctional) -> str:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .cones import Cone, Vec, _half_open_points, _integer_vector, dot, primitive, triangulate
+from .cones import Cone, Vec, _half_open_points, _integer_vector, _primitive, dot, triangulate
 from .newton import Fan, _tiling_certificate
 from .profile import _l_any_dim
 
@@ -44,7 +44,7 @@ def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
     replacements never are.  v is taken as its primitive ray, so a
     multiple of a generator changes nothing; raises ValueError on zero.
     """
-    v = primitive(v)
+    v = _primitive(v)
     out: list[Cone] = []
     changed = False
     for p in pieces:
@@ -198,7 +198,7 @@ def _checked_rays(c: Cone, rays: Sequence[Vec]) -> list[Vec]:
     be primitive, lie in c and be listed once."""
     seen: set[Vec] = set()
     for v in rays:
-        if primitive(v) != v:
+        if _primitive(v) != v:
             raise ValueError(f"prescribed ray {v} is not primitive")
         if not c.contains(v):
             raise ValueError(f"prescribed ray {v} lies outside the cone")

@@ -23,13 +23,20 @@ and volumes instead, without sampling a single point.
 Caratheodory subset searches (fraction-free integer elimination, Cramer's
 rule); torfan decides both from the integer supporting planes through pairs
 of rays.
+
+``validate_output`` checks a CLI JSON output against the published schema
+``data/cli_schema.json``, which it reads itself; the CLI never checks its
+own output.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 Vec = tuple[int, int, int]
 
@@ -427,3 +434,66 @@ def jets_match_oracle(p, m, system, oracle=None) -> bool:
         for eq in system.equation_dicts()
     ]
     return dicts == expected[: m + 1]
+
+
+CLI_SCHEMA = Path(__file__).resolve().parents[1] / "src/torfan/data/cli_schema.json"
+
+
+class SchemaError(ValueError):
+    pass
+
+
+@cache
+def _cli_schema() -> dict:
+    return json.loads(CLI_SCHEMA.read_text())
+
+
+_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "boolean": bool,
+    "number": (int, float),
+}
+
+
+def _check_schema(obj, schema: dict, defs: dict, path: str) -> None:
+    if "$ref" in schema:
+        _check_schema(obj, defs[schema["$ref"]], defs, path)
+        return
+    t = schema.get("type")
+    if t is not None:
+        ok = isinstance(obj, _TYPES[t])
+        if t in ("integer", "number") and isinstance(obj, bool):
+            ok = False
+        if not ok:
+            raise SchemaError(f"{path}: expected {t}, got {type(obj).__name__}")
+    if "enum" in schema and obj not in schema["enum"]:
+        raise SchemaError(f"{path}: {obj!r} not in {schema['enum']}")
+    if isinstance(obj, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", []):
+            if key not in obj:
+                raise SchemaError(f"{path}: missing key {key!r}")
+        extra_ok = schema.get("additionalProperties", True)
+        for key, val in obj.items():
+            if key in props:
+                _check_schema(val, props[key], defs, f"{path}.{key}")
+            elif extra_ok is False:
+                raise SchemaError(f"{path}: unexpected key {key!r}")
+    if isinstance(obj, list):
+        if "minItems" in schema and len(obj) < schema["minItems"]:
+            raise SchemaError(f"{path}: fewer than {schema['minItems']} items")
+        if "maxItems" in schema and len(obj) > schema["maxItems"]:
+            raise SchemaError(f"{path}: more than {schema['maxItems']} items")
+        items = schema.get("items")
+        if items is not None:
+            for i, val in enumerate(obj):
+                _check_schema(val, items, defs, f"{path}[{i}]")
+
+
+def validate_output(verb_key: str, obj) -> None:
+    """Raise SchemaError unless obj matches the published schema for the verb."""
+    schema = _cli_schema()
+    _check_schema(obj, schema["verbs"][verb_key], schema["definitions"], "$")

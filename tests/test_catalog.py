@@ -14,12 +14,10 @@ from torfan.catalog import (
     equation,
     families,
     fixture_instances,
-    groebner_meet,
     profile_discrepancy,
     stated_maximal_cones,
     subprofile_hyperplanes,
     verify,
-    verify_grid,
 )
 from torfan.cones import Cone, hilbert_basis, is_irreducible
 from torfan.newton import dual_newton_cones
@@ -289,7 +287,7 @@ def test_verify_b_odd_all_green():
 
 
 def test_verify_grid_b_even_all_green():
-    reports = verify_grid("B-even")
+    reports = [verify("B-even", ps) for ps in default_grid("B-even")]
     assert len(reports) == 3
     assert all(r.overall for r in reports)
 
@@ -350,34 +348,13 @@ def test_verify_unknown_family():
         verify("Z9")
 
 
-def test_groebner_meet_sources_and_walls():
-    gm = groebner_meet("ELLIPTIC-1")
-    assert gm["source"] == "hilbert-basis"
-    rows = {tuple(e["vector"]): e for e in gm["entries"]}
-    assert rows[(6, 8, 9)]["monomial"] is False  # apex ray of the dual fan
-    assert rows[(1, 1, 1)]["monomial"] is False  # wall between two cones
-    assert rows[(6, 8, 9)]["cone_rays"] == [[6, 8, 9]]
-    gm_b = groebner_meet("B-odd", B22)
-    assert gm_b["source"] == "embedded-valuations"
-    assert all(len(e["cone_rays"]) >= 1 for e in gm_b["entries"])
-
-
-def test_groebner_meet_entries_over_the_grid():
-    non_monomial = b_entries = 0
-    for family in ALL_FAMILIES:
-        stated = family in ("B-odd", "B-even")
-        for params in default_grid(family):
-            gm = groebner_meet(family, params)
-            p = equation(family, params)
-            assert gm["source"] == ("embedded-valuations" if stated else "hilbert-basis")
-            for e in gm["entries"]:
-                v = tuple(e["vector"])
-                cone = Cone.from_generators([tuple(r) for r in e["cone_rays"]])
-                assert cone.contains(v)
-                assert e["initial_form"] == str(initial_form(p, v))
-            if stated:
-                b_entries += len(gm["entries"])
-                non_monomial += sum(not e["monomial"] for e in gm["entries"])
-    # the stated valuations of the seven B instances with a non-monomial
-    # initial form
-    assert (non_monomial, b_entries) == (84, 225)
+def test_stated_valuations_with_a_non_monomial_initial_form():
+    instances = [(f, ps) for f in ("B-odd", "B-even") for ps in default_grid(f)]
+    assert len(instances) == 7
+    non_monomial = total = 0
+    for family, params in instances:
+        p = equation(family, params)
+        for v in embedded_valuations(family, params):
+            total += 1
+            non_monomial += not initial_form(p, v).is_monomial()
+    assert (non_monomial, total) == (84, 225)

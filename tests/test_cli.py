@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -10,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import CLI_SCHEMA, SchemaError, validate_output
 from torfan import cli
-from torfan.catalog import families
+from torfan.catalog import default_grid, families, verify
 
 ELL = "y^3+x*z^2-x^4"
 B22 = "x^7*z-x^2*y^2-y^2*z"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run_json(capsys, args):
@@ -260,35 +264,45 @@ def test_byte_determinism(capsys):
     assert first[2] == first[3]
 
 
-def test_outputs_validate_against_shipped_schema(capsys, tmp_path):
-    vf = tmp_path / "v.txt"
-    vf.write_text("(1,1,1)\n")
-    cases = [
-        ("dnp", ["dnp", ELL]),
-        ("hilbert", ["hilbert", "<(1,0,0),(0,1,0),(1,1,2)>"]),
-        ("resolve", ["resolve", ELL]),
-        ("profile", ["profile", ELL, "--vectors", str(vf)]),
-        ("groebner", ["groebner", ELL]),
-        ("groebner-tropical", ["groebner", ELL, "--tropical"]),
-        ("jets", ["jets", ELL, "--m", "1"]),
-        ("catalog-list", ["catalog", "list"]),
-        ("catalog-show", ["catalog", "show", "B-even"]),
-        ("verify", ["verify", "E70"]),
-    ]
-    for key, args in cases:
+def _schema_key(args):
+    """The published schema's key for the JSON output of a CLI call."""
+    if args[0] == "catalog":
+        return f"catalog-{args[1]}"
+    return "groebner-tropical" if "--tropical" in args else args[0]
+
+
+def test_outputs_validate_against_shipped_schema(capsys, monkeypatch, tmp_path):
+    # every JSON stdout of the benchmark's cli-mix calls, which name their
+    # input files from the repo root
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.chdir(ROOT)
+    keys = []
+    for argv in importlib.import_module("workloads").CLI_CALLS:
+        args = [str(tmp_path / "fan.svg") if a.endswith(".svg") else a for a in argv]
         code = cli.run(args)
-        obj = json.loads(capsys.readouterr().out)
-        assert code in (0, 1), key
-        cli.validate_output(key, obj)  # raises SchemaError on mismatch
+        out = capsys.readouterr().out
+        if code == 2 or args[0] == "render" or "--format" in args:
+            continue
+        validate_output(_schema_key(args), json.loads(out))
+        keys.append(_schema_key(args))
+    assert len(keys) == 14
+    assert set(keys) == set(json.loads(CLI_SCHEMA.read_text())["verbs"])
+
+
+def test_grid_verify_reports_validate_against_the_published_schema():
+    grid = [(f, ps) for f in families() for ps in default_grid(f)]
+    assert len(grid) == 45
+    for family, params in grid:
+        validate_output("verify", verify(family, params).to_obj())
 
 
 def test_schema_validator_catches_mismatch():
-    with pytest.raises(cli.SchemaError):
-        cli.validate_output("hilbert", [[1, 2]])
-    with pytest.raises(cli.SchemaError):
-        cli.validate_output("jets", {"equation": "x", "m": "two", "variables": [], "equations": []})
-    with pytest.raises(cli.SchemaError):
-        cli.validate_output("dnp", {"equation": "x"})
+    with pytest.raises(SchemaError):
+        validate_output("hilbert", [[1, 2]])
+    with pytest.raises(SchemaError):
+        validate_output("jets", {"equation": "x", "m": "two", "variables": [], "equations": []})
+    with pytest.raises(SchemaError):
+        validate_output("dnp", {"equation": "x"})
 
 
 def test_text_format(capsys):
@@ -329,7 +343,16 @@ def test_usage_and_input_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+def test_an_order_past_the_index_range_is_an_input_error(capsys):
+    # (0,) * (3*m + 4) raised OverflowError, which escaped as exit 1
+    assert cli.run(["jets", "x", "--m", "100000000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: cannot fit 'int' into an index-sized integer"
+    ]
+
+
 LAZY = ("newton", "refine", "valuation", "catalog")
 
 
@@ -376,19 +399,19 @@ def test_each_verb_loads_only_the_modules_it_uses(tmp_path, args, loaded):
 
 PUBLIC_NAMES = """
 ParseError Polynomial parse_polynomial support
-Cone HilbertBasis cross dot extremal_rays hilbert_basis is_irreducible is_regular
-parallelepiped_points parse_cone primitive triangulate unimodular_det
-Fan NewtonPolyhedron dual_newton_cones dual_newton_fan fan_consistency_report
-fan_faces newton_polyhedron octant_solid_volume
+Cone HilbertBasis cross dot hilbert_basis is_irreducible parse_cone primitive
+triangulate unimodular_det
+Fan NewtonPolyhedron dual_newton_cones fan_consistency_report fan_faces
+newton_polyhedron octant_solid_volume
 AffineFunctional Profile SubprofileSpec contains_point facet_equation l_functional
-parse_functional profile profile_lattice_points subprofile_check
+profile profile_lattice_points subprofile_check
 RefinementReport check_minimal_embedded refine_fan refinement_from_rays
 regular_refinement
 GroebnerCone JetSystem groebner_fan initial_form jet_equations tropical_variety
 w_order
 CatalogError appendix_fixture default_grid determinant_families embedded_valuations
-entry equation families fixture_instances groebner_meet profile_discrepancy
-stated_maximal_cones subprofile_hyperplanes verify verify_grid
+entry equation families fixture_instances profile_discrepancy
+stated_maximal_cones subprofile_hyperplanes verify
 """.split()
 
 _PUBLIC_API = """
@@ -525,10 +548,12 @@ def test_every_verb_exits_0_1_or_2_on_random_input(tmp_path_factory, data):
             args += [f"--{flag}", str(value)]
     if verb != "render" and data.draw(st.booleans()):
         args += ["--format", "text"]
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.run(args)
     assert code in (0, 1, 2), args
+    if code != 2 and verb != "render" and "--format" not in args:
+        validate_output(_schema_key(args), json.loads(out.getvalue()))
 
 
 @pytest.mark.parametrize(

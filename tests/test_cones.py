@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -8,14 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from torfan.cones import (
     Cone,
+    _half_open_points,
     _supporting_normals,
     cross,
     dot,
-    extremal_rays,
     hilbert_basis,
     is_irreducible,
-    is_regular,
-    parallelepiped_points,
     parse_cone,
     primitive,
     triangulate,
@@ -47,8 +46,13 @@ def test_primitive():
     assert primitive((6, 8, 9)) == (6, 8, 9)
     assert primitive((2, 4, 6)) == (1, 2, 3)
     assert primitive((0, 0, 5)) == (0, 0, 1)
+    assert primitive([-4, 0, 6]) == (-2, 0, 3)
     with pytest.raises(ValueError):
         primitive((0, 0, 0))
+    # read as (2,4,6), (1,2,4) and an IndexError before
+    for v in [(2, 4, 6, 7), (True, 2, 4), (1, 1)]:
+        with pytest.raises(ValueError, match=re.escape(f"vector {v!r} needs three int")):
+            primitive(v)
 
 
 def test_unimodular_det_examples():
@@ -115,18 +119,22 @@ def test_contains_decides_non_integer_points_exactly():
             is_irreducible(OCTANT, v)
 
 
+def rays(vectors):
+    return Cone.from_generators(vectors).generators
+
+
 def test_extremal_rays():
-    assert set(extremal_rays([E1, E2, (1, 1, 0)])) == {E1, E2}
-    four = extremal_rays([(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 7, 4)])
+    assert set(rays([E1, E2, (1, 1, 0)])) == {E1, E2}
+    four = rays([(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 7, 4)])
     assert set(four) == {(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 7, 4)}
-    assert set(extremal_rays([(2, 0, 0), (0, 3, 0)])) == {E1, E2}
+    assert set(rays([(2, 0, 0), (0, 3, 0)])) == {E1, E2}
 
 
 def test_extremal_rays_non_pointed():
     with pytest.raises(ValueError):
-        extremal_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
+        rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
     with pytest.raises(ValueError):
-        extremal_rays([(1, 1, 0), (-1, 1, 0), (0, -1, 0)])
+        rays([(1, 1, 0), (-1, 1, 0), (0, -1, 0)])
 
 
 def _random_generators(rng: random.Random) -> list[tuple[int, int, int]]:
@@ -158,16 +166,21 @@ def test_extremal_rays_match_caratheodory_oracle():
     rng = random.Random(20261018)
     for _ in range(2000):
         vectors = _random_generators(rng)
-        got = _rays_or_error(extremal_rays, vectors)
-        assert got == _rays_or_error(caratheodory_extremal_rays, vectors), vectors
-        if isinstance(got, tuple) and got:
-            assert got == Cone.from_generators(vectors).generators, vectors
+        got = _rays_or_error(rays, vectors)
+        expected = _rays_or_error(caratheodory_extremal_rays, vectors)
+        if expected == ():  # no nonzero vector
+            expected = "a cone needs at least one nonzero generator"
+        assert got == expected, vectors
         if isinstance(got, tuple) and len(got) >= 3:
             c = Cone.from_generators(vectors)
             if c.dim == 3:
                 assert set(c.facet_normals) == {
                     primitive(n) for n in supporting_normals(vectors)
                 }, vectors
+
+
+def is_regular(c):
+    return c.is_simplicial() and c.multiplicity == 1
 
 
 def test_is_regular():
@@ -228,39 +241,53 @@ def test_is_regular_is_simplicial_with_multiplicity_one():
         if (0, 0, 0) in vs:
             continue
         c = Cone.from_generators(vs)
-        assert is_regular(c) == (c.is_simplicial() and c.multiplicity == 1)
         if c.dim == 3 and c.is_simplicial():
             assert is_regular(c) == (abs(det3(*c.generators)) == 1)
         seen += 1
 
 
+def half_open(c):
+    """The lattice points u of {sum t_i g_i : 0 <= t_i < 1}, sorted, after
+    checking D*u = sum q_i g_i for each."""
+    gens = c.generators
+    big, pairs = _half_open_points(c)
+    for u, q in pairs:
+        assert all(0 <= qi < big for qi in q) and (c.dim == 3 or q[2] == 0)
+        assert tuple(big * x for x in u) == tuple(
+            sum(qi * g[i] for qi, g in zip(q, gens)) for i in range(3)
+        )
+    return tuple(sorted(u for u, _ in pairs))
+
+
+def box_half_open_points(gens):
+    """The closed box oracle's points p with no p - g_i among them: t_i = 1
+    exactly when p - g_i is in the closed parallelepiped too."""
+    closed = set(box_parallelepiped_points(gens))
+    return tuple(sorted(p for p in closed if all(vsub(p, g) not in closed for g in gens)))
+
+
 def test_parallelepiped_octant():
-    pts = parallelepiped_points(OCTANT)
-    assert len(pts) == 8
-    assert set(pts) == {(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)}
+    assert half_open(OCTANT) == ((0, 0, 0),) == box_half_open_points(OCTANT.generators)
 
 
 def test_parallelepiped_contains_hilbert_candidates():
-    pts = set(parallelepiped_points(SIGMA3))
-    assert {(1, 2, 2), (2, 3, 3), (3, 4, 5)} <= pts
+    pts = half_open(SIGMA3)
+    assert len(pts) == SIGMA3.multiplicity == 6
+    assert {(1, 2, 2), (2, 3, 3), (3, 4, 5)} <= set(pts)
 
 
 def test_parallelepiped_interior_point():
     c = Cone.from_generators([E1, E2, (1, 1, 2)])
-    pts = set(parallelepiped_points(c))
-    corners = {
-        (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2),
-        (1, 1, 0), (2, 1, 2), (1, 2, 2), (2, 2, 2),
-    }
-    assert pts == corners | {(1, 1, 1)}
+    assert half_open(c) == ((0, 0, 0), (1, 1, 1)) == box_half_open_points(c.generators)
 
 
 def test_parallelepiped_two_dimensional():
     c = Cone.from_generators([E2, (6, 8, 9)])
-    pts = parallelepiped_points(c)
-    assert (0, 0, 0) in pts and E2 in pts and (6, 8, 9) in pts and (6, 9, 9) in pts
+    pts = half_open(c)
+    assert len(pts) == c.multiplicity == 3
+    assert pts == box_half_open_points(c.generators)
     for p in pts:
-        assert dot(cross(E2, (6, 8, 9)), p) == 0 or p == (0, 0, 0)
+        assert dot(cross(E2, (6, 8, 9)), p) == 0
 
 
 def test_parallelepiped_matches_box_oracle_with_negative_entries():
@@ -278,14 +305,8 @@ def test_parallelepiped_matches_box_oracle_with_negative_entries():
             continue
         counts[k] += 1
         negative += any(x < 0 for g in c.generators for x in g)
-        assert parallelepiped_points(c) == box_parallelepiped_points(c.generators), c
+        assert half_open(c) == box_half_open_points(c.generators), c
     assert negative >= 30
-
-
-def test_parallelepiped_needs_simplicial():
-    c = Cone.from_generators([(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 7, 4)])
-    with pytest.raises(ValueError):
-        parallelepiped_points(c)
 
 
 def test_is_irreducible():
@@ -312,7 +333,9 @@ def test_is_irreducible_matches_box_oracle_on_every_candidate():
     cones.append(Cone.from_generators([(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 7, 4)]))
     assert sum(not c.is_simplicial() for c in cones) >= 5
     for c in cones:
-        candidates = {v for piece in triangulate(c) for v in parallelepiped_points(piece)}
+        candidates = {
+            v for piece in triangulate(c) for v in box_parallelepiped_points(piece.generators)
+        }
         candidates.discard((0, 0, 0))
         for v in sorted(candidates):
             assert is_irreducible(c, v) == box_is_irreducible(c.generators, v), (c, v)
@@ -492,7 +515,7 @@ def test_hilbert_in_parallelepiped_property(g1, g2, g3):
     c = Cone.from_generators([g1, g2, g3])
     if not c.is_simplicial() or c.dim != 3:
         return
-    pts = set(parallelepiped_points(c))
+    pts = set(half_open(c)) | set(c.generators)
     for v in hilbert_basis(c).elements:
         assert v in pts
 

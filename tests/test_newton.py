@@ -7,12 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torfan import refine
+from torfan import cli, refine
 from torfan.cones import Cone, dot, triangulate
 from torfan.newton import (
     Fan,
     dual_newton_cones,
-    dual_newton_fan,
     fan_consistency_report,
     fan_faces,
     newton_polyhedron,
@@ -114,8 +113,9 @@ def test_duality_on_interior_samples():
             assert dot(w, vertex) == min(dot(w, a) for a in support)
 
 
-def test_fan_labels_and_lex_ray_order():
-    fan = dual_newton_fan(ELLIPTIC)
+def test_fan_labels_and_lex_ray_order(capsys):
+    assert cli.run(["dnp", "y^3+x*z^2-x^4"]) == 0
+    fan = Fan.from_obj(json.loads(capsys.readouterr().out))
     assert fan.rays == ((0, 0, 1), (0, 1, 0), (1, 0, 0), (3, 1, 0), (6, 8, 9))
     assert list(fan.rays) == sorted(fan.rays)
     labels = {fc.label for fc in fan.cones}
@@ -123,7 +123,8 @@ def test_fan_labels_and_lex_ray_order():
 
 
 def test_fan_json_round_trip_and_determinism():
-    fan = dual_newton_fan(B22)
+    pairs = dual_newton_cones(B22)
+    fan = Fan.from_cones([c for c, _ in pairs], ["vertex (%d,%d,%d)" % v for _, v in pairs])
     text = fan.to_json()
     assert text == fan.to_json()
     again = Fan.from_json(text)

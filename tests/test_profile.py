@@ -15,7 +15,6 @@ from torfan.profile import (
     contains_point,
     facet_equation,
     l_functional,
-    parse_functional,
     profile,
     profile_lattice_points,
     subprofile_check,
@@ -223,19 +222,11 @@ def test_profile_points_can_contain_reducible_vectors():
     assert (2, 2, 2) not in hilbert_basis(c).elements
 
 
-def test_parse_functional():
-    f = parse_functional("4*x - y - 1")
-    assert f.coeffs == (Fraction(4), Fraction(-1), Fraction(0))
-    assert f.constant == -1
-    assert str(f) == "4x-y-1"
-    with pytest.raises(ValueError):
-        parse_functional("x*y - 1")
-
-
 def test_functional_str_and_primitive():
     f = AffineFunctional((Fraction(-8, 3), Fraction(1), Fraction(1)), Fraction(-1))
     assert str(f.negated().integer_primitive()) == "8x-3y-3z+3"
     assert str(AffineFunctional.from_integers(0, 0, 0, 2).integer_primitive()) == "1"
+    assert str(AffineFunctional.from_integers(4, -1, 0, -1)) == "4x-y-1"
 
 
 def test_integer_form_matches_fraction_arithmetic():
@@ -263,17 +254,23 @@ def test_integer_form_matches_fraction_arithmetic():
 def test_subprofile_incidence_validation():
     ok = SubprofileSpec(
         B22_S2,
-        (parse_functional("x-1"), parse_functional("4*x-y-1")),
+        (
+            AffineFunctional.from_integers(1, 0, 0, -1),
+            AffineFunctional.from_integers(4, -1, 0, -1),
+        ),
     )
     assert len(ok.hyperplanes) == 2
     with pytest.raises(ValueError):
-        SubprofileSpec(B22_S2, (parse_functional("z-1"),))
+        SubprofileSpec(B22_S2, (AffineFunctional.from_integers(0, 0, 1, -1),))
 
 
 def test_subprofile_check_sigma2():
     spec = SubprofileSpec(
         B22_S2,
-        (parse_functional("x-1"), parse_functional("4*x-y-1")),
+        (
+            AffineFunctional.from_integers(1, 0, 0, -1),
+            AffineFunctional.from_integers(4, -1, 0, -1),
+        ),
     )
     report = subprofile_check(spec, [(1, 1, 0), (2, 7, 1)])
     assert report.entries[0].reaches == (0,)
@@ -283,7 +280,7 @@ def test_subprofile_check_sigma2():
 
 
 def test_subprofile_check_sigma3():
-    spec = SubprofileSpec(B22_S3, (parse_functional("3*x-y+1"),))
+    spec = SubprofileSpec(B22_S3, (AffineFunctional.from_integers(3, -1, 0, 1),))
     report = subprofile_check(spec, [(1, 4, 0), (0, 1, 1)])
     assert report.all_reach
     obj = report.to_obj()
@@ -292,7 +289,7 @@ def test_subprofile_check_sigma3():
 
 
 def test_subprofile_check_reports_miss():
-    spec = SubprofileSpec(B22_S3, (parse_functional("3*x-y+1"),))
+    spec = SubprofileSpec(B22_S3, (AffineFunctional.from_integers(3, -1, 0, 1),))
     report = subprofile_check(spec, [(2, 7, 2), (1, 3, 1)])
     assert report.entries[0].reaches == (0,)
     assert report.entries[1].reaches == ()
