@@ -448,6 +448,15 @@ def _text_lines(key: str, obj) -> list[str]:
 # dispatch
 
 
+class _VerbParser(argparse.ArgumentParser):
+    """Reads a token such as -x^4+y^3 as an operand: no verb has an option -x."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] not in ("", "-", "h"):
+            return None  # argparse reads None as a positional argument
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torfan",
@@ -455,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "singularities: dual fans, Hilbert bases, unimodular refinements, "
         "profiles, Groebner fans, jets.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
 
     def common(sp):
         sp.add_argument("--out", help="write the artifact to this file")

@@ -1,13 +1,14 @@
-"""Exact lattice-cone algebra in 3-space.
+"""Exact lattice-cone algebra in 3-space, and the one facet search.
 
 Cones are strongly convex (pointed) rational polyhedral cones given by their
 primitive extremal rays and the inner normals that cut them out within their
-span, all found in one integer pass per cone (``Cone.from_generators``): every
-cone decision is made with integer cross products and determinants.
-``Fraction`` appears only in the profile functionals and volumes built on
-these cones elsewhere.  Cones handed to the semigroup routines (irreducibility,
-Hilbert bases) must live in the non-negative octant, where the coordinate
-sum is a positive grading that orders the reduction of candidates.
+span.  Every facet in the package comes from ``_supporting_planes``: the
+hyperplanes through three generators of a cone in Z^4 with every generator
+on one side.  A cone of 3-space is read times the ray (0,0,0,1); the Newton
+polyhedron and each profile hull are read as cones over lifted points.
+Cones handed to the semigroup routines (irreducibility, Hilbert bases) must
+live in the non-negative octant, where the coordinate sum is a positive
+grading that orders the reduction of candidates.
 
 Hilbert bases and profile points read one enumeration, the half-open
 parallelepiped walk of each simplicial piece (``_half_open_points``): a
@@ -48,10 +49,6 @@ def vadd(a: Vec, b: Vec) -> Vec:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
 def vneg(a: Vec) -> Vec:
     return (-a[0], -a[1], -a[2])
 
@@ -88,25 +85,40 @@ def _rank(vectors: Sequence[Vec]) -> int:
     return 1
 
 
-def _supporting_planes(gens: Sequence[Vec]) -> Iterator[Vec]:
-    """Inner normals, not necessarily primitive or distinct, of the planes
-    through two of gens that leave every generator on their non-negative
-    side, found lazily."""
-    for g1, g2 in combinations(gens, 2):
-        n = cross(g1, g2)
-        if n == ZERO:
-            continue
-        a, b, c = n
-        values = [a * x + b * y + c * z for x, y, z in gens]
-        if min(values) >= 0:
-            yield n
-        elif max(values) <= 0:
-            yield vneg(n)
+def _supporting_planes(gens: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """Primitive inner normals of the hyperplanes of Z^4 through three of gens
+    that leave every generator on their non-negative side, each found once
+    and lazily: the facets of a full-dimensional pointed cone over gens.  The
+    normal of (a, b, c) expands along c with the 2x2 minors of a and b."""
+    seen: set[tuple[int, ...]] = set()
+    for i, (a0, a1, a2, a3) in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            b0, b1, b2, b3 = gens[j]
+            m01, m02, m03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+            m12, m13, m23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+            for c0, c1, c2, c3 in gens[j + 1:]:
+                n0 = c1 * m23 - c2 * m13 + c3 * m12
+                n1 = c2 * m03 - c0 * m23 - c3 * m02
+                n2 = c0 * m13 - c1 * m03 + c3 * m01
+                n3 = c1 * m02 - c0 * m12 - c2 * m01
+                g = gcd(n0, n1, n2, n3)
+                if g == 0 or (n := (n0 // g, n1 // g, n2 // g, n3 // g)) in seen:
+                    continue
+                m = (-n[0], -n[1], -n[2], -n[3])
+                seen.update((n, m))
+                values = [n0 * x + n1 * y + n2 * z + n3 * t for x, y, z, t in gens]
+                if min(values) >= 0:
+                    yield n
+                elif max(values) <= 0:
+                    yield m
 
 
-def _supporting_normals(gens: Sequence[Vec]) -> list[Vec]:
-    """Sorted distinct primitive ``_supporting_planes`` of gens."""
-    return sorted(set(map(_primitive, _supporting_planes(gens))))
+def _supporting_normals(gens: Iterable[Vec]) -> Iterator[Vec]:
+    """Primitive inner normals, found lazily, of the planes through two of
+    gens that leave every generator on their non-negative side: the facets
+    (n, 0) of the cone over gens times the ray (0,0,0,1) in Z^4."""
+    lifted = [(0, 0, 0, 1), *((x, y, z, 0) for x, y, z in gens)]
+    return (n[:3] for n in _supporting_planes(lifted) if n[3] == 0)
 
 
 @dataclass(frozen=True)
@@ -157,7 +169,7 @@ class Cone:
         if rank == 3 and len(rays) == 3:
             return cls._simplex(*rays)
         if rank == 3:
-            normals = _supporting_normals(rays)
+            normals = sorted(_supporting_normals(rays))
             if _rank(normals) == 3:
                 gens = tuple(
                     sorted(g for g in rays if sum(dot(n, g) == 0 for n in normals) >= 2)

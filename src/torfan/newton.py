@@ -1,6 +1,7 @@
 """Newton polyhedra with recession octant, and their dual fans.
 
-NP(f) is the convex hull of support(f) + the non-negative octant; its normal
+NP(f) is the convex hull of support(f) + the non-negative octant, read off
+one supporting-hyperplane pass over the cone it is a slice of.  Its normal
 fan lives exactly on the octant (the recession cone is self-dual), so the
 dual fan is complete there.  Maximal dual cones correspond to vertices of
 NP(f), rays to facets, and strictly positive cones to compact faces.
@@ -13,20 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
+from operator import le
 from typing import Iterable, Sequence
 
 from .cones import (
     Cone,
     Vec,
-    ZERO,
     _rank,
     _supporting_normals,
     _supporting_planes,
     dot,
     triangulate,
-    vadd,
     vneg,
-    vsub,
 )
 from .polyparse import Polynomial
 
@@ -121,23 +120,27 @@ class Fan:
         return cls.from_obj(obj)
 
 
-def _normal_cone_rays(s: Vec, support: Sequence[Vec]) -> list[Vec]:
-    """Extremal rays of {w >= 0 : w·a >= w·s for all support points a}."""
-    constraints = [E1, E2, E3] + [vsub(a, s) for a in support if a != s]
-    # the rays of this cone are the facet normals of the cone over the
-    # constraints, which span 3-space because E1, E2, E3 are among them
-    return _supporting_normals(constraints)
+def _newton_hull(p: Polynomial) -> tuple[list[tuple[Vec, int]], list[tuple[Vec, list[Vec]]]]:
+    """Facets (w, o), sorted, of NP(f) = {x : w·x >= o}, and its vertices in
+    sorted order, each with the normals of the facets through it.
+
+    NP(f) is the slice t = 1 of the cone over the (e_i, 0) and the (a, 1) for
+    the support points a above no other b: (a, 1) = (b, 1) + sum (a - b)_i
+    (e_i, 0) adds nothing.  Each facet n of that cone but t >= 0 is the facet
+    (n[:3], -n[3]) of NP(f); a support point is a vertex exactly when the
+    normals of the facets through it span 3-space, and so its normal cone.
+    """
+    support = sorted(p.support())
+    minimal = [a for a in support if not any(b != a and all(map(le, b, a)) for b in support)]
+    lifted = [(*e, 0) for e in (E1, E2, E3)] + [(*a, 1) for a in minimal]
+    facets = sorted((n[:3], -n[3]) for n in _supporting_planes(lifted) if any(n[:3]))
+    tight = ((s, [w for w, o in facets if dot(w, s) == o]) for s in minimal)
+    return facets, [(s, normals) for s, normals in tight if _rank(normals) == 3]
 
 
 def dual_newton_cones(p: Polynomial) -> list[tuple[Cone, Vec]]:
     """Maximal cones of the dual fan, each with the NP vertex it selects."""
-    support = sorted(p.support())
-    out = []
-    for s in support:
-        rays = _normal_cone_rays(s, support)
-        if _rank(rays) == 3:
-            out.append((Cone.from_generators(rays), s))
-    return out
+    return [(Cone.from_generators(normals), s) for s, normals in _newton_hull(p)[1]]
 
 
 def fan_faces(maximal: Sequence[Cone]) -> list[tuple[tuple[Vec, ...], int]]:
@@ -154,28 +157,17 @@ def fan_faces(maximal: Sequence[Cone]) -> list[tuple[tuple[Vec, ...], int]]:
 
 
 def newton_polyhedron(p: Polynomial) -> NewtonPolyhedron:
-    support = sorted(p.support())
-    cones = dual_newton_cones(p)
-    vertices = tuple(s for _, s in cones)
-    ray_union = sorted({r for c, _ in cones for r in c.generators})
-    facets = tuple((w, min(dot(w, a) for a in support)) for w in ray_union)
-
-    compact: list[tuple[tuple[Vec, ...], int]] = []
-    for rays, cone_dim in fan_faces([c for c, _ in cones]):
-        if cone_dim == 3:
-            continue  # dual face is a vertex; those live in .vertices
-        sample = ZERO
-        for r in rays:
-            sample = vadd(sample, r)
-        if not all(x > 0 for x in sample):
-            continue
-        o = min(dot(sample, a) for a in support)
-        tight = tuple(v for v in vertices if dot(sample, v) == o)
-        face = (tight, 3 - cone_dim)
-        if face not in compact:
-            compact.append(face)
+    """NP(f) read off its facets.  The compact faces are the facets with a
+    positive normal, and the edges where two facets meet in two vertices:
+    two facets meet in one face, so those are the bounded edges."""
+    facets, tight = _newton_hull(p)
+    vertices = tuple(s for s, _ in tight)
+    on = [tuple(v for v in vertices if dot(w, v) == o) for w, o in facets]
+    compact = [(face, 2) for (w, _), face in zip(facets, on) if min(w) > 0]
+    edges = (tuple(v for v in f if v in g) for f, g in combinations(on, 2))
+    compact += [(edge, 1) for edge in edges if len(edge) == 2]
     compact.sort(key=lambda t: (t[1], t[0]))
-    return NewtonPolyhedron(vertices, facets, tuple(compact))
+    return NewtonPolyhedron(vertices, tuple(facets), tuple(compact))
 
 
 _OCTANT = Cone._simplex(E1, E2, E3)
@@ -222,7 +214,7 @@ def _interiors_disjoint(a: Cone, b: Cone) -> bool:
     a plane is a supporting plane of the rays of a and the negated rays of
     b, so the first one found decides.
     """
-    planes = _supporting_planes([*a.generators, *map(vneg, b.generators)])
+    planes = _supporting_normals([*a.generators, *map(vneg, b.generators)])
     return next(planes, None) is not None
 
 

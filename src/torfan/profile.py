@@ -3,8 +3,9 @@
 The profile of a cone is the region between the origin and the convex hull
 of the primitive generators: for a simplicial cone it is cut out by the
 single functional taking value 1 on every generator, otherwise by the
-facets of conv({0} ∪ generators) that miss the origin.  Bounding
-functionals are oriented so that the inside satisfies ℓ ≤ 0.
+facets of conv({0} ∪ generators) that miss the origin, read off the cone
+over the lifted points (p, 1) by the supporting-hyperplane kernel of
+``cones``.  Bounding functionals are oriented so that inside, ℓ ≤ 0.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -22,12 +22,12 @@ from .cones import (
     ZERO,
     _half_open_points,
     _integer_vector,
+    _supporting_planes,
     cross,
     dot,
     triangulate,
     unimodular_det,
     vadd,
-    vsub,
 )
 
 
@@ -151,26 +151,13 @@ def _l_any_dim(c: Cone) -> AffineFunctional:
     return _over(g, dot(g, g))
 
 
-def _hull_facets_off_origin(points: Sequence[Vec]) -> list[AffineFunctional]:
-    """Facets of conv(points) not through 0, oriented inside ≤ 0."""
-    seen = {}
-    for p1, p2, p3 in combinations(points, 3):
-        n = cross(vsub(p2, p1), vsub(p3, p1))
-        if n == ZERO:
-            continue
-        offset = dot(n, p1)
-        values = [dot(n, q) - offset for q in points]
-        if any(v > 0 for v in values):
-            if any(v < 0 for v in values):
-                continue
-            n = (-n[0], -n[1], -n[2])
-            offset = -offset
-        if offset == 0:
-            continue  # facet through the origin bounds the cone, not the profile
-        g = gcd(gcd(gcd(abs(n[0]), abs(n[1])), abs(n[2])), abs(offset))
-        key = (n[0] // g, n[1] // g, n[2] // g, -offset // g)
-        seen.setdefault(key, AffineFunctional.from_integers(*key))
-    return sorted(seen.values(), key=lambda f: (f.coeffs, f.constant))
+def _hull_facets_off_origin(points: Sequence[Vec]) -> tuple[AffineFunctional, ...]:
+    """Facets of conv(points) not through 0, oriented inside ≤ 0, for points
+    whose hull is full-dimensional and holds 0: the facet normals n with
+    n[3] != 0 of the cone over the (p, 1), since n·(x, 1) >= 0 inside."""
+    planes = _supporting_planes([(*q, 1) for q in points])
+    forms = [AffineFunctional.from_integers(-a, -b, -c, -d) for a, b, c, d in planes if d]
+    return tuple(sorted(forms, key=lambda f: (f.coeffs, f.constant)))
 
 
 def profile(c: Cone) -> Profile:
@@ -184,8 +171,7 @@ def _profile(c: Cone) -> Profile:
     if c.is_simplicial():
         l = _l_any_dim(c)
         return Profile(c, (AffineFunctional(l.coeffs, l.constant - 1),), "simplicial")
-    bounding = _hull_facets_off_origin([ZERO, *c.generators])
-    return Profile(c, tuple(bounding), "convex-hull")
+    return Profile(c, _hull_facets_off_origin([ZERO, *c.generators]), "convex-hull")
 
 
 def contains_point(p: Profile, v: Sequence[int]) -> bool:

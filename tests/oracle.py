@@ -24,6 +24,13 @@ Caratheodory subset searches (fraction-free integer elimination, Cramer's
 rule); torfan decides both from the integer supporting planes through pairs
 of rays.
 
+``brute_newton_polyhedron`` finds the facets of conv(support) + octant
+from the planes through every triple of support points and unit
+directions, with no domination filter and no lifting to 4-space;
+``hull_facets_off_origin`` is the triple scan over the points of a
+profile hull.  torfan reads both hulls off one supporting-hyperplane pass
+over a cone in Z^4.
+
 ``validate_output`` checks a CLI JSON output against the published schema
 ``data/cli_schema.json``, which it reads itself; the CLI never checks its
 own output.
@@ -51,6 +58,10 @@ def _cross(a: Vec, b: Vec) -> Vec:
 
 def _dot(a: Vec, b: Vec) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _sub(a: Vec, b: Vec) -> Vec:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def brute_force_hilbert_simplicial(g1: Vec, g2: Vec, g3: Vec) -> tuple[Vec, ...]:
@@ -351,6 +362,79 @@ def caratheodory_extremal_rays(vectors) -> tuple[Vec, ...]:
     return tuple(
         sorted(g for g in rays if not _in_cone_span(g, [h for h in rays if h != g]))
     )
+
+
+def _rank3(vectors) -> int:
+    """Rank of integer 3-vectors, by their determinants and cross products."""
+    if any(det3(a, b, c) for a, b, c in combinations(vectors, 3)):
+        return 3
+    if any(_cross(a, b) != (0, 0, 0) for a, b in combinations(vectors, 2)):
+        return 2
+    return 1 if any(v != (0, 0, 0) for v in vectors) else 0
+
+
+def brute_newton_polyhedron(support):
+    """(vertices, facets, compact faces) of NP = conv(support) + octant, in
+    the layout of ``NewtonPolyhedron``, by triples over all the support
+    points and the unit directions.
+
+    Three support points, two points and a direction, or one point and two
+    directions span a plane; when the plane has NP on one side it meets NP
+    in a 2-dimensional face, a facet (w, o) with w·x >= o.  A support point
+    is a vertex when the facets through it have normals of rank 3.  A
+    facet is compact when it holds no direction (w > 0); two vertices span
+    a compact edge when the facets through both have normals of rank 2.
+    """
+    points = sorted(set(support))
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    candidates = []
+    for p1, p2, p3 in combinations(points, 3):
+        candidates.append((p1, _cross(_sub(p2, p1), _sub(p3, p1))))
+    for p1, p2 in combinations(points, 2):
+        candidates += [(p1, _cross(_sub(p2, p1), d)) for d in units]
+    for p1 in points:
+        candidates += [(p1, _cross(d1, d2)) for d1, d2 in combinations(units, 2)]
+    facets = set()
+    for p1, n in candidates:
+        g = gcd(gcd(abs(n[0]), abs(n[1])), abs(n[2]))
+        if g == 0:
+            continue
+        for w in ((n[0] // g, n[1] // g, n[2] // g), (-n[0] // g, -n[1] // g, -n[2] // g)):
+            o = _dot(w, p1)
+            if min(w) >= 0 and all(_dot(w, q) >= o for q in points):
+                facets.add((w, o))
+    facets = sorted(facets)
+    through = {p: [w for w, o in facets if _dot(w, p) == o] for p in points}
+    vertices = tuple(p for p in points if _rank3(through[p]) == 3)
+    compact = [
+        (tuple(v for v in vertices if _dot(w, v) == o), 2) for w, o in facets if min(w) > 0
+    ]
+    for u, v in combinations(vertices, 2):
+        if _rank3([w for w in through[u] if w in through[v]]) == 2:
+            compact.append(((u, v), 1))
+    return vertices, tuple(facets), tuple(sorted(compact, key=lambda t: (t[1], t[0])))
+
+
+def hull_facets_off_origin(points) -> list[tuple[int, int, int, int]]:
+    """Primitive (a, b, c, d) with a·x + b·y + c·z + d <= 0 on conv(points),
+    for each facet of the hull not through 0: the plane through each
+    triple of points, kept when every point lies on one side of it."""
+    seen = set()
+    for p1, p2, p3 in combinations(points, 3):
+        n = _cross(_sub(p2, p1), _sub(p3, p1))
+        if n == (0, 0, 0):
+            continue
+        offset = _dot(n, p1)
+        values = [_dot(n, q) - offset for q in points]
+        if any(v > 0 for v in values):
+            if any(v < 0 for v in values):
+                continue
+            n, offset = (-n[0], -n[1], -n[2]), -offset
+        if offset == 0:
+            continue
+        g = gcd(gcd(gcd(abs(n[0]), abs(n[1])), abs(n[2])), abs(offset))
+        seen.add((n[0] // g, n[1] // g, n[2] // g, -offset // g))
+    return sorted(seen)
 
 
 def octant_slice_volume(triples) -> Fraction:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracle import CLI_SCHEMA, SchemaError, validate_output
 from torfan import cli
 from torfan.catalog import default_grid, families, verify
+from torfan.polyparse import parse_polynomial
 
 ELL = "y^3+x*z^2-x^4"
 B22 = "x^7*z-x^2*y^2-y^2*z"
@@ -312,6 +313,32 @@ def test_text_format(capsys):
     assert "profile_containment: fail" in out
     assert cli.run(["hilbert", "<(1,0,0),(0,1,0),(0,0,1)>", "--format", "text"]) == 0
     assert capsys.readouterr().out.splitlines() == ["(0,0,1)", "(0,1,0)", "(1,0,0)"]
+
+
+@pytest.mark.parametrize("verb", [
+    ["dnp"], ["resolve"], ["profile"], ["groebner"], ["groebner", "--tropical"],
+    ["jets", "--m", "2"],
+])
+def test_a_polynomial_printed_with_a_leading_minus_reads_back(capsys, verb):
+    # torfan prints y^3+x*z^2-x^4 starting with its minus sign; argparse
+    # would take that text for an option
+    text = str(parse_polynomial(ELL))
+    assert text.startswith("-")
+    spaced = text.replace("+", " + ", 1)
+    for tail in ([], ["--format", "text"]):
+        assert cli.run([verb[0], spaced, *verb[1:], *tail]) == 0
+        expected = capsys.readouterr()
+        assert cli.run([verb[0], text, *verb[1:], *tail]) == 0
+        assert capsys.readouterr() == expected
+        assert cli.run([verb[0], *verb[1:], *tail, text]) == 0
+        assert capsys.readouterr() == expected
+
+
+def test_a_leading_minus_polynomial_error_counts_from_the_users_text(capsys):
+    assert cli.run(["dnp", "-x^4+@", "--format", "text"]) == 2
+    assert "position 5 in '-x^4+@'" in capsys.readouterr().err
+    assert cli.run(["dnp", "-h"]) == 0  # still the help option
+    assert capsys.readouterr().out.startswith("usage: torfan dnp")
 
 
 def test_non_decimal_digit_is_a_positioned_input_error(capsys):

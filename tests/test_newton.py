@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,9 +18,9 @@ from torfan.newton import (
     newton_polyhedron,
     octant_solid_volume,
 )
-from torfan.polyparse import parse_polynomial
+from torfan.polyparse import Polynomial, parse_polynomial
 
-from oracle import octant_tiling_defects
+from oracle import brute_newton_polyhedron, octant_tiling_defects
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -197,6 +198,78 @@ def support_polynomial(support):
             ) or "1"
             for a in sorted(support)
         )
+    )
+
+
+def assert_hull_matches_the_oracle(support):
+    poly = support_polynomial(support)
+    np_ = newton_polyhedron(poly)
+    vertices, facets, compact = brute_newton_polyhedron(support)
+    assert (np_.vertices, np_.facets, np_.compact_faces) == (vertices, facets, compact)
+    # each dual cone is spanned by the normals of the facets through its vertex
+    cones = dual_newton_cones(poly)
+    assert tuple(s for _, s in cones) == vertices
+    for cone, s in cones:
+        assert cone.generators == tuple(sorted(w for w, o in facets if dot(w, s) == o))
+
+
+HULL_SUPPORTS = {
+    "constant 1": {(0, 0, 0)},
+    "one monomial": {(2, 1, 3)},
+    "dominated points": {(1, 0, 0), (2, 0, 0), (1, 1, 0), (3, 2, 1), (0, 0, 5), (0, 1, 5)},
+    "antichain x+y+z=4": {(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)},
+    "coplanar antichain": {(4, 0, 0), (0, 4, 0), (2, 2, 0), (1, 3, 0), (0, 0, 2)},
+    "collinear on an edge": {(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0), (0, 0, 1)},
+    "elliptic": {(0, 3, 0), (1, 0, 2), (4, 0, 0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HULL_SUPPORTS))
+def test_newton_polyhedron_matches_the_triple_oracle_on_edge_supports(name):
+    assert_hull_matches_the_oracle(HULL_SUPPORTS[name])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sets(exponents, min_size=1, max_size=10))
+def test_newton_polyhedron_matches_the_triple_oracle(support):
+    assert_hull_matches_the_oracle(support)
+
+
+def dense_witness(k):
+    """(1+x+y+z)^k - 1 + x^(k+3) + y^(k+4) + z^(k+5), expanded."""
+    coeffs = {
+        (a, b, c): comb(k, a) * comb(k - a, b) * comb(k - a - b, c)
+        for a in range(k + 1) for b in range(k + 1 - a) for c in range(k + 1 - a - b)
+    }
+    del coeffs[(0, 0, 0)]
+    for e in ((k + 3, 0, 0), (0, k + 4, 0), (0, 0, k + 5)):
+        coeffs[e] = coeffs.get(e, 0) + 1
+    return Polynomial.from_dict(coeffs)
+
+
+def test_dense_witness_reads_three_cones_off_its_minimal_points(capsys):
+    p = dense_witness(8)
+    assert len(p.support()) == 167
+    cones = dual_newton_cones(p)
+    # only x, y and z lie above no other support point
+    assert [(c.generators, s) for c, s in cones] == [
+        ((E2, E1, (1, 1, 1)), E3),
+        ((E3, E1, (1, 1, 1)), E2),
+        ((E3, E2, (1, 1, 1)), E1),
+    ]
+    assert cli.run(["dnp", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["covering_ok"]
+
+
+def test_homogeneous_antichain_has_one_compact_facet():
+    p = Polynomial.from_dict({(a, b, 12 - a - b): 1 for a in range(13) for b in range(13 - a)})
+    assert len(p.support()) == 91
+    np_ = newton_polyhedron(p)
+    x12, y12, z12 = (12, 0, 0), (0, 12, 0), (0, 0, 12)
+    assert np_.vertices == (z12, y12, x12)
+    assert np_.facets == ((E3, 0), (E2, 0), (E1, 0), ((1, 1, 1), 12))
+    assert np_.compact_faces == (
+        ((z12, y12), 1), ((z12, x12), 1), ((y12, x12), 1), ((z12, y12, x12), 2),
     )
 
 

@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
-from oracle import box_profile_points, random_simplicial_octant_cones
+from oracle import box_profile_points, hull_facets_off_origin, random_simplicial_octant_cones
 from torfan.cones import Cone, cross, dot, hilbert_basis
 from torfan.profile import (
     AffineFunctional,
@@ -92,6 +92,37 @@ def test_profile_single_hull_facet():
 def test_profile_two_hull_facets():
     p = profile(B22_S1)
     assert {facet_equation(f) for f in p.bounding} == {"x+y-z+1", "x+y-4z+7"}
+
+
+def hull_cases(count, seed=22):
+    """3-dimensional cones, about half with rays on one affine plane, so
+    that three or more of them lie on one facet of the profile hull."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        if rng.random() < 0.5:
+            d = rng.randint(1, 4)
+            vs = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+            vs = rng.sample(vs, min(len(vs), rng.randint(3, 6)))
+            vs += [tuple(rng.randint(-1, 5) for _ in range(3)) for _ in range(rng.randint(0, 2))]
+        else:
+            vs = [tuple(rng.randint(-2, 6) for _ in range(3)) for _ in range(rng.randint(3, 6))]
+        try:
+            c = Cone.from_generators(vs)
+        except ValueError:
+            continue
+        if c.dim == 3:
+            cones.append(c)
+    return cones
+
+
+def test_profile_hull_facets_match_the_triple_oracle():
+    square = Cone.from_generators([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+    five = Cone.from_generators([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 2, -1), (2, -1, 1)])
+    for cone in (B22_S1, B22_S2, square, five, *hull_cases(300)):
+        forms = [f.integer_primitive().integer_form[:4] for f in profile(cone).bounding]
+        assert forms == hull_facets_off_origin([(0, 0, 0), *cone.generators]), cone
+        assert (profile(cone).kind == "simplicial") == cone.is_simplicial()
 
 
 def test_profile_generators_on_hull():
