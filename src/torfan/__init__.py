@@ -42,13 +42,11 @@ _EXPORTS = {
     "profile": (
         "AffineFunctional",
         "Profile",
-        "SubprofileSpec",
         "contains_point",
         "facet_equation",
         "l_functional",
         "profile",
         "profile_lattice_points",
-        "subprofile_check",
     ),
     "refine": (
         "RefinementReport",
@@ -68,17 +66,11 @@ _EXPORTS = {
     ),
     "catalog": (
         "CatalogError",
-        "appendix_fixture",
         "default_grid",
-        "determinant_families",
-        "embedded_valuations",
         "entry",
-        "equation",
         "families",
         "fixture_instances",
         "profile_discrepancy",
-        "stated_maximal_cones",
-        "subprofile_hyperplanes",
         "verify",
     ),
 }

@@ -29,11 +29,9 @@ from .newton import _facet_incidence, dual_newton_cones
 from .polyparse import Polynomial, parse_polynomial
 from .profile import (
     AffineFunctional,
-    SubprofileSpec,
     contains_point,
     facet_equation,
     profile_lattice_points,
-    subprofile_check,
 )
 from .refine import refinement_from_rays
 from .valuation import tropical_variety
@@ -60,9 +58,13 @@ class CatalogHyperplane:
 @dataclass(frozen=True)
 class _Stated:
     """The closed-form data one family states for one instance, None where
-    it states nothing.  ``subprofiles`` is keyed by cone index, ``tropical``
-    holds the ray sets of the tropical cones and ``printed_profile`` the
-    profile pair printed for cone 0."""
+    it states nothing; only B-odd states ``determinants`` and the profile
+    pair ``printed_profile`` of cone 0.  ``subprofiles`` is keyed by cone
+    index; B-odd cone 0 appends the recomputed hull facets, flagged
+    ``recomputed``.  The ``valuations`` lists leave out the coordinate rays,
+    so the cones' rays are merged in, and the result equals the union of
+    the Hilbert bases.  ``tropical`` holds the ray sets of the tropical
+    cones."""
 
     cones: list[Cone] | None = None
     subprofiles: dict[int, tuple[CatalogHyperplane, ...]] | None = None
@@ -133,7 +135,7 @@ def _b_series(odd: bool, p: Params) -> _Stated:
         Cone.from_generators([(1, 0, 0), xray, base, top]),
         Cone.from_generators([(0, 1, 0), mid, base, top]),
     ]
-    # the closed-form list without the coordinate rays; see embedded_valuations
+    # the closed-form list leaves out the coordinate rays; see _Stated
     evs = {(1, 0, z) for z in range(1, xray[2] + 1)}
     evs.update((2, 2 * n + 3, z) for z in range(0, top[2] + 1))
     evs.update({(0, 1, 1), mid, (1, n + 2, r + 1)})
@@ -332,8 +334,9 @@ _LINEAR_TERM = re.compile(r"([+-]?)(\d*)([a-z]?)")
 
 @dataclass(frozen=True)
 class Instance:
-    """One catalog instance with its parameters resolved; the polynomial,
-    the stated record and the fixture are each built once, on first use."""
+    """One catalog instance with its parameters resolved: the equation
+    ``poly``, the ``stated`` data (see ``_Stated``) and the tabulated
+    ``fixture`` or None, each built once, on first use."""
 
     entry: CatalogEntry
     params: Params
@@ -392,62 +395,8 @@ def instance(family: str, params: Mapping[str, int] | None = None) -> Instance:
     return Instance(ent, got)
 
 
-def equation(family: str, params: Mapping[str, int] | None = None) -> Polynomial:
-    return instance(family, params).poly
-
-
 def default_grid(family: str) -> list[Params]:
     return [dict(g) for g in entry(family).grid]
-
-
-# ---------------------------------------------------------------------------
-# lookups of the stated data
-
-
-def _stated(family: str, params: Mapping[str, int] | None, what: str) -> _Stated:
-    """The stated data of one instance; CatalogError unless it holds ``what``."""
-    rec = instance(family, params).stated
-    if getattr(rec, what) is None:
-        raise CatalogError(
-            f"the {family} entry states no {what.replace('_', ' ')}; "
-            f"appendix_fixture() carries the tabulated instances"
-        )
-    return rec
-
-
-def stated_maximal_cones(family: str, params: Mapping[str, int] | None = None) -> list[Cone]:
-    """The maximal dual-fan cones in their catalog order."""
-    return _stated(family, params, "cones").cones
-
-
-def embedded_valuations(
-    family: str, params: Mapping[str, int] | None = None
-) -> tuple[Vec, ...]:
-    """Exceptional-divisor weight vectors of the stated resolution.
-
-    The closed-form lists omit the coordinate rays, so the extremal rays of
-    the stated maximal cones are merged in; the result equals the union of
-    the per-cone Hilbert bases.
-    """
-    return _stated(family, params, "valuations").valuations
-
-
-def subprofile_hyperplanes(
-    family: str, params: Mapping[str, int] | None, cone_index: int
-) -> tuple[CatalogHyperplane, ...]:
-    """Stated subprofile hyperplanes for one maximal cone.
-
-    For B-odd cone 0 the stated profile pair does not bound the convex hull
-    of the generators, so the recomputed hull facets are appended and
-    flagged; every other list is served as stated.
-    """
-    by_cone = _stated(family, params, "subprofiles").subprofiles
-    if cone_index not in by_cone:
-        raise CatalogError(
-            f"{family} states subprofile data for cones {sorted(by_cone)} only, "
-            f"not for cone {cone_index}"
-        )
-    return by_cone[cone_index]
 
 
 def profile_discrepancy(
@@ -459,7 +408,9 @@ def profile_discrepancy(
     second cuts off a generator, so profile() ignores both; this report
     records the mismatch instead of guessing an intended expression.
     """
-    rec = _stated(family, params, "printed_profile")
+    rec = instance(family, params).stated
+    if rec.printed_profile is None:
+        raise CatalogError(f"the {family} entry states no printed profile")
     cone = rec.cones[0]
     rows = []
     for f in rec.printed_profile:
@@ -482,17 +433,6 @@ def profile_discrepancy(
         "recomputed_facets": recomputed,
         "flagged": True,
     }
-
-
-def determinant_families(
-    family: str, params: Mapping[str, int] | None = None
-) -> list[dict]:
-    """Column-triple families whose determinants certify the refinement.
-
-    Only B-odd carries a stated list; B-even is dispatched without one, so
-    asking for it is an error rather than an invented table.
-    """
-    return _stated(family, params, "determinants").determinants
 
 
 # ---------------------------------------------------------------------------
@@ -541,20 +481,6 @@ def _load_fixtures() -> list[AppendixFixture]:
 
 def fixture_instances() -> list[tuple[str, Params]]:
     return [(fx.family, dict(fx.params)) for fx in _load_fixtures()]
-
-
-def appendix_fixture(
-    family: str, params: Mapping[str, int] | None = None
-) -> AppendixFixture:
-    inst = instance(family, params)
-    if inst.fixture is not None:
-        return inst.fixture
-    have = [p for f, p in fixture_instances() if f == family]
-    if have:
-        raise CatalogError(
-            f"no fixture for {family} at {inst.params}; tabulated instances: {have}"
-        )
-    raise CatalogError(f"family {family} has no tabulated fixture")
 
 
 # ---------------------------------------------------------------------------
@@ -661,15 +587,27 @@ def _subprofile_stage(rec: _Stated) -> dict:
         return _status(match, matches_profile_facet=match)
     evs, cones = rec.valuations, rec.cones
     containing = {v: [i for i, c in enumerate(cones) if c.contains(v)] for v in evs}
-    checks = []
-    for i, c in enumerate(cones):
-        hyps = rec.subprofiles[i]
-        spec = SubprofileSpec(
-            c, tuple(h.functional for h in hyps), any(h.recomputed for h in hyps)
-        )
-        checks.append(subprofile_check(spec, [v for v in evs if i in containing[v]]))
+    per_cone = []
     # a valuation reaches when it meets a stated hyperplane of a cone holding it
-    reached = {e.vector for check in checks for e in check.entries if e.reaches}
+    reached = set()
+    for i in range(len(cones)):
+        hyps = rec.subprofiles[i]
+        rows = []
+        for v in (v for v in evs if i in containing[v]):
+            values = [h.functional(v) for h in hyps]
+            reaches = [k for k, val in enumerate(values) if val == 0]
+            if reaches:
+                reached.add(v)
+            # within the cone, the subprofile is the union of the sides of
+            # the hyperplanes that hold the origin: f(v) * f(0) >= 0
+            in_region = any(val * h.functional.constant >= 0 for h, val in zip(hyps, values))
+            rows.append({"vector": list(v), "reaches": reaches, "in_region": in_region})
+        per_cone.append({
+            "hyperplanes": [str(h.functional) for h in hyps],
+            "recomputed": any(h.recomputed for h in hyps),
+            "vectors": rows,
+            "all_reach": all(row["reaches"] for row in rows),
+        })
     failures = []
     for v, where in containing.items():
         in_profiles = all(contains_point(cones[i].profile, v) for i in where)
@@ -686,7 +624,7 @@ def _subprofile_stage(rec: _Stated) -> dict:
         not failures,
         vectors=len(evs),
         failures=failures,
-        per_cone=[check.to_obj() for check in checks],
+        per_cone=per_cone,
     )
 
 

@@ -551,15 +551,16 @@ def run(argv: list[str]) -> int:
         return int(status.code or 0)
     try:
         ok, key, payload = _HANDLERS[ns.verb](ns)
+        if ns.verb == "render":
+            _emit(payload, ns.out)
+        elif ns.format == "text":
+            _emit("\n".join(_text_lines(key, payload)) + "\n", ns.out)
+        else:
+            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", ns.out)
     except (ValueError, OSError, OverflowError) as e:
+        # an unwritable --out is an input error too, not a failed check
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if ns.verb == "render":
-        _emit(payload, ns.out)
-    elif ns.format == "text":
-        _emit("\n".join(_text_lines(key, payload)) + "\n", ns.out)
-    else:
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", ns.out)
     return 0 if ok else 1
 
 

@@ -21,7 +21,6 @@ from .cones import (
     Vec,
     ZERO,
     _half_open_points,
-    _integer_vector,
     _supporting_planes,
     cross,
     dot,
@@ -204,78 +203,3 @@ def profile_lattice_points(p: Profile) -> list[Vec]:
         big, pairs = _half_open_points(sigma)
         out.update(u for u, q in pairs if 0 < sum(q) <= big)
     return sorted(out)
-
-
-@dataclass(frozen=True)
-class SubprofileSpec:
-    """Bounding hyperplanes inside a profile, as given per catalog family."""
-
-    cone: Cone
-    hyperplanes: tuple[AffineFunctional, ...]
-    recomputed: bool = False
-
-    def __post_init__(self):
-        for h in self.hyperplanes:
-            tight = sum(1 for g in self.cone.generators if h(g) == 0)
-            if tight < 2:
-                raise ValueError(
-                    f"hyperplane {h} passes through {tight} generator(s); need >= 2"
-                )
-
-
-@dataclass(frozen=True)
-class SubprofileEntry:
-    vector: Vec
-    reaches: tuple[int, ...]
-    in_region: bool
-
-
-@dataclass(frozen=True)
-class SubprofileReport:
-    spec: SubprofileSpec
-    entries: tuple[SubprofileEntry, ...]
-    all_reach: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "hyperplanes": [str(h) for h in self.spec.hyperplanes],
-            "recomputed": self.spec.recomputed,
-            "vectors": [
-                {
-                    "vector": list(e.vector),
-                    "reaches": list(e.reaches),
-                    "in_region": e.in_region,
-                }
-                for e in self.entries
-            ],
-            "all_reach": self.all_reach,
-        }
-
-
-def subprofile_check(
-    spec: SubprofileSpec, vectors: Sequence[Sequence[int]]
-) -> SubprofileReport:
-    """Which hyperplanes each vector of three int coordinates meets exactly,
-    and an overall reach flag.
-
-    Each hyperplane bounds the one-sided region containing the origin;
-    ``in_region`` means membership in the union of those regions within the
-    cone (the subprofile is a union of cones, one per hyperplane).
-    """
-    orientations = []
-    for h in spec.hyperplanes:
-        if h.constant == 0:
-            raise ValueError(f"subprofile hyperplane {h} passes through the origin")
-        orientations.append(-1 if h.constant > 0 else 1)
-    entries = []
-    for v in vectors:
-        vec = _integer_vector(v, "vector")
-        values = [h(vec) for h in spec.hyperplanes]
-        reaches = tuple(i for i, val in enumerate(values) if val == 0)
-        in_region = spec.cone.contains(vec) and any(
-            s * val <= 0 for s, val in zip(orientations, values)
-        )
-        entries.append(SubprofileEntry(vec, reaches, in_region))
-    return SubprofileReport(
-        spec, tuple(entries), all(e.reaches for e in entries)
-    )

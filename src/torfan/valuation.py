@@ -146,6 +146,8 @@ class JetSystem:
 
 def jet_equations(p: Polynomial, m: int) -> JetSystem:
     """Coefficients F_0..F_m of f along degree-m truncated coordinate series."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"jet order {m!r} is not an int")
     if m < 0:
         raise ValueError("jet order must be non-negative")
     one = (0,) * (3 * m + 4)

@@ -31,6 +31,11 @@ directions, with no domination filter and no lifting to 4-space;
 profile hull.  torfan reads both hulls off one supporting-hyperplane pass
 over a cone in Z^4.
 
+``subprofile_rows`` recounts the catalog's subprofile rows from integer
+hyperplanes, with cone membership by Cramer's rule on subsets of rays;
+torfan tests membership against facet normals and evaluates ``Fraction``
+functionals.
+
 ``validate_output`` checks a CLI JSON output against the published schema
 ``data/cli_schema.json``, which it reads itself; the CLI never checks its
 own output.
@@ -435,6 +440,33 @@ def hull_facets_off_origin(points) -> list[tuple[int, int, int, int]]:
         g = gcd(gcd(gcd(abs(n[0]), abs(n[1])), abs(n[2])), abs(offset))
         seen.add((n[0] // g, n[1] // g, n[2] // g, -offset // g))
     return sorted(seen)
+
+
+def subprofile_rows(gens_by_cone, planes_by_cone, vectors) -> list[dict]:
+    """Per cone, the vectors it holds and the stated hyperplanes each meets.
+
+    A cone holds v when ``_in_cone_span`` finds it in the span of at most
+    three of its rays.  Each plane is an int (a, b, c, d); v reaches it when
+    a*x + b*y + c*z + d is 0, and v is in the region when for some plane
+    that value is 0 or has the sign of d, the origin's side.
+    """
+    out = []
+    for gens, planes in zip(gens_by_cone, planes_by_cone):
+        rows = []
+        for v in vectors:
+            if not _in_cone_span(v, gens):
+                continue
+            values = [_dot(plane[:3], v) + plane[3] for plane in planes]
+            rows.append({
+                "vector": list(v),
+                "reaches": [k for k, x in enumerate(values) if x == 0],
+                "in_region": any(
+                    x == 0 or (x > 0) == (plane[3] > 0)
+                    for x, plane in zip(values, planes)
+                ),
+            })
+        out.append({"vectors": rows, "all_reach": all(r["reaches"] for r in rows)})
+    return out
 
 
 def octant_slice_volume(triples) -> Fraction:

@@ -17,15 +17,10 @@ from oracle import (
     sympy_jet_oracle,
 )
 from torfan.catalog import (
-    appendix_fixture,
-    determinant_families,
-    embedded_valuations,
-    equation,
     families,
     fixture_instances,
+    instance,
     profile_discrepancy,
-    stated_maximal_cones,
-    subprofile_hyperplanes,
 )
 from torfan.cones import Cone, hilbert_basis, is_irreducible
 from torfan.newton import dual_newton_cones
@@ -105,12 +100,12 @@ def test_criterion_03_b_families_end_to_end():
     failures = []
     for fam, params in _b_instances():
         start = time.perf_counter()
-        p = equation(fam, params)
-        cones = [c for c, _ in dual_newton_cones(p)]
+        inst = instance(fam, params)
+        cones = [c for c, _ in dual_newton_cones(inst.poly)]
         union = set()
         for c in cones:
             union.update(hilbert_basis(c))
-        ev = set(embedded_valuations(fam, params))
+        ev = set(inst.stated.valuations)
         report = refine_fan(cones, sorted(ev))
         elapsed = time.perf_counter() - start
         worst = max(worst, elapsed)
@@ -135,7 +130,7 @@ def test_criterion_04_determinant_families():
     checked = 0
     bad = []
     for r, n in tuples:
-        for group in determinant_families("B-odd", {"r": r, "n": n}):
+        for group in instance("B-odd", {"r": r, "n": n}).stated.determinants:
             for m in group["matrices"]:
                 checked += 1
                 if abs(det3(*m)) != 1:
@@ -147,10 +142,11 @@ def test_criterion_04_determinant_families():
 def test_criterion_05_subprofiles():
     failures = []
     for fam, params in _b_instances():
-        cones = stated_maximal_cones(fam, params)
+        rec = instance(fam, params).stated
+        cones = rec.cones
         profiles = [profile(c) for c in cones]
-        hyps = [subprofile_hyperplanes(fam, params, i) for i in range(len(cones))]
-        for v in embedded_valuations(fam, params):
+        hyps = [rec.subprofiles[i] for i in range(len(cones))]
+        for v in rec.valuations:
             containing = [i for i, c in enumerate(cones) if c.contains(v)]
             if not containing:
                 failures.append((fam, tuple(params.items()), v, "outside fan"))
@@ -194,7 +190,7 @@ def test_criterion_06_groebner_tropical():
         expected = {frozenset({apex})} | {
             frozenset({end, apex}) for end in wall_ends
         }
-        p = equation(fam, params)
+        p = instance(fam, params).poly
         trop = tropical_variety(p)
         trop_sets = {
             frozenset(trop.rays[i] for i in fc.rays) for fc in trop.cones
@@ -229,10 +225,11 @@ def test_criterion_07_appendix_fixtures():
     required = {"E60", "E07", "E70", "A1", "C", "D-appendix", "F", "H-3k"}
     failures = []
     for fam, params in instances:
-        fx = appendix_fixture(fam, params)
+        inst = instance(fam, params)
+        fx = inst.fixture
         computed = {
             frozenset(c.generators): set(hilbert_basis(c))
-            for c, _ in dual_newton_cones(equation(fam, params))
+            for c, _ in dual_newton_cones(inst.poly)
         }
         encoded = {frozenset(c.rays): set(c.hilbert) for c in fx.cones}
         if encoded != computed:
@@ -264,7 +261,7 @@ def test_criterion_09_profile_points_in_hilbert_basis():
     scope += fixture_instances()
     violations = {}
     for fam, params in scope:
-        for c, vertex in dual_newton_cones(equation(fam, params)):
+        for c, vertex in dual_newton_cones(instance(fam, params).poly):
             h = set(hilbert_basis(c))
             extra = sorted(
                 v for v in profile_lattice_points(profile(c)) if v not in h
@@ -291,7 +288,7 @@ def test_criterion_09_profile_points_in_hilbert_basis():
 def test_criterion_10_jet_truncation():
     failures = []
     for fam in families():
-        p = equation(fam)
+        p = instance(fam).poly
         oracle = sympy_jet_oracle(p, 4)
         for m in range(5):
             system = jet_equations(p, m)

@@ -1,27 +1,26 @@
 import itertools
 import re
+from dataclasses import fields, replace
 
 import pytest
 
-from oracle import det3
+from oracle import det3, subprofile_rows
 from torfan.catalog import (
     CatalogError,
-    appendix_fixture,
+    CatalogHyperplane,
+    _subprofile_stage,
     default_grid,
-    determinant_families,
-    embedded_valuations,
     entry,
-    equation,
     families,
     fixture_instances,
+    instance,
     profile_discrepancy,
-    stated_maximal_cones,
-    subprofile_hyperplanes,
     verify,
 )
 from torfan.cones import Cone, hilbert_basis, is_irreducible
 from torfan.newton import dual_newton_cones
 from torfan.polyparse import parse_polynomial
+from torfan.profile import AffineFunctional
 from torfan.valuation import initial_form
 
 B22 = {"r": 2, "n": 2}
@@ -45,31 +44,31 @@ def test_registry_names_and_flags():
         entry("B-weird")
 
 
-# which lookups each family answers; every other (family, lookup) pair raises
+# the stated fields each family fills; every other field is None
 STATED = {
-    "B-odd": {"cones", "subprofiles", "valuations", "determinants", "discrepancy"},
-    "B-even": {"cones", "subprofiles", "valuations"},
+    "B-odd": {
+        "cones", "subprofiles", "valuations", "tropical", "determinants",
+        "printed_profile",
+    },
+    "B-even": {"cones", "subprofiles", "valuations", "tropical"},
     "ELLIPTIC-1": {"cones", "subprofiles"},
 }
-LOOKUPS = {
-    "cones": stated_maximal_cones,
-    "subprofiles": lambda fam: subprofile_hyperplanes(fam, None, 2),
-    "valuations": embedded_valuations,
-    "determinants": determinant_families,
-    "discrepancy": profile_discrepancy,
-}
+# the cones each family states subprofile hyperplanes for
+SUBPROFILE_CONES = {"B-odd": [0, 1, 2], "B-even": [0, 1, 2], "ELLIPTIC-1": [2]}
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_registry_pins_which_lookups_answer(family):
-    answered = set()
-    for name, lookup in LOOKUPS.items():
-        try:
-            lookup(family)
-        except CatalogError:
-            continue
-        answered.add(name)
+    rec = instance(family).stated
+    answered = {f.name for f in fields(rec) if getattr(rec, f.name) is not None}
     assert answered == STATED.get(family, set())
+    if rec.subprofiles is not None:
+        assert sorted(rec.subprofiles) == SUBPROFILE_CONES[family]
+    if "printed_profile" in answered:
+        assert profile_discrepancy(family)["flagged"]
+    else:
+        with pytest.raises(CatalogError, match="printed profile"):
+            profile_discrepancy(family)
 
 
 def test_every_domain_holds_its_grid_and_refuses_zero():
@@ -79,7 +78,7 @@ def test_every_domain_holds_its_grid_and_refuses_zero():
             assert ent.domain(**params), (fam, params)
         if ent.parameters:
             with pytest.raises(CatalogError):
-                equation(fam, dict.fromkeys(ent.parameters, 0))
+                instance(fam, dict.fromkeys(ent.parameters, 0)).poly
 
 
 @pytest.mark.parametrize(
@@ -96,7 +95,7 @@ def test_non_integer_parameters_are_refused(params, named):
     with pytest.raises(CatalogError, match=named):
         verify("B-odd", params)
     with pytest.raises(CatalogError, match=named):
-        stated_maximal_cones("B-odd", params)
+        instance("B-odd", params)
 
 
 def test_equations_instantiate():
@@ -109,7 +108,7 @@ def test_equations_instantiate():
         ("ELLIPTIC-2", ()): "z^2 + y^3 + x^21",
     }
     for (fam, items), text in cases.items():
-        assert equation(fam, dict(items)).as_dict() == parse_polynomial(text).as_dict()
+        assert instance(fam, dict(items)).poly.as_dict() == parse_polynomial(text).as_dict()
 
 
 def _sympy_template(template: str):
@@ -142,14 +141,14 @@ def test_equation_matches_a_sympy_expansion_of_the_template(family):
     for ps in [*ent.grid, *in_domain]:
         subs = {sympy.Symbol(k): v for k, v in ps.items()}
         expected = sympy.Poly(expr.subs(subs), x, y, z).as_dict()
-        got = equation(family, ps).as_dict()
+        got = instance(family, ps).poly.as_dict()
         assert got == {e: int(c) for e, c in expected.items()}, (family, ps)
 
 
 def test_a3_pure_y_terms_merge_where_the_exponents_coincide():
     # 3k = 2k+m+l-2 at (l, m, k) = (3, 4, 5): both pure-y terms are y^15
     assert (
-        str(equation("A3", {"l": 3, "m": 4, "k": 5}))
+        str(instance("A3", {"l": 3, "m": 4, "k": 5}).poly)
         == "2*y^15-2*y^8*z-x*y^5*z+y^4*z^2+x*z^2-z^3"
     )
 
@@ -165,57 +164,119 @@ def test_a3_pure_y_terms_merge_where_the_exponents_coincide():
 def test_template_exponents_below_one_are_refused(family, params, exponent):
     assert entry(family).domain(**params)
     with pytest.raises(CatalogError, match=re.escape(f"exponent {exponent} of {family}")):
-        equation(family, params)
+        instance(family, params).poly
 
 
 def test_equation_defaults_to_first_grid_tuple():
     first = default_grid("B-odd")[0]
-    assert equation("B-odd").as_dict() == equation("B-odd", first).as_dict()
+    assert instance("B-odd").poly.as_dict() == instance("B-odd", first).poly.as_dict()
 
 
 def test_equation_rejects_out_of_domain():
     with pytest.raises(CatalogError):
-        equation("B-odd", {"r": 0, "n": 2})
+        instance("B-odd", {"r": 0, "n": 2})
     with pytest.raises(CatalogError):
-        equation("A3", {"l": 3, "m": 2, "k": 1})
+        instance("A3", {"l": 3, "m": 2, "k": 1})
     with pytest.raises(CatalogError):
-        equation("B-odd", {"r": 1})  # missing n
+        instance("B-odd", {"r": 1})  # missing n
 
 
 def test_stated_cones_match_computed():
     for fam, params in (("B-odd", B22), ("B-even", {"r": 1, "n": 2}), ("ELLIPTIC-1", None)):
-        computed = {frozenset(c.generators) for c, _ in dual_newton_cones(equation(fam, params))}
-        stated = {frozenset(c.generators) for c in stated_maximal_cones(fam, params)}
+        inst = instance(fam, params)
+        computed = {frozenset(c.generators) for c, _ in dual_newton_cones(inst.poly)}
+        stated = {frozenset(c.generators) for c in inst.stated.cones}
         assert stated == computed
-    with pytest.raises(CatalogError):
-        stated_maximal_cones("A1")
 
 
 def test_embedded_valuations_equal_hilbert_union():
     for fam, params in (("B-odd", B22), ("B-even", {"r": 1, "n": 2})):
+        inst = instance(fam, params)
         union = set()
-        for c, _ in dual_newton_cones(equation(fam, params)):
+        for c, _ in dual_newton_cones(inst.poly):
             union.update(hilbert_basis(c))
-        assert set(embedded_valuations(fam, params)) == union
-    with pytest.raises(CatalogError):
-        embedded_valuations("A1")
+        assert set(inst.stated.valuations) == union
 
 
 def test_subprofile_hyperplanes_pinned_at_2_2():
-    c0 = subprofile_hyperplanes("B-odd", B22, 0)
-    assert [(str(h), h.recomputed) for h in c0] == [
+    by_cone = instance("B-odd", B22).stated.subprofiles
+    assert [(str(h), h.recomputed) for h in by_cone[0]] == [
         ("x-z+1", False),
         ("2x-y+z-1", False),
         ("x+y-z+1", True),
         ("x+y-4z+7", True),
     ]
-    assert [str(h) for h in subprofile_hyperplanes("B-odd", B22, 1)] == ["x-1", "4x-y-1"]
-    assert [str(h) for h in subprofile_hyperplanes("B-odd", B22, 2)] == ["3x-y+1"]
-    assert [str(h) for h in subprofile_hyperplanes("ELLIPTIC-1", None, 2)] == ["8x-3y-3z+3"]
-    with pytest.raises(CatalogError):
-        subprofile_hyperplanes("ELLIPTIC-1", None, 0)
-    with pytest.raises(CatalogError):
-        subprofile_hyperplanes("A1", None, 0)
+    assert [str(h) for h in by_cone[1]] == ["x-1", "4x-y-1"]
+    assert [str(h) for h in by_cone[2]] == ["3x-y+1"]
+    elliptic = instance("ELLIPTIC-1").stated.subprofiles
+    assert [str(h) for h in elliptic[2]] == ["8x-3y-3z+3"]
+
+
+# every instance the data tests below read: the B families at r <= 6 and
+# 2 <= n <= 7, which hold both default grids, and ELLIPTIC-1
+STATED_INSTANCES = [
+    (fam, {"r": r, "n": n})
+    for fam in ("B-odd", "B-even")
+    for r in range(1, 7)
+    for n in range(2, 8)
+] + [("ELLIPTIC-1", {})]
+
+
+def _int_plane(h: CatalogHyperplane) -> tuple[int, int, int, int]:
+    parts = (*h.functional.coeffs, h.functional.constant)
+    assert all(x.denominator == 1 for x in parts), str(h)
+    return tuple(int(x) for x in parts)
+
+
+def test_stated_hyperplanes_meet_two_generators_and_miss_the_origin():
+    assert all(
+        (fam, ps) in STATED_INSTANCES for fam in ("B-odd", "B-even") for ps in default_grid(fam)
+    )
+    for fam, params in STATED_INSTANCES:
+        rec = instance(fam, params).stated
+        for i, hyps in rec.subprofiles.items():
+            for h in hyps:
+                a, b, c, d = _int_plane(h)
+                on = [g for g in rec.cones[i].generators if a * g[0] + b * g[1] + c * g[2] + d == 0]
+                assert len(on) >= 2 and d != 0, (fam, params, i, str(h))
+
+
+def test_subprofile_rows_match_an_independent_recount():
+    recounted = 0
+    for fam, params in STATED_INSTANCES:
+        rec = instance(fam, params).stated
+        stage = verify(fam, params).stages["subprofile"]
+        if rec.valuations is None:
+            assert "per_cone" not in stage, fam
+            continue
+        hyps = [rec.subprofiles[i] for i in range(len(rec.cones))]
+        got = stage["per_cone"]
+        assert [row["hyperplanes"] for row in got] == [
+            [str(h.functional) for h in hs] for hs in hyps
+        ]
+        expected = subprofile_rows(
+            [c.generators for c in rec.cones],
+            [[_int_plane(h) for h in hs] for hs in hyps],
+            rec.valuations,
+        )
+        assert [{"vectors": r["vectors"], "all_reach": r["all_reach"]} for r in got] == expected
+        recounted += sum(len(r["vectors"]) for r in got)
+    assert recounted > len(STATED_INSTANCES)
+
+
+def test_subprofile_stage_fails_on_a_valuation_no_hyperplane_reaches():
+    rec = instance("B-odd", B22).stated
+    assert _subprofile_stage(rec)["status"] == "ok"
+    # x-y+1 passes through (0,1,0) and (0,1,2) of cone 2, as the stated
+    # 3x-y+1 does, but not through (1,4,0), which no other cone holds
+    miss = CatalogHyperplane(AffineFunctional.from_integers(1, -1, 0, 1))
+    stage = _subprofile_stage(replace(rec, subprofiles={**rec.subprofiles, 2: (miss,)}))
+    assert stage["status"] == "fail"
+    failure = next(f for f in stage["failures"] if f["vector"] == [1, 4, 0])
+    assert failure["reaches"] is False and failure["containing"] == [2]
+    row = next(e for e in stage["per_cone"][2]["vectors"] if e["vector"] == [1, 4, 0])
+    assert row == {"vector": [1, 4, 0], "reaches": [], "in_region": False}
+    assert stage["per_cone"][2]["all_reach"] is False
 
 
 def test_profile_discrepancy_is_flagged():
@@ -234,7 +295,7 @@ def test_profile_discrepancy_is_flagged():
 @pytest.mark.parametrize("params", [(1, 2), (2, 2), (2, 3), (3, 4)])
 def test_determinant_families_unimodular(params):
     r, n = params
-    groups = determinant_families("B-odd", {"r": r, "n": n})
+    groups = instance("B-odd", {"r": r, "n": n}).stated.determinants
     labels = {g["label"] for g in groups}
     assert "cone0 ladder" in labels and len(groups) == 6
     for g in groups:
@@ -243,31 +304,25 @@ def test_determinant_families_unimodular(params):
             assert abs(det3(*m)) == 1, (g["label"], m)
 
 
-def test_determinant_families_only_stated_for_odd():
-    with pytest.raises(CatalogError):
-        determinant_families("B-even", {"r": 1, "n": 2})
-
-
 def test_fixture_registry():
     inst = fixture_instances()
     assert len(inst) == 11
     assert ("E60", {}) in inst and ("F", {"k": 2}) in inst
-    fx = appendix_fixture("E60")
+    fx = instance("E60").fixture
     assert [(c.label, len(c.hilbert)) for c in fx.cones] == [
         ("sigma1", 12), ("sigma2", 9), ("sigma3", 9),
     ]
-    with pytest.raises(CatalogError):
-        appendix_fixture("B-odd", B22)
-    with pytest.raises(CatalogError):
-        appendix_fixture("F", {"k": 5})
+    assert instance("B-odd", B22).fixture is None
+    assert instance("F", {"k": 5}).fixture is None
 
 
 @pytest.mark.parametrize("family,params", [("E60", None), ("H-3k", {"k": 1})])
 def test_fixture_tables_equal_computed(family, params):
-    fx = appendix_fixture(family, params)
+    inst = instance(family, params)
+    fx = inst.fixture
     computed = {
         frozenset(c.generators): set(hilbert_basis(c))
-        for c, _ in dual_newton_cones(equation(family, params))
+        for c, _ in dual_newton_cones(inst.poly)
     }
     for cone in fx.cones:
         key = frozenset(cone.rays)
@@ -353,8 +408,9 @@ def test_stated_valuations_with_a_non_monomial_initial_form():
     assert len(instances) == 7
     non_monomial = total = 0
     for family, params in instances:
-        p = equation(family, params)
-        for v in embedded_valuations(family, params):
+        inst = instance(family, params)
+        p = inst.poly
+        for v in inst.stated.valuations:
             total += 1
             non_monomial += not initial_form(p, v).is_monomial()
     assert (non_monomial, total) == (84, 225)

@@ -380,6 +380,25 @@ def test_an_order_past_the_index_range_is_an_input_error(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["dnp", "x^2+y^3+z^5"], ["verify", "B-odd"], ["render", "FAN"]],
+    ids=["dnp", "verify", "render"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "existing-dir"])
+def test_an_unwritable_out_path_is_an_input_error(capsys, tmp_path, args, target):
+    # the write sat outside the handler, so the OSError escaped as exit 1
+    fan = tmp_path / "fan.json"
+    fan.write_text('{"rays":[[1,0,0],[0,1,0],[0,0,1]],"cones":[{"rays":[0,1,2]}]}')
+    out = tmp_path / "no-such-dir" / "x.out" if target == "missing-dir" else tmp_path
+    argv = [str(fan) if a == "FAN" else a for a in args]
+    assert cli.run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+
+
 LAZY = ("newton", "refine", "valuation", "catalog")
 
 
@@ -430,15 +449,14 @@ Cone HilbertBasis cross dot hilbert_basis is_irreducible parse_cone primitive
 triangulate unimodular_det
 Fan NewtonPolyhedron dual_newton_cones fan_consistency_report fan_faces
 newton_polyhedron octant_solid_volume
-AffineFunctional Profile SubprofileSpec contains_point facet_equation l_functional
-profile profile_lattice_points subprofile_check
+AffineFunctional Profile contains_point facet_equation l_functional
+profile profile_lattice_points
 RefinementReport check_minimal_embedded refine_fan refinement_from_rays
 regular_refinement
 GroebnerCone JetSystem groebner_fan initial_form jet_equations tropical_variety
 w_order
-CatalogError appendix_fixture default_grid determinant_families embedded_valuations
-entry equation families fixture_instances profile_discrepancy
-stated_maximal_cones subprofile_hyperplanes verify
+CatalogError default_grid entry families fixture_instances profile_discrepancy
+verify
 """.split()
 
 _PUBLIC_API = """

@@ -1,4 +1,4 @@
-"""Profiles, l functionals, and subprofile hyperplane checks."""
+"""Profiles, l functionals and bounding hyperplanes."""
 
 import random
 from fractions import Fraction
@@ -8,16 +8,15 @@ from math import gcd, lcm
 import pytest
 
 from oracle import box_profile_points, hull_facets_off_origin, random_simplicial_octant_cones
+from torfan.catalog import instance, verify
 from torfan.cones import Cone, cross, dot, hilbert_basis
 from torfan.profile import (
     AffineFunctional,
-    SubprofileSpec,
     contains_point,
     facet_equation,
     l_functional,
     profile,
     profile_lattice_points,
-    subprofile_check,
 )
 
 SIGMA3 = Cone.from_generators([(0, 1, 0), (0, 0, 1), (6, 8, 9)])
@@ -282,49 +281,28 @@ def test_integer_form_matches_fraction_arithmetic():
         assert facet_equation(f) == str(expected)
 
 
-def test_subprofile_incidence_validation():
-    ok = SubprofileSpec(
-        B22_S2,
-        (
-            AffineFunctional.from_integers(1, 0, 0, -1),
-            AffineFunctional.from_integers(4, -1, 0, -1),
-        ),
-    )
-    assert len(ok.hyperplanes) == 2
-    with pytest.raises(ValueError):
-        SubprofileSpec(B22_S2, (AffineFunctional.from_integers(0, 0, 1, -1),))
+def _subprofile_row_at_2_2(index, cone):
+    """Stated cone ``index`` of B-odd (2,2) and its row of verify's subprofile stage."""
+    params = {"r": 2, "n": 2}
+    assert instance("B-odd", params).stated.cones[index].generators == cone.generators
+    per_cone = verify("B-odd", params).stages["subprofile"]["per_cone"]
+    assert all(r["all_reach"] and all(e["in_region"] for e in r["vectors"]) for r in per_cone)
+    row = per_cone[index]
+    return row, {tuple(e["vector"]): e for e in row["vectors"]}
 
 
 def test_subprofile_check_sigma2():
-    spec = SubprofileSpec(
-        B22_S2,
-        (
-            AffineFunctional.from_integers(1, 0, 0, -1),
-            AffineFunctional.from_integers(4, -1, 0, -1),
-        ),
-    )
-    report = subprofile_check(spec, [(1, 1, 0), (2, 7, 1)])
-    assert report.entries[0].reaches == (0,)
-    assert report.entries[1].reaches == (1,)
-    assert all(e.in_region for e in report.entries)
-    assert report.all_reach
+    row, entries = _subprofile_row_at_2_2(1, B22_S2)
+    assert row["hyperplanes"] == ["x-1", "4x-y-1"]
+    assert entries[(1, 1, 0)]["reaches"] == [0]
+    assert entries[(2, 7, 1)]["reaches"] == [1]
 
 
 def test_subprofile_check_sigma3():
-    spec = SubprofileSpec(B22_S3, (AffineFunctional.from_integers(3, -1, 0, 1),))
-    report = subprofile_check(spec, [(1, 4, 0), (0, 1, 1)])
-    assert report.all_reach
-    obj = report.to_obj()
-    assert obj["hyperplanes"] == ["3x-y+1"]
-    assert obj["all_reach"] is True
-
-
-def test_subprofile_check_reports_miss():
-    spec = SubprofileSpec(B22_S3, (AffineFunctional.from_integers(3, -1, 0, 1),))
-    report = subprofile_check(spec, [(2, 7, 2), (1, 3, 1)])
-    assert report.entries[0].reaches == (0,)
-    assert report.entries[1].reaches == ()
-    assert not report.all_reach
+    row, entries = _subprofile_row_at_2_2(2, B22_S3)
+    assert row["hyperplanes"] == ["3x-y+1"]
+    assert entries[(1, 4, 0)]["reaches"] == [0]
+    assert entries[(0, 1, 1)]["reaches"] == [0]
 
 
 def test_profile_lattice_points_match_barycentric_oracle():

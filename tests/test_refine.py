@@ -18,13 +18,7 @@ from torfan.cones import (
 )
 from torfan.newton import dual_newton_cones
 from torfan.polyparse import parse_polynomial
-from torfan.profile import (
-    AffineFunctional,
-    SubprofileSpec,
-    profile,
-    profile_lattice_points,
-    subprofile_check,
-)
+from torfan.profile import profile, profile_lattice_points
 from torfan.refine import (
     check_minimal_embedded,
     refine_fan,
@@ -337,15 +331,12 @@ def test_minimality_reads_the_report_irreducibility_table():
 
 def test_vector_entry_points_refuse_non_integer_coordinates():
     # each of these was read through int(), so 0.5 became 0 and 1.9 became 1
-    spec = SubprofileSpec(OCTANT, (AffineFunctional.from_integers(1, 1, 0, -1),))
     for v in [*NON_INTEGER_RAYS, (0.5, 0, 0), (0.4, 0, 0), (1.9, 0.2, 0), (Fraction(1, 2), 0, 0)]:
         message = re.escape(f"{v!r} needs three int coordinates")
         with pytest.raises(ValueError, match="generator " + message):
             Cone.from_generators([v, E2, E3])
         with pytest.raises(ValueError, match="generator " + message):
             Cone.from_generators([v, E2])
-        with pytest.raises(ValueError, match="vector " + message):
-            subprofile_check(spec, [E1, v])
     for v in [(2.5, 5, 0), (2.0, 4, 0), (Fraction(5, 2), 5, 0)]:
         with pytest.raises(ValueError, match="vector " + re.escape(f"{v!r} needs three int")):
             primitive(v)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from oracle import sympy_jet_oracle
@@ -211,3 +213,10 @@ def test_jets_json_shape():
     assert obj["m"] == 1
     assert obj["variables"] == ["x0", "y0", "z0", "x1", "y1", "z1"]
     assert obj["equations"] == ["x0*y0", "x0*y1 + x1*y0"]
+
+
+@pytest.mark.parametrize("m", [True, False, 1.5, 2.0, "2", None])
+def test_jet_order_must_be_an_int(m):
+    # True gave a system with "m": true, and 1.5 a TypeError from (0,) * 7.5
+    with pytest.raises(ValueError, match=f"jet order {re.escape(repr(m))} is not an int"):
+        jet_equations(parse_polynomial("x*y"), m)
