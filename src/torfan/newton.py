@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import le
 from typing import Iterable, Sequence
 
@@ -180,17 +180,17 @@ def octant_solid_volume(cones: Iterable[Cone]) -> Fraction:
     the euclidean volume when k = 3.  It is the volume of the union of
     cones of one span when their interiors are disjoint, which the tiling
     certificate proves.  Raises ValueError on a ray whose coordinate sum is
-    not positive."""
-    total = Fraction(0)
+    not positive.  The terms m/q are summed as one fraction over lcm(q)."""
+    terms = []
     for c in cones:
         for g in c.generators:
             if sum(g) <= 0:
                 raise ValueError(f"ray {g} has coordinate sum {sum(g)} <= 0")
         for piece in triangulate(c):
-            total += Fraction(
-                piece.multiplicity, factorial(piece.dim) * prod(map(sum, piece.generators))
-            )
-    return total
+            q = factorial(piece.dim) * prod(map(sum, piece.generators))
+            terms.append((piece.multiplicity, q))
+    common = lcm(*(q for _, q in terms))
+    return Fraction(sum(m * (common // q) for m, q in terms), common)
 
 
 def _facet_incidence(cones: Iterable[Cone]) -> dict[tuple[Vec, ...], list[Vec]]:

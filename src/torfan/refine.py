@@ -8,14 +8,18 @@ non-simplicial cone is handled directly, without choosing a starting
 triangulation first.  That matters: a forced starting diagonal can be an
 edge that no unimodular subdivision through the prescribed rays contains,
 which would make regularity unreachable no matter the insertion order.
+Insertion is local: a ray is only tested against pieces that can hold it.
 One insertion loop (``_ray_pieces``) serves both refinements: rays go in
-by increasing profile level, and a non-simplicial cone that no ray fell
-inside is pulled at a Hilbert element inside it, or triangulated.  The
-Hilbert-driven refinement then splits each non-regular piece at the
-source-basis element of least value of that piece's l-functional; a piece
-that holds none is split at its nonzero half-open point of least l, which
-is its least-l Hilbert element that is not a generator, so only the source
-cone's Hilbert basis is ever computed.
+by increasing profile level down a tree, each piece pulled at the first
+ray it holds and its children handed the later rays they hold, and a
+non-simplicial cone that no ray fell inside is pulled at a Hilbert
+element inside it, or triangulated.  The Hilbert-driven refinement then
+splits each non-regular piece at the source-basis element of least value
+of that piece's l-functional; a piece that holds none is split at its
+nonzero half-open point of least l, which is its least-l Hilbert element
+that is not a generator, so only the source cone's Hilbert basis is ever
+computed.  Each split pulls only the star of the new ray, found through
+the facets of the non-regular pieces (``_hilbert_pieces``).
 Every report carries exact certificates (per-piece multiplicities), the
 irreducibility of each result ray, and the tiling certificate of
 ``newton._tiling_certificate`` against the source cones, in every
@@ -31,29 +35,18 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .cones import Cone, Vec, _half_open_points, _integer_vector, _primitive, dot, triangulate
+from .cones import (
+    Cone,
+    Vec,
+    _half_open_points,
+    _integer_vector,
+    _primitive,
+    cross,
+    dot,
+    triangulate,
+    vadd,
+)
 from .newton import Fan, _tiling_certificate
-from .profile import _l_any_dim
-
-
-def stellar_insert(pieces: Sequence[Cone], v: Vec) -> tuple[list[Cone], bool]:
-    """Subdivide every piece containing v; True if anything changed.
-
-    Each affected piece is replaced by ``Cone.pulled(v)``, the joins of v
-    with its facets that miss v.  Pieces may be non-simplicial; the
-    replacements never are.  v is taken as its primitive ray, so a
-    multiple of a generator changes nothing; raises ValueError on zero.
-    """
-    v = _primitive(v)
-    out: list[Cone] = []
-    changed = False
-    for p in pieces:
-        if v in p.generators or not p.contains(v):
-            out.append(p)
-            continue
-        out.extend(p.pulled(v))
-        changed = True
-    return out, changed
 
 
 @dataclass(frozen=True)
@@ -128,21 +121,32 @@ def _build_report(
 
 
 def _ray_pieces(c: Cone, rays: Iterable[Vec], pool: Sequence[Vec] = ()) -> list[Cone]:
-    """Pieces of c with the rays inserted by increasing (profile level,
-    lexicographic) order.  The first insertion that changes anything pulls
-    c into simplices, so only an untouched non-simplicial c is left; it is
-    pulled at its least-level pool element, or triangulated when the pool
-    has none inside it."""
+    """Pieces of c with the primitive rays of ``rays`` inserted by
+    increasing (profile level, lexicographic) order; raises ValueError on
+    the zero vector.  Inserting a ray pulls each piece that holds it off its
+    generators and acts on each piece on its own, so a piece is pulled at
+    the first ray it holds and each child inherits the later rays it holds.
+    If c holds none, a non-simplicial c is pulled at its least-level pool
+    element, or triangulated when the pool has none inside it."""
     level = c.profile.level
-    pieces: list[Cone] = [c]
-    for v in sorted(rays, key=lambda v: (level(v), v)):
-        pieces, _ = stellar_insert(pieces, v)
-    if pieces == [c] and not c.is_simplicial():
+    order = [_primitive(v) for v in sorted(rays, key=lambda v: (level(v), v))]
+    held = [v for v in order if v not in c.generators and c.contains(v)]
+    if not held and not c.is_simplicial():
         inside = [h for h in pool if h not in c.generators and c.contains(h)]
         if inside:
             return list(c.pulled(min(inside, key=lambda h: (level(h), h))))
         return list(triangulate(c))
-    return pieces
+    out: list[Cone] = []
+    stack = [(c, held)]
+    while stack:
+        p, todo = stack.pop()
+        if not todo:
+            out.append(p)
+            continue
+        v, *later = todo
+        for child in reversed(p.pulled(v)):
+            stack.append((child, [w for w in later if w != v and child.contains(w)]))
+    return out
 
 
 def _least_half_open_point(tau: Cone) -> Vec:
@@ -166,31 +170,85 @@ def _least_half_open_point(tau: Cone) -> Vec:
 def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
     """Unimodular pieces of c split at Hilbert-basis rays, and whether the
     fallback ran: a piece holding no element of c's basis is split at
-    ``_least_half_open_point``, so no piece gets a Hilbert basis of its own."""
+    ``_least_half_open_point``, so no piece gets a Hilbert basis of its own.
+
+    Only the non-regular pieces are kept, in a table by generators, each
+    with its pool: the elements of c's basis inside it, off its rays.  A map
+    from each facet (``Cone.facets``) to the table pieces that own it is the
+    adjacency.  Each step splits tau, the least piece of the table, at a
+    point v off its rays, so v lies inside tau or inside one facet of it,
+    and the pieces that hold v are tau and the other owner of that facet in
+    the subdivision, if it has one.  That neighbour is never unimodular, so
+    the map finds it.  A unimodular piece's lattice points are sums of its
+    rays, so an element of c's basis inside it is one of its rays, and v is
+    none of them.  A fallback v is irreducible in tau, but a lattice point
+    inside a facet (a, b) of a unimodular piece is a + (a nonzero sum of a
+    and b).  Pulled pieces' children that are unimodular are done; the
+    others inherit their parent's pool, filtered by containment.
+    """
     basis = c.hilbert.elements
+    done: list[Cone] = []
+    table: dict[tuple[Vec, ...], tuple[Cone, list[Vec]]] = {}
+    owners: dict[tuple[Vec, ...], list[tuple[Vec, ...]]] = {}
+
+    def place(p: Cone, pool: Sequence[Vec]) -> None:
+        if p.multiplicity == 1:
+            done.append(p)
+            return
+        table[p.generators] = (p, [h for h in pool if h not in p.generators and p.contains(h)])
+        for f in p.facets:
+            owners.setdefault(f, []).append(p.generators)
+
     # Every basis element lies in c, so it lies on the 2-face of a facet
     # exactly when that facet's normal vanishes on it.  A cone whose basis
     # meets no boundary 2-face is split at an interior element, or fanned.
-    pieces = _ray_pieces(c, [
+    for p in _ray_pieces(c, [
         h for h in basis
         if h not in c.generators and any(dot(n, h) == 0 for n in c.facet_normals)
-    ], basis)
+    ], basis):
+        place(p, basis)
     used_fallback = False
-    while worst := [p for p in pieces if p.multiplicity != 1]:
-        tau = min(worst, key=lambda p: p.generators)
-        pool = [h for h in basis if h not in tau.generators and tau.contains(h)]
+    while table:
+        key = min(table)
+        tau, pool = table[key]
         if pool:
-            # l = (a*x + b*y + c*z)/q with q > 0 fixed per tau, so the
-            # numerator orders the pool as l does
-            la, lb, lc, _, _ = _l_any_dim(tau).integer_form
-            chosen = min(pool, key=lambda h: (la * h[0] + lb * h[1] + lc * h[2], h))
+            l = _l_numerator(tau)
+            chosen = min(pool, key=lambda h: (dot(l, h), h))
         else:
             chosen = _least_half_open_point(tau)
             used_fallback = True
-        pieces, changed = stellar_insert(pieces, chosen)
-        if not changed:
-            raise RuntimeError(f"inserting {chosen} left {tau} unsplit")
-    return pieces, used_fallback
+        star = [key] + [
+            k
+            for n, f in zip(tau.facet_normals, tau.facets)
+            if dot(n, chosen) == 0
+            for k in owners[f]
+            if k != key
+        ]
+        for k in star:
+            p, pool = table.pop(k)
+            for f in p.facets:
+                owners[f].remove(k)
+            children = p.pulled(chosen)
+            if len(children) < 2:
+                raise RuntimeError(f"inserting {chosen} left {p} unsplit")
+            for child in children:
+                place(child, pool)
+    return done, used_fallback
+
+
+def _l_numerator(tau: Cone) -> Vec:
+    """The integer vector u with l(h) = u.h / q, q > 0 fixed per tau, for the
+    l-functional of a simplicial tau of dimension 2 or 3: the adjugate rows'
+    sum b x g + g x a + a x b turned by the sign of det(a, b, g), over |det|,
+    or for a planar (a, b) with n = a x b, (b x n + n x a) over n.n."""
+    if tau.dim == 3:
+        a, b, g = tau.generators
+        bg = cross(b, g)
+        u = vadd(vadd(bg, cross(g, a)), cross(a, b))
+        return u if dot(a, bg) > 0 else (-u[0], -u[1], -u[2])
+    a, b = tau.generators
+    n = cross(a, b)
+    return vadd(cross(b, n), cross(n, a))
 
 
 def _checked_rays(c: Cone, rays: Sequence[Vec]) -> list[Vec]:

@@ -36,6 +36,17 @@ hyperplanes, with cone membership by Cramer's rule on subsets of rays;
 torfan tests membership against facet normals and evaluates ``Fraction``
 functionals.
 
+``scan_hilbert_pieces`` and ``scan_ray_pieces`` rebuild the regular and
+the prescribed-ray refinements as sorted ray tuples, by the old loop:
+every insertion tests every piece, and each step picks the least
+non-regular piece by rays.  Membership, pulling and the l-order are
+Cramer's rule on the piece's own rays, the profile level of a
+non-simplicial cone reads ``hull_facets_off_origin``, and the fallback
+point comes from a triangular basis of the piece's lattice instead of
+torfan's chain of cyclic subgroups.  torfan pulls only the star of each
+ray, through a facet map of the non-regular pieces.  The cone's Hilbert
+basis is an input.
+
 ``validate_output`` checks a CLI JSON output against the published schema
 ``data/cli_schema.json``, which it reads itself; the CLI never checks its
 own output.
@@ -482,6 +493,163 @@ def octant_slice_volume(triples) -> Fraction:
             abs(det3(g1, g2, g3)), 6 * sum(g1) * sum(g2) * sum(g3)
         )
     return total
+
+
+def _coefficients(piece, v):
+    """v in the rays of a simplicial piece (two or three rays) by Cramer's
+    rule, as integer numerators over one positive denominator; None when v
+    is off the plane of a planar piece."""
+    if len(piece) == 3:
+        a, b, c = piece
+        d = det3(a, b, c)
+        s = 1 if d > 0 else -1
+        return [s * det3(v, b, c), s * det3(a, v, c), s * det3(a, b, v)], s * d
+    a, b = piece
+    n = _cross(a, b)
+    if _dot(n, v) != 0:
+        return None
+    return [_dot(_cross(v, b), n), _dot(_cross(a, v), n)], _dot(n, n)
+
+
+def _coefficient_sum(piece, v) -> Fraction:
+    nums, den = _coefficients(piece, v)
+    return Fraction(sum(nums), den)
+
+
+def _holds(piece, v) -> bool:
+    """v lies in the piece and is not one of its rays."""
+    if v in piece:
+        return False
+    if len(piece) > 3:
+        return all(_dot(n, v) >= 0 for n in supporting_normals(list(piece)))
+    lam = _coefficients(piece, v)
+    return lam is not None and min(lam[0]) >= 0
+
+
+def _pull(piece, v) -> list[tuple]:
+    """The pieces of a piece pulled at v, each a sorted tuple of rays: a
+    simplex swaps v in for each ray whose coefficient of v is positive, and a
+    non-simplicial cone joins v to each facet (a ray pair) that misses v."""
+    if len(piece) > 3:
+        facets = {
+            tuple(g for g in piece if _dot(n, g) == 0)
+            for n in supporting_normals(list(piece))
+            if _dot(n, v) > 0
+        }
+        return [tuple(sorted((v, *f))) for f in sorted(facets)]
+    return [
+        tuple(sorted(v if j == i else g for j, g in enumerate(piece)))
+        for i, x in enumerate(_coefficients(piece, v)[0])
+        if x > 0
+    ]
+
+
+def lattice_index(piece) -> int:
+    """|det| of three rays, or the gcd of the 2x2 minors of two."""
+    if len(piece) == 3:
+        return abs(det3(*piece))
+    n = _cross(*piece)
+    return gcd(gcd(abs(n[0]), abs(n[1])), abs(n[2]))
+
+
+def _least_half_open_point(piece) -> Vec:
+    """The nonzero u = sum t_i g_i with 0 <= t_i < 1 of least (sum t_i, u).
+
+    A planar piece (a, b) is completed by the unit vector e_i of least
+    nonzero |(a x b)_i|, and keeps the points with t_3 = 0.  The lattice
+    of the three rays has a lower-triangular basis whose diagonal has
+    h1 = the gcd of the rays' first coordinates, h1*h2 = the gcd of their
+    2x2 minors in the first two, and h1*h2*h3 = |det|.  The points of the
+    box 0 <= x < h1, 0 <= y < h2, 0 <= z < h3 then meet each class of
+    Z^3 modulo that lattice once, and the fractional parts of a point's
+    coefficients give its class's point of the parallelepiped.
+    """
+    gens = list(piece)
+    if len(gens) == 2:
+        _, i = min((abs(x), i) for i, x in enumerate(_cross(*gens)) if x)
+        gens.append(tuple(int(k == i) for k in range(3)))
+    h1 = gcd(*(g[0] for g in gens))
+    h12 = gcd(*(_cross(a, b)[2] for a, b in combinations(gens, 2)))
+    best = None
+    for r in product(range(h1), range(h12 // h1), range(abs(det3(*gens)) // h12)):
+        nums, den = _coefficients(gens, r)
+        t = [Fraction(x % den, den) for x in nums]
+        if not any(t) or (len(piece) == 2 and t[2]):
+            continue
+        u = tuple(int(sum(x * g[k] for x, g in zip(t, gens))) for k in range(3))
+        if best is None or (sum(t), u) < best:
+            best = (sum(t), u)
+    return best[1]
+
+
+def _scan_insert(pieces, v, pulled) -> list[tuple]:
+    """Test every piece for v; pull each that holds it, noting it in pulled."""
+    out = []
+    for p in pieces:
+        if _holds(p, v):
+            pulled.append(p)
+            out.extend(_pull(p, v))
+        else:
+            out.append(p)
+    return out
+
+
+def _profile_level(gens):
+    """v's height against conv(0, gens): its coefficient sum on a simplicial
+    cone, else the greatest a.v / -d over the hull facets off the origin."""
+    if len(gens) <= 3:
+        return lambda v: _coefficient_sum(gens, v)
+    planes = hull_facets_off_origin([(0, 0, 0), *gens])
+    return lambda v: max(Fraction(_dot(pl[:3], v), -pl[3]) for pl in planes)
+
+
+def scan_ray_pieces(gens, rays, pool=(), pulled=None) -> list[tuple]:
+    """Pieces, as sorted ray tuples, of the cone over the extremal rays gens
+    with rays inserted by increasing (profile level, v), each insertion
+    testing every piece.  A non-simplicial cone that no ray split is pulled
+    at its least-level pool point, or else at its least ray.  Every piece
+    pulled is appended to pulled."""
+    gens = tuple(sorted(gens))
+    level = _profile_level(gens)
+    pulled = [] if pulled is None else pulled
+    pieces = [gens]
+    for v in sorted(rays, key=lambda v: (level(v), v)):
+        pieces = _scan_insert(pieces, v, pulled)
+    if pieces == [gens] and len(gens) > 3:
+        inside = [h for h in pool if _holds(gens, h)]
+        pulled.append(gens)
+        pieces = _pull(gens, min(inside, key=lambda h: (level(h), h)) if inside else min(gens))
+    return pieces
+
+
+def scan_hilbert_pieces(gens, basis) -> tuple[list[tuple], bool, list[tuple]]:
+    """Regular pieces of the cone over gens split at points of its Hilbert
+    basis, whether the fallback ran, and every piece pulled on the way.
+
+    The basis points on a boundary facet go in first (``scan_ray_pieces``).
+    Then, while a piece has lattice index above 1, the least such piece by
+    rays is tau; the basis point of least coefficient sum that tau holds is
+    inserted, or, when tau holds none, tau's least nonzero half-open point
+    (the fallback), each insertion testing every piece.
+    """
+    gens = tuple(sorted(gens))
+    normals = supporting_normals(list(gens)) if len(gens) > 2 else []
+    boundary = [h for h in basis if h not in gens and any(_dot(n, h) == 0 for n in normals)]
+    pulled: list[tuple] = []
+    pieces = scan_ray_pieces(gens, boundary, basis, pulled)
+    used_fallback = False
+    while worst := [p for p in pieces if lattice_index(p) != 1]:
+        tau = min(worst)
+        pool = [h for h in basis if _holds(tau, h)]
+        if pool:
+            chosen = min(pool, key=lambda h: (_coefficient_sum(tau, h), h))
+        else:
+            chosen = _least_half_open_point(tau)
+            used_fallback = True
+        pieces = _scan_insert(pieces, chosen, pulled)
+        if tau in pieces:
+            raise RuntimeError(f"the scan left {tau} unsplit at {chosen}")
+    return pieces, used_fallback, pulled
 
 
 def random_simplicial_octant_cones(count: int, max_entry: int, seed: int):

@@ -24,15 +24,17 @@ from torfan.refine import (
     refine_fan,
     refinement_from_rays,
     regular_refinement,
-    stellar_insert,
 )
 
 from oracle import (
     brute_force_hilbert_planar,
     brute_force_hilbert_simplicial,
     det3,
+    lattice_index,
     octant_slice_volume,
     random_simplicial_octant_cones,
+    scan_hilbert_pieces,
+    scan_ray_pieces,
     supporting_normals,
 )
 
@@ -355,29 +357,28 @@ def test_check_minimal_embedded_requires_regular():
         check_minimal_embedded(rep)
 
 
-def test_stellar_insert_skips_outside_and_existing():
-    pieces = [OCTANT]
-    same, changed = stellar_insert(pieces, E1)
-    assert not changed and same == pieces
-    same, changed = stellar_insert(pieces, (-1, 1, 1))
-    assert not changed and same == pieces
+def test_ray_pieces_skip_outside_and_existing_rays():
+    assert refine._ray_pieces(OCTANT, [E1]) == [OCTANT]
+    assert refine._ray_pieces(OCTANT, [(-1, 1, 1)]) == [OCTANT]
 
 
-def test_stellar_insert_refuses_the_zero_vector():
+def test_ray_pieces_refuse_the_zero_vector():
     with pytest.raises(ValueError):
-        stellar_insert([OCTANT], (0, 0, 0))
+        refine._ray_pieces(OCTANT, [(0, 0, 0)])
 
 
-def test_stellar_insert_at_a_multiple_of_a_generator_changes_nothing():
+def test_ray_pieces_at_a_multiple_of_a_generator_change_nothing():
     c = Cone.from_generators([E1, E2, (1, 1, 3)])
-    same, changed = stellar_insert([c], (2, 2, 6))
-    assert not changed and same == [c]
-    split, changed = stellar_insert([OCTANT], (2, 2, 6))
-    assert changed and split == stellar_insert([OCTANT], (1, 1, 3))[0]
+    assert refine._ray_pieces(c, [(2, 2, 6)]) == [c]
+    split = refine._ray_pieces(OCTANT, [(2, 2, 6)])
+    assert len(split) == 3 and split == refine._ray_pieces(OCTANT, [(1, 1, 3)])
 
 
 def test_hilbert_pieces_raise_instead_of_looping_on_a_stuck_insertion(monkeypatch):
-    monkeypatch.setattr(refine, "stellar_insert", lambda pieces, v: (list(pieces), False))
+    pulled = Cone.pulled
+    monkeypatch.setattr(
+        Cone, "pulled", lambda self, v: (self,) if self.is_simplicial() else pulled(self, v)
+    )
     # a stuck split of a non-regular simplex, then of a non-simplicial cone
     with pytest.raises(RuntimeError, match="unsplit"):
         regular_refinement(ELL_CONES[2])
@@ -602,3 +603,76 @@ def test_refine_fan_pieces_and_fallback_join_the_cones():
         rep = refine_fan(cones)
         assert_pieces_join(rep, per_cone)
         assert rep.used_fallback == any(r.used_fallback for r in per_cone)
+
+
+@pytest.fixture(scope="module")
+def scan_cases():
+    """Seeded octant cones with 3-5 rays and entries 0..9 and 0..15, planar
+    cones and the multiplicity-191 simplex; the dual cones of two Brieskorn
+    fans; and ``scan_hilbert_pieces`` of each of those cones."""
+    rng = random.Random(20261020)
+    cones = []
+    for top, count in ((9, 40), (15, 12)):
+        while count:
+            vs = [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(rng.randint(3, 5))]
+            if (0, 0, 0) not in vs and (c := Cone.from_generators(vs)).dim == 3:
+                cones.append(c)
+                count -= 1
+    cones += random_planar_cones(40, 12, seed=20261021)
+    cones.append(Cone.from_generators([(0, 7, 5), (1, 6, 0), (6, 2, 3)]))
+    fans = [
+        [c for c, _ in dual_newton_cones(parse_polynomial(f))]
+        for f in ("x^2+y^3+z^5", "x^101+y^103+z^107")
+    ]
+    scanned = {
+        c: scan_hilbert_pieces(c.generators, c.hilbert.elements)
+        for c in [*cones, *(c for fan in fans for c in fan)]
+    }
+    return cones, fans, scanned
+
+
+def scanned_report(cones, parts):
+    pieces = [Cone.from_generators(p) for ps, _, _ in parts for p in ps]
+    return refine._build_report(cones, pieces, any(fallback for _, fallback, _ in parts))
+
+
+def test_refinements_match_the_scan_oracle(scan_cases):
+    cones, fans, scanned = scan_cases
+    rng = random.Random(20261022)
+    for c in cones:
+        rep = regular_refinement(c)
+        assert rep.to_obj() == scanned_report([c], [scanned[c]]).to_obj(), c
+        assert rep.used_fallback == scanned[c][1], c
+        rays = [h for h in c.hilbert.elements if h not in c.generators and rng.random() < 0.3]
+        pieces = scan_ray_pieces(c.generators, rays)
+        expected = refine._build_report([c], [Cone.from_generators(p) for p in pieces], False)
+        assert refinement_from_rays(c, rays).to_obj() == expected.to_obj(), (c, rays)
+    for fan in fans:
+        rep = refine_fan(fan)
+        expected = scanned_report(fan, [scanned[c] for c in fan])
+        assert rep.to_obj() == expected.to_obj()
+        assert rep.used_fallback == expected.used_fallback
+    assert sum(scanned[c][1] for c in cones) > 40
+
+
+def test_the_hilbert_loop_pulls_what_a_scan_pulls_and_never_a_unimodular_piece(
+    scan_cases, monkeypatch
+):
+    """Each split pulls tau and the other owner of the facet that holds the
+    new ray, and never looks at unimodular pieces (``_hilbert_pieces``):
+    the pieces a scan of every piece pulls are never unimodular, and the
+    loop pulls exactly those."""
+    _, _, scanned = scan_cases
+    pulled = []
+    original = Cone.pulled
+
+    def recorded(self, v):
+        pulled.append(self.generators)
+        return original(self, v)
+
+    monkeypatch.setattr(Cone, "pulled", recorded)
+    for c, (_, _, expected) in scanned.items():
+        pulled.clear()
+        refine._hilbert_pieces(c)
+        assert sorted(pulled) == sorted(expected), c
+        assert all(len(p) > 3 or lattice_index(p) > 1 for p in expected), c
