@@ -4,8 +4,12 @@ Everything runs on arbitrary-precision integers and fractions; there is no
 floating point in any geometric decision (SVG rendering is the one exception,
 and it never feeds back into computation).
 
-Public names resolve on first use (PEP 562), so ``import torfan`` and each
-CLI verb load only the modules they need.
+Public names resolve on first use (PEP 562), so ``import torfan`` loads
+only ``polyparse``, ``cones`` and ``profile`` (bound eagerly, below), and
+each CLI verb loads only the modules it needs.  No module imports
+``dataclasses``, so no process pays for it or for the ``inspect`` module it
+loads: records are named tuples, or ``__slots__`` classes where they
+iterate their own contents.
 """
 
 import importlib

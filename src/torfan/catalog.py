@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
-from dataclasses import asdict, dataclass, field
+from collections import Counter, namedtuple
 from functools import cache, cached_property, partial
 from importlib import resources
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .cones import Cone, Vec, unimodular_det
 from .newton import _facet_incidence, dual_newton_cones
@@ -44,8 +43,7 @@ class CatalogError(ValueError):
 Params = dict[str, int]
 
 
-@dataclass(frozen=True)
-class CatalogHyperplane:
+class CatalogHyperplane(NamedTuple):
     """One subprofile bounding hyperplane; recomputed marks a replacement."""
 
     functional: AffineFunctional
@@ -55,8 +53,7 @@ class CatalogHyperplane:
         return facet_equation(self.functional)
 
 
-@dataclass(frozen=True)
-class _Stated:
+class _Stated(NamedTuple):
     """The closed-form data one family states for one instance, None where
     it states nothing; only B-odd states ``determinants`` and the profile
     pair ``printed_profile`` of cone 0.  ``subprofiles`` is keyed by cone
@@ -74,13 +71,12 @@ class _Stated:
     printed_profile: tuple[AffineFunctional, ...] | None = None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     parameters: tuple[str, ...]
     constraint: str
     # keyword arguments named after ``parameters``; True inside the domain
-    domain: Callable[..., bool] = field(repr=False)
+    domain: Callable[..., bool]
     # the defining equation, as printed and as instantiated (Instance.poly)
     template: str
     grid: tuple[Params, ...]
@@ -90,9 +86,7 @@ class CatalogEntry:
     # recorded without failing the run; no expected witness is on file
     escape_observational: bool = False
     # the closed-form data of one instance, all None where none is stated
-    stated: Callable[[Params], _Stated] = field(
-        default=lambda p: _Stated(), repr=False
-    )
+    stated: Callable[[Params], _Stated] = lambda p: _Stated()
 
 
 def _a3_domain(l: int, m: int, k: int) -> bool:
@@ -332,14 +326,12 @@ _EXPONENT = re.compile(r"\^(?:\(([^)]*)\)|([a-z]))")
 _LINEAR_TERM = re.compile(r"([+-]?)(\d*)([a-z]?)")
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One catalog instance with its parameters resolved: the equation
+class Instance(namedtuple("Instance", "entry params")):
+    """One catalog instance with its parameters resolved: ``entry``, a
+    ``CatalogEntry``, and ``params``, a ``Params`` dict.  The equation
     ``poly``, the ``stated`` data (see ``_Stated``) and the tabulated
-    ``fixture`` or None, each built once, on first use."""
-
-    entry: CatalogEntry
-    params: Params
+    ``fixture`` or None are each built once, on first use, and kept in the
+    instance ``__dict__``."""
 
     @cached_property
     def poly(self) -> Polynomial:
@@ -439,16 +431,14 @@ def profile_discrepancy(
 # tabulated fixtures
 
 
-@dataclass(frozen=True)
-class FixtureCone:
+class FixtureCone(NamedTuple):
     label: str
     vertex: Vec
     rays: tuple[Vec, ...]
     hilbert: tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class AppendixFixture:
+class AppendixFixture(NamedTuple):
     family: str
     params: Params
     equation: str
@@ -487,8 +477,7 @@ def fixture_instances() -> list[tuple[str, Params]]:
 # verification
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     family: str
     params: Params
     equation: str
@@ -497,7 +486,11 @@ class VerificationReport:
     overall: bool
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        """The report as a new dict of plain data, sharing nothing mutable
+        with the report."""
+        from copy import deepcopy  # only reports pay for importing copy
+
+        return deepcopy(self._asdict())
 
 
 def _lists(vs) -> list[list[int]]:

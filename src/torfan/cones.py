@@ -19,14 +19,14 @@ or has l <= 1, is a generator or u itself.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import le
 
-from .polyparse import _integer
+from .polyparse import _Frozen, _integer
 
 Vec = tuple[int, int, int]
 
@@ -121,26 +121,23 @@ def _supporting_normals(gens: Iterable[Vec]) -> Iterator[Vec]:
     return (n[:3] for n in _supporting_planes(lifted) if n[3] == 0)
 
 
-@dataclass(frozen=True)
-class Cone:
-    """Pointed rational cone; ``generators`` are its primitive extremal rays.
+class Cone(
+    namedtuple("Cone", "generators dim facet_normals facets plane_normal", defaults=((), (), None))
+):
+    """Pointed rational cone: ``generators`` (tuple[Vec, ...]) are its
+    primitive extremal rays and ``dim`` (int) the dimension of their span.
 
-    ``facet_normals[i]`` is the primitive inner normal, within the span of
-    the cone, of the facet spanned by the sorted generators ``facets[i]``:
-    a ray pair in dimension 3, one ray in dimension 2, and no ray for a
-    ray, whose one normal is its generator.  Membership is
+    ``facet_normals[i]`` (Vec) is the primitive inner normal, within the
+    span of the cone, of the facet spanned by the sorted generators
+    ``facets[i]``: a ray pair in dimension 3, one ray in dimension 2, and
+    no ray for a ray, whose one normal is its generator.  Membership is
     the conjunction of those inequalities and, below dimension 3, lying in
-    the span.  ``plane_normal`` is set for 2-dimensional cones only.
-    ``hilbert`` and ``profile`` are the cone's Hilbert basis and profile,
-    each computed on first use and then kept; ``hilbert_basis(c)`` and
-    ``profile(c)`` read them.
+    the span.  ``plane_normal`` (Vec or None) is set for 2-dimensional
+    cones only.  ``hilbert`` and ``profile`` are the cone's Hilbert basis
+    and profile, each computed on first use and then kept in the instance
+    ``__dict__``, which is why the class declares no ``__slots__``;
+    ``hilbert_basis(c)`` and ``profile(c)`` read them.
     """
-
-    generators: tuple[Vec, ...]
-    dim: int
-    facet_normals: tuple[Vec, ...] = ()
-    facets: tuple[tuple[Vec, ...], ...] = ()
-    plane_normal: Vec | None = None
 
     @classmethod
     def from_generators(cls, vectors: Iterable[Sequence[int]]) -> "Cone":
@@ -381,12 +378,13 @@ def is_irreducible(c: Cone, v: Sequence[int]) -> bool:
     return t in c.hilbert.elements
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
+class HilbertBasis(_Frozen):
     """Minimal generating set of cone ∩ Z^3, sorted lexicographically."""
 
-    cone: Cone
-    elements: tuple[Vec, ...]
+    __slots__ = ("cone", "elements")
+
+    def __init__(self, cone: Cone, elements: tuple[Vec, ...]) -> None:
+        super().__init__(cone, elements)
 
     def __iter__(self):
         return iter(self.elements)

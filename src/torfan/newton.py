@@ -10,12 +10,11 @@ NP(f), rays to facets, and strictly positive cones to compact faces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
 from operator import le
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cones import (
     Cone,
@@ -34,8 +33,7 @@ E2: Vec = (0, 1, 0)
 E3: Vec = (0, 0, 1)
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
+class NewtonPolyhedron(NamedTuple):
     """Vertices, facet inequalities (w·x >= o), and compact faces of NP(f)."""
 
     vertices: tuple[Vec, ...]
@@ -43,14 +41,12 @@ class NewtonPolyhedron:
     compact_faces: tuple[tuple[tuple[Vec, ...], int], ...]
 
 
-@dataclass(frozen=True)
-class FanCone:
+class FanCone(NamedTuple):
     rays: tuple[int, ...]
     label: str | None = None
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """Serializable fan: primitive rays (lex sorted) and cones by ray index."""
 
     rays: tuple[Vec, ...]

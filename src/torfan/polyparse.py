@@ -7,7 +7,6 @@ coefficients are kept exactly so initial forms can be printed back out.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 Exponent = tuple[int, int, int]
@@ -54,11 +53,50 @@ def _format_sum(
     return text or "0"
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class _Frozen:
+    """Base of the records that iterate their contents, so cannot be tuples
+    (``copy``, pickling and namedtuple's helpers iterate a tuple to rebuild
+    it): fields in ``__slots__``, set once in ``__init__``, read-only after,
+    and compared, hashed and printed by value like a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Polynomial(_Frozen):
     """Immutable sparse polynomial; ``terms`` maps exponents to nonzero ints."""
 
-    terms: tuple[tuple[Exponent, int], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Exponent, int], ...]) -> None:
+        super().__init__(terms)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[Exponent, int]) -> "Polynomial":

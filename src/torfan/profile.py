@@ -10,7 +10,7 @@ over the lifted points (p, 1) by the supporting-hyperplane kernel of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -30,16 +30,14 @@ from .cones import (
 )
 
 
-@dataclass(frozen=True)
-class AffineFunctional:
-    """a·x + b·y + c·z + d with exact rational coefficients.
+class AffineFunctional(namedtuple("AffineFunctional", "coeffs constant", defaults=(Fraction(0),))):
+    """a·x + b·y + c·z + d with exact rational coefficients: ``coeffs`` is
+    (a, b, c) and ``constant`` is d, all ``Fraction``s.
 
     ``integer_form`` is (a', b', c', d', q): integers with q > 0, the least
-    common denominator, such that the functional is (a'x + b'y + c'z + d')/q.
+    common denominator, such that the functional is (a'x + b'y + c'z + d')/q;
+    it is computed once and kept in the instance ``__dict__``.
     """
-
-    coeffs: tuple[Fraction, Fraction, Fraction]
-    constant: Fraction = Fraction(0)
 
     @classmethod
     def from_integers(cls, a: int, b: int, c: int, d: int = 0) -> "AffineFunctional":
@@ -97,11 +95,9 @@ def facet_equation(bounding: AffineFunctional) -> str:
     return str(f)
 
 
-@dataclass(frozen=True)
-class Profile:
-    cone: Cone
-    bounding: tuple[AffineFunctional, ...]
-    kind: str  # "simplicial" | "convex-hull"
+class Profile(namedtuple("Profile", "cone bounding kind")):
+    """The profile of ``cone``: the ``AffineFunctional``s ``bounding`` it,
+    and ``kind``, "simplicial" or "convex-hull"."""
 
     @cached_property
     def _level_forms(self) -> tuple[tuple[int, int, int, int], ...]:

@@ -33,7 +33,7 @@ correct.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cones import (
     Cone,
@@ -49,8 +49,7 @@ from .cones import (
 from .newton import Fan, _tiling_certificate
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(NamedTuple):
     """``certificates``: each piece's ray indices in ``result`` with its
     multiplicity.  ``irreducible``: each result ray with whether it lies in
     some source and in the Hilbert basis of every source that contains it."""
@@ -85,8 +84,7 @@ class RefinementReport:
         }
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     entries: tuple[tuple[Vec, bool], ...]
     all_irreducible: bool
     curve_check: str = "not checked"

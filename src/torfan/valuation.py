@@ -10,13 +10,12 @@ over strictly positive weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .cones import Cone, Vec, dot
 from .newton import Fan, dual_newton_cones, fan_faces
-from .polyparse import Polynomial, _format_sum
+from .polyparse import Polynomial, _format_sum, _Frozen
 
 
 def w_order(p: Polynomial, w: Sequence[int]) -> int:
@@ -32,8 +31,7 @@ def initial_form(p: Polynomial, w: Sequence[int]) -> Polynomial:
     return p.restricted_to(e for e in p.support() if dot(w, e) == o)
 
 
-@dataclass(frozen=True)
-class GroebnerCone:
+class GroebnerCone(NamedTuple):
     """Closure of a weight equivalence class, with its shared initial form."""
 
     cone: Cone
@@ -110,13 +108,18 @@ def _truncated_mul(a: dict[JetTerm, int], b: dict[JetTerm, int], m: int) -> dict
     return out
 
 
-@dataclass(frozen=True)
-class JetSystem:
+class JetSystem(_Frozen):
     """Equations of the m-jet space of f = 0, F_0 .. F_m."""
 
-    order: int
-    variables: tuple[str, ...]
-    equations: tuple[tuple[tuple[JetTerm, int], ...], ...]
+    __slots__ = ("order", "variables", "equations")
+
+    def __init__(
+        self,
+        order: int,
+        variables: tuple[str, ...],
+        equations: tuple[tuple[tuple[JetTerm, int], ...], ...],
+    ) -> None:
+        super().__init__(order, variables, equations)
 
     def equation_dicts(self) -> list[dict[JetTerm, int]]:
         return [dict(eq) for eq in self.equations]

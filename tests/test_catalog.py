@@ -1,6 +1,6 @@
+import copy
 import itertools
 import re
-from dataclasses import fields, replace
 
 import pytest
 
@@ -60,7 +60,7 @@ SUBPROFILE_CONES = {"B-odd": [0, 1, 2], "B-even": [0, 1, 2], "ELLIPTIC-1": [2]}
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_registry_pins_which_lookups_answer(family):
     rec = instance(family).stated
-    answered = {f.name for f in fields(rec) if getattr(rec, f.name) is not None}
+    answered = {name for name in rec._fields if getattr(rec, name) is not None}
     assert answered == STATED.get(family, set())
     if rec.subprofiles is not None:
         assert sorted(rec.subprofiles) == SUBPROFILE_CONES[family]
@@ -270,13 +270,26 @@ def test_subprofile_stage_fails_on_a_valuation_no_hyperplane_reaches():
     # x-y+1 passes through (0,1,0) and (0,1,2) of cone 2, as the stated
     # 3x-y+1 does, but not through (1,4,0), which no other cone holds
     miss = CatalogHyperplane(AffineFunctional.from_integers(1, -1, 0, 1))
-    stage = _subprofile_stage(replace(rec, subprofiles={**rec.subprofiles, 2: (miss,)}))
+    stage = _subprofile_stage(rec._replace(subprofiles={**rec.subprofiles, 2: (miss,)}))
     assert stage["status"] == "fail"
     failure = next(f for f in stage["failures"] if f["vector"] == [1, 4, 0])
     assert failure["reaches"] is False and failure["containing"] == [2]
     row = next(e for e in stage["per_cone"][2]["vectors"] if e["vector"] == [1, 4, 0])
     assert row == {"vector": [1, 4, 0], "reaches": [], "in_region": False}
     assert stage["per_cone"][2]["all_reach"] is False
+
+
+def test_report_objects_share_nothing_with_the_report():
+    report = verify("B-odd", B22)
+    first = report.to_obj()
+    expected = copy.deepcopy(first)
+    first["params"]["r"] = 99
+    first["stages"]["hilbert"]["sizes"].append(0)
+    first["stages"]["subprofile"]["per_cone"][0]["vectors"].clear()
+    first["cones"][0]["hilbert"][0][0] = -1
+    first["cones"].pop()
+    assert report.to_obj() == expected
+    assert report.params == B22
 
 
 def test_profile_discrepancy_is_flagged():

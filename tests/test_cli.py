@@ -443,6 +443,21 @@ def test_each_verb_loads_only_the_modules_it_uses(tmp_path, args, loaded):
     assert [m for m in LAZY if m in modules] == [m for m in LAZY if m in loaded]
 
 
+def test_cli_and_catalog_import_neither_dataclasses_nor_inspect():
+    # -S keeps site packages (and the modules their .pth files import) out
+    code = "import sys, torfan.cli, torfan.catalog; print(*sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.split())
+    assert "torfan.catalog" in modules
+    assert not {"dataclasses", "inspect"} & modules
+
+
 PUBLIC_NAMES = """
 ParseError Polynomial parse_polynomial support
 Cone HilbertBasis cross dot hilbert_basis is_irreducible parse_cone primitive
