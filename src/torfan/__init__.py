@@ -54,9 +54,7 @@ _EXPORTS = {
     ),
     "refine": (
         "RefinementReport",
-        "check_minimal_embedded",
         "refine_fan",
-        "refinement_from_rays",
         "regular_refinement",
     ),
     "valuation": (

@@ -20,7 +20,6 @@ import json
 import re
 from collections import Counter, namedtuple
 from functools import cache, cached_property, partial
-from importlib import resources
 from typing import Callable, Mapping, NamedTuple
 
 from .cones import Cone, Vec, unimodular_det
@@ -32,7 +31,7 @@ from .profile import (
     facet_equation,
     profile_lattice_points,
 )
-from .refine import refinement_from_rays
+from .refine import refine_fan
 from .valuation import tropical_variety
 
 
@@ -447,6 +446,8 @@ class AppendixFixture(NamedTuple):
 
 @cache
 def _load_fixtures() -> list[AppendixFixture]:
+    from importlib import resources  # pulls in tempfile and shutil; load it on use
+
     obj = json.loads(
         resources.files("torfan.data").joinpath("appendix_fixtures.json").read_text()
     )
@@ -510,7 +511,7 @@ def _missing_extra(expected, found) -> dict:
 def _cone_row(c: Cone, vertex: Vec, insert: list[Vec], rtp: bool) -> dict:
     """The report row of one dual cone, refined at ``insert`` or its Hilbert basis."""
     h = c.hilbert.elements
-    rep = refinement_from_rays(c, insert or h)
+    rep = refine_fan([c], insert or h)
     points = profile_lattice_points(c.profile)
     uncovered = sorted(set(points) - set(h))
     return {

@@ -15,7 +15,6 @@ import json
 import math
 import sys
 from functools import cache
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,6 +40,8 @@ _FORMATS = ("json", "text")
 def load_schema() -> dict:
     """The published JSON contract of every verb, ``data/cli_schema.json``;
     the tests check outputs against it, not each run."""
+    from importlib import resources  # pulls in tempfile and shutil; no verb needs it
+
     return json.loads(
         resources.files("torfan.data").joinpath("cli_schema.json").read_text()
     )
@@ -258,15 +259,16 @@ def _run_profile(ns) -> tuple[bool, str, dict]:
         for v in _read_vectors(ns.vectors):
             containing = [i for i, c in enumerate(cones) if c.contains(v)]
             outside = [i for i in containing if not contains_point(cones[i].profile, v)]
+            row_ok = bool(containing) and not outside
             results.append(
                 {
                     "vector": list(v),
                     "containing_cones": containing,
                     "outside_profile_of": outside,
-                    "ok": not outside,
+                    "ok": row_ok,
                 }
             )
-            ok = ok and not outside
+            ok = ok and row_ok
         obj["vectors"] = results
     return ok, "profile", obj
 
@@ -406,6 +408,8 @@ def _text_lines(key: str, obj) -> list[str]:
             lines.append(f"  lattice points: {len(prof['lattice_points'])}")
         for row in obj.get("vectors", []):
             state = "ok" if row["ok"] else f"outside in cones {row['outside_profile_of']}"
+            if not row["containing_cones"]:
+                state = "in no cone"
             lines.append(f"vector {_pv(row['vector'])}: {state}")
         return lines
     if key == "groebner":

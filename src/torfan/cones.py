@@ -274,6 +274,26 @@ class Cone(
         return f"<{inner}>"
 
 
+def _l_form(c: Cone) -> tuple[Vec, int]:
+    """(u, q), q > 0, with l(v) = u.v / q the l-functional of a simplicial
+    c: 1 on every generator, 0 on the normals of c's span.  The adjugate
+    rows b x g, g x a, a x b of a 3-dimensional (a, b, g) each take the
+    value det(a, b, g) on one generator and 0 on the others; a planar
+    (a, b) is read in the frame (a, b, n), n = a x b."""
+    if c.dim == 3:
+        a, b, g = c.generators
+        bg = cross(b, g)
+        u = vadd(vadd(bg, cross(g, a)), cross(a, b))
+        q = dot(a, bg)
+        return (u, q) if q > 0 else ((-u[0], -u[1], -u[2]), -q)
+    if c.dim == 2:
+        a, b = c.generators
+        n = cross(a, b)
+        return vadd(cross(b, n), cross(n, a)), dot(n, n)
+    (g,) = c.generators
+    return g, dot(g, g)
+
+
 def triangulate(c: Cone) -> tuple[Cone, ...]:
     """Split into simplicial cones by pulling the lexicographically least
     ray (``Cone.pulled``).

@@ -21,12 +21,9 @@ from .cones import (
     Vec,
     ZERO,
     _half_open_points,
+    _l_form,
     _supporting_planes,
-    cross,
-    dot,
     triangulate,
-    unimodular_det,
-    vadd,
 )
 
 
@@ -117,33 +114,13 @@ class Profile(namedtuple("Profile", "cone bounding kind")):
         )
 
 
-def _over(num: Vec, det: int) -> AffineFunctional:
-    return AffineFunctional(tuple(Fraction(x, det) for x in num))
-
-
 def l_functional(c: Cone) -> AffineFunctional:
-    """The linear functional with value 1 on every generator (simplicial, 3-D).
-
-    The adjugate rows b x c, c x a, a x b each take the value det(a, b, c)
-    on one generator and 0 on the others, so l is their sum over det.
-    """
+    """The linear functional with value 1 on every generator (simplicial, 3-D),
+    read from ``_l_form``."""
     if c.dim != 3 or not c.is_simplicial():
         raise ValueError("l functional requires a full-dimensional simplicial cone")
-    a, b, g = c.generators
-    num = vadd(vadd(cross(b, g), cross(g, a)), cross(a, b))
-    return _over(num, unimodular_det(a, b, g))
-
-
-def _l_any_dim(c: Cone) -> AffineFunctional:
-    if c.dim == 3:
-        return l_functional(c)
-    if c.dim == 2:
-        # as above for the frame (a, b, n), with value 0 on the normal n
-        a, b = c.generators
-        n = cross(a, b)
-        return _over(vadd(cross(b, n), cross(n, a)), dot(n, n))
-    (g,) = c.generators
-    return _over(g, dot(g, g))
+    u, q = _l_form(c)
+    return AffineFunctional(tuple(Fraction(x, q) for x in u))
 
 
 def _hull_facets_off_origin(points: Sequence[Vec]) -> tuple[AffineFunctional, ...]:
@@ -164,8 +141,9 @@ def profile(c: Cone) -> Profile:
 def _profile(c: Cone) -> Profile:
     """The computation behind ``Cone.profile``."""
     if c.is_simplicial():
-        l = _l_any_dim(c)
-        return Profile(c, (AffineFunctional(l.coeffs, l.constant - 1),), "simplicial")
+        u, q = _l_form(c)
+        below_one = AffineFunctional(tuple(Fraction(x, q) for x in u), Fraction(-1))
+        return Profile(c, (below_one,), "simplicial")
     return Profile(c, _hull_facets_off_origin([ZERO, *c.generators]), "convex-hull")
 
 

@@ -9,7 +9,8 @@ triangulation first.  That matters: a forced starting diagonal can be an
 edge that no unimodular subdivision through the prescribed rays contains,
 which would make regularity unreachable no matter the insertion order.
 Insertion is local: a ray is only tested against pieces that can hold it.
-One insertion loop (``_ray_pieces``) serves both refinements: rays go in
+``refine_fan`` is the one entry point, Hilbert-driven or at prescribed
+rays.  One insertion loop (``_ray_pieces``) serves both modes: rays go in
 by increasing profile level down a tree, each piece pulled at the first
 ray it holds and its children handed the later rays they hold, and a
 non-simplicial cone that no ray fell inside is pulled at a Hilbert
@@ -40,11 +41,10 @@ from .cones import (
     Vec,
     _half_open_points,
     _integer_vector,
+    _l_form,
     _primitive,
-    cross,
     dot,
     triangulate,
-    vadd,
 )
 from .newton import Fan, _tiling_certificate
 
@@ -82,12 +82,6 @@ class RefinementReport(NamedTuple):
             "new_rays": [list(r) for r in self.new_rays],
             "regular": self.all_unimodular(),
         }
-
-
-class MinimalityReport(NamedTuple):
-    entries: tuple[tuple[Vec, bool], ...]
-    all_irreducible: bool
-    curve_check: str = "not checked"
 
 
 def _build_report(
@@ -210,8 +204,8 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
         key = min(table)
         tau, pool = table[key]
         if pool:
-            l = _l_numerator(tau)
-            chosen = min(pool, key=lambda h: (dot(l, h), h))
+            u, _ = _l_form(tau)
+            chosen = min(pool, key=lambda h: (dot(u, h), h))
         else:
             chosen = _least_half_open_point(tau)
             used_fallback = True
@@ -234,93 +228,52 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
     return done, used_fallback
 
 
-def _l_numerator(tau: Cone) -> Vec:
-    """The integer vector u with l(h) = u.h / q, q > 0 fixed per tau, for the
-    l-functional of a simplicial tau of dimension 2 or 3: the adjugate rows'
-    sum b x g + g x a + a x b turned by the sign of det(a, b, g), over |det|,
-    or for a planar (a, b) with n = a x b, (b x n + n x a) over n.n."""
-    if tau.dim == 3:
-        a, b, g = tau.generators
-        bg = cross(b, g)
-        u = vadd(vadd(bg, cross(g, a)), cross(a, b))
-        return u if dot(a, bg) > 0 else (-u[0], -u[1], -u[2])
-    a, b = tau.generators
-    n = cross(a, b)
-    return vadd(cross(b, n), cross(n, a))
-
-
-def _checked_rays(c: Cone, rays: Sequence[Vec]) -> list[Vec]:
-    """The prescribed integer rays that are not generators of c; each must
-    be primitive, lie in c and be listed once."""
+def _held_rays(cones: Sequence[Cone], rays: Sequence[Vec]) -> list[list[Vec]]:
+    """Each cone's prescribed rays that are not its generators, in the given
+    order.  All rays are checked to be three ints, then to lie in some cone,
+    then one by one to be primitive and listed once."""
+    rays = [_integer_vector(r, "prescribed ray") for r in rays]
+    held = [[v for v in rays if c.contains(v)] for c in cones]
+    inside = set().union(*held)
+    for v in rays:
+        if v not in inside:
+            raise ValueError(f"prescribed ray {v} lies in no cone of the fan")
     seen: set[Vec] = set()
     for v in rays:
         if _primitive(v) != v:
             raise ValueError(f"prescribed ray {v} is not primitive")
-        if not c.contains(v):
-            raise ValueError(f"prescribed ray {v} lies outside the cone")
         if v in seen:
             raise ValueError(f"duplicate prescribed ray {v}")
         seen.add(v)
-    return [v for v in rays if v not in c.generators]
-
-
-def regular_refinement(c: Cone) -> RefinementReport:
-    """Subdivide into unimodular pieces using Hilbert-basis rays only.
-
-    Boundary 2-faces are refined first (so adjacent cones subdivide
-    identically), then the lexicographically first non-regular piece is
-    split at the element of the cone's Hilbert basis of least l-value, or
-    at its own least-l Hilbert element that is not a generator when it
-    holds none, until none remain.
-    """
-    return _build_report([c], *_hilbert_pieces(c))
-
-
-def refinement_from_rays(c: Cone, rays: Sequence[Vec]) -> RefinementReport:
-    """Triangulate c using exactly its extremal rays plus the given rays.
-
-    Rays are inserted by increasing (level, lexicographic) order, level
-    being the height against the profile hull; a prescribed ray equal to
-    an extremal ray is a no-op.
-    """
-    rays = [_integer_vector(r, "prescribed ray") for r in rays]
-    return _build_report([c], _ray_pieces(c, _checked_rays(c, rays)), False)
+    return [[v for v in vs if v not in c.generators] for c, vs in zip(cones, held)]
 
 
 def refine_fan(
     cones: Sequence[Cone], rays: Sequence[Vec] | None = None
 ) -> RefinementReport:
-    """Refine every maximal cone of a 3-dimensional fan and certify the
-    whole fan once; rays=None means Hilbert-driven, and otherwise every
-    prescribed ray must lie in some cone."""
-    for c in cones:
-        if c.dim != 3:
-            raise ValueError(
-                f"refine_fan needs 3-dimensional cones, got {c}; refine rays "
-                "and planar cones with regular_refinement or refinement_from_rays"
-            )
-    rays = None if rays is None else [_integer_vector(r, "prescribed ray") for r in rays]
-    for v in rays or ():
-        if not any(c.contains(v) for c in cones):
-            raise ValueError(f"prescribed ray {v} lies in no cone of the fan")
-    parts = [
-        _hilbert_pieces(c) if rays is None
-        else (_ray_pieces(c, _checked_rays(c, [v for v in rays if c.contains(v)])), False)
-        for c in cones
-    ]
-    return _build_report(
-        cones,
-        [p for pieces, _ in parts for p in pieces],
-        any(fallback for _, fallback in parts),
-    )
+    """Refine one cone of any dimension, or 3-dimensional cones, and certify
+    the whole fan once.
 
-
-def check_minimal_embedded(r: RefinementReport) -> MinimalityReport:
-    """Irreducibility of every result ray in every source cone containing it.
-
-    Covers only the vector half of minimality; the -1-curve half of the
-    criterion is reported as "not checked".
+    With rays=None each cone is split at Hilbert-basis rays: boundary
+    2-faces first (so adjacent cones subdivide identically), then the
+    lexicographically first non-regular piece at the basis element of least
+    l-value, or at its own least-l Hilbert element that is not a generator
+    when it holds none.  Otherwise each cone is triangulated at its extremal
+    rays plus the prescribed rays it holds, by increasing (profile level,
+    lexicographic) order; every prescribed ray must lie in some cone
+    (``_held_rays``).
     """
-    if not r.all_unimodular():
-        raise ValueError("minimality check expects a regular refinement")
-    return MinimalityReport(r.irreducible, r.all_rays_irreducible)
+    flat = [c for c in cones if c.dim != 3]
+    if flat and len(cones) > 1:
+        raise ValueError(f"refine_fan needs one cone or 3-dimensional cones, got {flat[0]}")
+    if rays is None:
+        parts = [_hilbert_pieces(c) for c in cones]
+    else:
+        parts = [(_ray_pieces(c, vs), False) for c, vs in zip(cones, _held_rays(cones, rays))]
+    pieces = [p for ps, _ in parts for p in ps]
+    return _build_report(cones, pieces, any(fallback for _, fallback in parts))
+
+
+def regular_refinement(c: Cone) -> RefinementReport:
+    """``refine_fan([c])``: c split into unimodular pieces at Hilbert-basis rays."""
+    return refine_fan([c])

@@ -91,6 +91,16 @@ def test_profile_vectors_exit_code(tmp_path, capsys):
     vf.write_text("(1,1,1)\n")
     code, obj = run_json(capsys, ["profile", ELL, "--vectors", str(vf)])
     assert code == 0
+    # a vector in no cone is not ok, for a fan and for one cone
+    vf.write_text("(-1,0,0)\n")
+    for source in (ELL, "<(1,0,0),(0,1,0),(1,1,3)>"):
+        code, obj = run_json(capsys, ["profile", source, "--vectors", str(vf)])
+        assert code == 1
+        assert obj["vectors"] == [
+            {"vector": [-1, 0, 0], "containing_cones": [], "outside_profile_of": [], "ok": False}
+        ]
+        assert cli.run(["profile", source, "--vectors", str(vf), "--format", "text"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "vector (-1,0,0): in no cone"
 
 
 def test_groebner_and_tropical(capsys):
@@ -443,6 +453,24 @@ def test_each_verb_loads_only_the_modules_it_uses(tmp_path, args, loaded):
     assert [m for m in LAZY if m in modules] == [m for m in LAZY if m in loaded]
 
 
+def test_cli_and_catalog_load_importlib_resources_only_to_read_data():
+    # -S keeps site packages (and the modules their .pth files import) out
+    code = (
+        "import sys, torfan.cli, torfan.catalog\n"
+        "before = 'importlib.resources' in sys.modules\n"
+        "torfan.cli.load_schema()\n"
+        "print(before, 'importlib.resources' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_cli_and_catalog_import_neither_dataclasses_nor_inspect():
     # -S keeps site packages (and the modules their .pth files import) out
     code = "import sys, torfan.cli, torfan.catalog; print(*sorted(sys.modules))"
@@ -466,8 +494,7 @@ Fan NewtonPolyhedron dual_newton_cones fan_consistency_report fan_faces
 newton_polyhedron octant_solid_volume
 AffineFunctional Profile contains_point facet_equation l_functional
 profile profile_lattice_points
-RefinementReport check_minimal_embedded refine_fan refinement_from_rays
-regular_refinement
+RefinementReport refine_fan regular_refinement
 GroebnerCone JetSystem groebner_fan initial_form jet_equations tropical_variety
 w_order
 CatalogError default_grid entry families fixture_instances profile_discrepancy

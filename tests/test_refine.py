@@ -19,12 +19,7 @@ from torfan.cones import (
 from torfan.newton import dual_newton_cones
 from torfan.polyparse import parse_polynomial
 from torfan.profile import profile, profile_lattice_points
-from torfan.refine import (
-    check_minimal_embedded,
-    refine_fan,
-    refinement_from_rays,
-    regular_refinement,
-)
+from torfan.refine import refine_fan, regular_refinement
 
 from oracle import (
     brute_force_hilbert_planar,
@@ -112,7 +107,7 @@ def test_b_family_quad_cone_regular_refinement_unimodular():
 def test_b_family_sigma1_refinement_from_valuation_rays():
     sigma1 = B_CONES[0]
     rays = sorted(v for v in B_EV if sigma1.contains(v))
-    rep = refinement_from_rays(sigma1, rays)
+    rep = refine_fan([sigma1], rays)
     assert rep.all_unimodular()
     assert set(rep.result.rays) == set(rays) | set(sigma1.generators)
     assert all(abs(det3(*t)) == 1 for t in piece_triples(rep))
@@ -129,19 +124,19 @@ def test_b_family_all_cones_from_valuation_rays():
 
 def test_refinement_from_rays_empty_is_identity():
     c = Cone.from_generators([E1, E2, (1, 1, 2)])
-    rep = refinement_from_rays(c, [])
+    rep = refine_fan([c], [])
     assert piece_triples(rep) == [c.generators]
     assert rep.new_rays == ()
 
 
 def test_prescribed_extremal_ray_is_a_no_op():
-    rep = refinement_from_rays(OCTANT, [E2])
+    rep = refine_fan([OCTANT], [E2])
     assert piece_triples(rep) == [OCTANT.generators]
 
 
 def test_insufficient_rays_reported_not_raised():
     c = ELL_CONES[2]
-    rep = refinement_from_rays(c, [(1, 2, 2)])
+    rep = refine_fan([c], [(1, 2, 2)])
     dets = sorted(det for _, det in rep.certificates)
     # splitting <e2,e3,(6,8,9)> at (1,2,2) leaves the three simplices
     # obtained by replacing one generator; their determinants are fixed
@@ -180,14 +175,14 @@ def non_integer_ray_message(ray):
 
 def test_refinement_from_rays_validation():
     with pytest.raises(ValueError):
-        refinement_from_rays(OCTANT, [(2, 4, 6)])
+        refine_fan([OCTANT], [(2, 4, 6)])
     with pytest.raises(ValueError):
-        refinement_from_rays(ELL_CONES[2], [(1, 0, 0)])
+        refine_fan([ELL_CONES[2]], [(1, 0, 0)])
     with pytest.raises(ValueError):
-        refinement_from_rays(OCTANT, [(1, 1, 1), (1, 1, 1)])
+        refine_fan([OCTANT], [(1, 1, 1), (1, 1, 1)])
     for ray in NON_INTEGER_RAYS:
         with pytest.raises(ValueError, match=non_integer_ray_message(ray)):
-            refinement_from_rays(OCTANT, [ray])
+            refine_fan([OCTANT], [ray])
 
 
 def test_refinement_rays_octant_identity():
@@ -212,13 +207,11 @@ def test_elliptic_per_cone_rays_match_hilbert():
 
 def test_two_dimensional_face_refinement():
     face = Cone.from_generators([E1, E2])
-    rep = refinement_from_rays(face, [(1, 1, 0)])
+    rep = refine_fan([face], [(1, 1, 0)])
     assert piece_triples(rep) == [(E2, (1, 1, 0)), (E1, (1, 1, 0))]
     assert rep.all_unimodular()
-    minimal = check_minimal_embedded(rep)
-    assert dict(minimal.entries)[(1, 1, 0)] is False
-    assert not minimal.all_irreducible
-    assert minimal.curve_check == "not checked"
+    assert dict(rep.irreducible)[(1, 1, 0)] is False
+    assert not rep.all_rays_irreducible
 
 
 def test_two_dimensional_regular_refinement_chain():
@@ -265,13 +258,13 @@ def test_planar_refinements_are_the_chain_through_their_rays():
         inner = [h for h in brute_force_hilbert_planar(a, b) if h not in (a, b)]
         assert sorted(piece_triples(regular_refinement(c))) == chain_pairs(a, b, inner)
         chosen = [h for h in inner if rng.random() < 0.5]
-        rep = refinement_from_rays(c, chosen)
+        rep = refine_fan([c], chosen)
         assert sorted(piece_triples(rep)) == chain_pairs(a, b, chosen)
 
 
 def test_refinement_from_no_rays_triangulates_a_non_simplicial_cone():
     for c in (ELL_CONES[0], *B_CONES):
-        rep = refinement_from_rays(c, [])
+        rep = refine_fan([c], [])
         pieces = triangulate(c)
         assert sorted(piece_triples(rep)) == [p.generators for p in pieces]
 
@@ -318,7 +311,7 @@ def test_minimality_reads_the_report_irreducibility_table():
         refine_fan(ELL_CONES),
         refine_fan(B_CONES),
         *map(regular_refinement, ELL_CONES + B_CONES),
-        refinement_from_rays(face, [(1, 1, 0)]),
+        refine_fan([face], [(1, 1, 0)]),
     ]
     for rep in reports:
         recount = []
@@ -327,7 +320,6 @@ def test_minimality_reads_the_report_irreducibility_table():
             recount.append((ray, bool(owners) and all(is_irreducible(s, ray) for s in owners)))
         assert rep.irreducible == tuple(recount)
         assert rep.all_rays_irreducible == all(ok for _, ok in recount)
-        assert check_minimal_embedded(rep).entries == rep.irreducible
     assert not reports[-1].all_rays_irreducible
 
 
@@ -344,17 +336,10 @@ def test_vector_entry_points_refuse_non_integer_coordinates():
             primitive(v)
 
 
-def test_check_minimal_embedded_elliptic():
+def test_elliptic_fan_rays_are_all_irreducible():
     rep = refine_fan(ELL_CONES)
-    minimal = check_minimal_embedded(rep)
-    assert minimal.all_irreducible
-    assert minimal.curve_check == "not checked"
-
-
-def test_check_minimal_embedded_requires_regular():
-    rep = refinement_from_rays(ELL_CONES[2], [(1, 2, 2)])
-    with pytest.raises(ValueError):
-        check_minimal_embedded(rep)
+    assert rep.all_unimodular()
+    assert rep.all_rays_irreducible
 
 
 def test_ray_pieces_skip_outside_and_existing_rays():
@@ -518,12 +503,41 @@ def test_extended_brieskorn_rung_resolves_with_sound_cones():
         assert all(inside(v) and all(f(v) <= 0 for f in prof.bounding) for v in points)
 
 
-def test_refine_fan_refuses_planar_cones_with_a_reason():
+def test_refine_fan_takes_one_cone_of_any_dimension_but_not_mixed_dimensions():
     planar = Cone.from_generators([(1, 0, 0), (1, 5, 0)])
-    with pytest.raises(ValueError, match=r"3-dimensional cones.*regular_refinement or refinement_from_rays"):
-        refine_fan([planar])
+    ray = Cone.from_generators([(2, 3, 5)])
+    for c in (planar, ray):
+        assert refine_fan([c]).to_obj() == regular_refinement(c).to_obj()
+    inner = [(1, k, 0) for k in range(1, 5)]
+    assert sorted(piece_triples(refine_fan([planar]))) == chain_pairs(E1, (1, 5, 0), inner)
+    rep = refine_fan([planar], [(1, 2, 0), E1])
+    assert sorted(piece_triples(rep)) == chain_pairs(E1, (1, 5, 0), [(1, 2, 0)])
+    assert piece_triples(refine_fan([ray], [(2, 3, 5)])) == [((2, 3, 5),)]
+    with pytest.raises(ValueError, match="one cone or 3-dimensional cones"):
+        refine_fan([OCTANT, ray], rays=[])
     with pytest.raises(ValueError, match="3-dimensional cones"):
-        refine_fan([OCTANT, Cone.from_generators([(2, 3, 5)])], rays=[])
+        refine_fan([planar, OCTANT])
+    with pytest.raises(ValueError, match="3-dimensional cones"):
+        refine_fan([planar, planar])
+
+
+@pytest.mark.parametrize("cones", [[OCTANT], ELL_CONES], ids=["octant", "elliptic"])
+@pytest.mark.parametrize(
+    "rays, message",
+    [
+        ([(2, 2, 2), (-1, 2, 3)], r"prescribed ray \(-1, 2, 3\) lies in no cone of the fan"),
+        ([(1, 1, 1), (2, 2, 2), (1, 1, 1)], r"prescribed ray \(2, 2, 2\) is not primitive"),
+        ([(1, 1, 1), (1, 1, 1), (2, 2, 2)], r"duplicate prescribed ray \(1, 1, 1\)"),
+        ([(0, 0, 0)], "zero vector has no primitive representative"),
+        ([(-1, 2, 3), (1.5, 1, 1)], r"prescribed ray \(1\.5, 1, 1\) needs three int coordinates"),
+    ],
+    ids=["in-no-cone", "not-primitive", "duplicate", "zero", "not-ints"],
+)
+def test_prescribed_rays_are_checked_in_a_fixed_order(cones, rays, message):
+    # all rays are three ints, then all lie in some cone, then one by one
+    # each is primitive and listed once
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        refine_fan(cones, rays)
 
 
 def test_refine_fan_refuses_a_ray_in_no_cone():
@@ -585,7 +599,7 @@ def test_refine_fan_pieces_and_fallback_join_the_cones():
         assert rep.used_fallback == any(r.used_fallback for r in per_cone)
     # prescribed rays: each cone gets the rays it contains
     rays = sorted(B_EV)
-    per_cone = [refinement_from_rays(c, [v for v in rays if c.contains(v)]) for c in B_CONES]
+    per_cone = [refine_fan([c], [v for v in rays if c.contains(v)]) for c in B_CONES]
     rep = refine_fan(B_CONES, rays=rays)
     assert_pieces_join(rep, per_cone)
     assert not rep.used_fallback
@@ -646,7 +660,7 @@ def test_refinements_match_the_scan_oracle(scan_cases):
         rays = [h for h in c.hilbert.elements if h not in c.generators and rng.random() < 0.3]
         pieces = scan_ray_pieces(c.generators, rays)
         expected = refine._build_report([c], [Cone.from_generators(p) for p in pieces], False)
-        assert refinement_from_rays(c, rays).to_obj() == expected.to_obj(), (c, rays)
+        assert refine_fan([c], rays).to_obj() == expected.to_obj(), (c, rays)
     for fan in fans:
         rep = refine_fan(fan)
         expected = scanned_report(fan, [scanned[c] for c in fan])
