@@ -189,21 +189,27 @@ class Cone(
         """The cone of three linearly independent primitive rays, equal to
         ``from_generators((a, b, c))``.  Each facet normal is the cross
         product of its ray pair, turned inward by the sign of the
-        determinant; raises ValueError on dependent rays."""
+        determinant; raises ValueError on dependent rays.  The determinant
+        is one of those products dotted with the third ray, so its absolute
+        value is recorded as the ``multiplicity`` at once."""
         g0, g1, g2 = gens = tuple(sorted((a, b, c)))
-        d = unimodular_det(g0, g1, g2)
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = gens
+        n12 = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+        d = x0 * n12[0] + y0 * n12[1] + z0 * n12[2]
         if d == 0:
             raise ValueError("a simplex needs three linearly independent rays")
-        s = 1 if d > 0 else -1
         items = []
-        for pair, n in (
-            ((g0, g1), cross(g0, g1)),
-            ((g0, g2), cross(g2, g0)),
-            ((g1, g2), cross(g1, g2)),
+        for pair, (p, q, r) in (
+            ((g0, g1), (y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1)),
+            ((g0, g2), (y2 * z0 - z2 * y0, z2 * x0 - x2 * z0, x2 * y0 - y2 * x0)),
+            ((g1, g2), n12),
         ):
-            items.append((_primitive((s * n[0], s * n[1], s * n[2])), pair))
+            g = gcd(p, q, r) if d > 0 else -gcd(p, q, r)
+            items.append(((p // g, q // g, r // g), pair))
         normals, pairs = zip(*sorted(items))
-        return cls(gens, 3, normals, pairs, None)
+        cone = cls(gens, 3, normals, pairs, None)
+        cone.__dict__["multiplicity"] = abs(d)
+        return cone
 
     @cached_property
     def hilbert(self) -> "HilbertBasis":
@@ -220,7 +226,8 @@ class Cone(
         """Index of the lattice the generators span in the lattice points of
         their span: |det| for a 3-dimensional cone, the gcd of the 2x2 minors
         for a planar one, 1 for a ray.  The cone is regular exactly when it
-        is 1.  Raises ValueError on a non-simplicial cone."""
+        is 1; ``_simplex`` records it as it builds.  Raises ValueError on a
+        non-simplicial cone."""
         if not self.is_simplicial():
             raise ValueError("multiplicity needs a simplicial cone; triangulate first")
         if self.dim == 3:
@@ -358,11 +365,18 @@ def _half_open_points(c: Cone) -> tuple[int, list[tuple[Vec, Vec]]]:
                 for m in range(order)
                 for a, b, c in group
             ]
-    pairs = []
-    for q1, q2, q3 in group:
-        u = tuple((q1 * g1[i] + q2 * g2[i] + q3 * g3[i]) // big for i in range(3))
-        pairs.append((u, (q1, q2, q3)))
-    return big, pairs
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = g1, g2, g3
+    return big, [
+        (
+            (
+                (q1 * x1 + q2 * x2 + q3 * x3) // big,
+                (q1 * y1 + q2 * y2 + q3 * y3) // big,
+                (q1 * z1 + q2 * z2 + q3 * z3) // big,
+            ),
+            (q1, q2, q3),
+        )
+        for q1, q2, q3 in group
+    ]
 
 
 def _require_octant_semigroup(c: Cone) -> None:
@@ -444,9 +458,11 @@ def _hilbert_basis(c: Cone) -> HilbertBasis:
     # candidates lie in the span of c, where w = v - h is in the cone
     # exactly when no facet normal is smaller on v than on h.
     kept: list[Vec] = []
-    heights: list[tuple[int, ...]] = []
+    heights: list[list[int]] = []
+    normals = c.facet_normals
     for v in sorted(candidates, key=lambda u: (u[0] + u[1] + u[2], u)):
-        height = tuple(dot(n, v) for n in c.facet_normals)
+        x, y, z = v
+        height = [a * x + b * y + e * z for a, b, e in normals]
         for hh in heights:
             if all(map(le, hh, height)):
                 break

@@ -420,6 +420,10 @@ def test_simplex_matches_general_kernel_and_oracle(a, b, c, points):
     for order in permutations((a, b, c)):
         assert Cone._simplex(*order) == simplex
         assert Cone.from_generators(order) == simplex
+        # the builder records |det|, whatever the orientation of the order
+        assert Cone._simplex(*order).multiplicity == abs(det3(a, b, c))
+    for child in simplex.pulled(primitive(simplex.interior_point())):
+        assert child.multiplicity == abs(det3(*child.generators))
     gens = simplex.generators
     assert gens == tuple(sorted((a, b, c)))
     # the simplex facets are those of the all-pairs kernel, in the same order
@@ -473,17 +477,36 @@ def test_hilbert_basis_against_oracle_seeded():
         assert got == expected, (g1, g2, g3)
 
 
+def _non_simplicial_octant_cones(count: int, seed: int) -> list[Cone]:
+    """Seeded octant cones, alternately of four and five rays, each ray
+    extremal, with entries 0..6."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        size = 4 + len(cones) % 2
+        rays = [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(size)]
+        if (0, 0, 0) in rays:
+            continue
+        c = Cone.from_generators(rays)  # pointed: the rays lie in the octant
+        if len(c.generators) == len(rays):
+            cones.append(c)
+    return cones
+
+
 def test_hilbert_basis_non_simplicial_against_triangulation_choice():
     # hilbert_basis fans out from the lexmin ray; rebuild the basis from the
     # fan out of the lexmax ray, with box-oracle points and irreducibility.
-    c = Cone.from_generators([(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 7, 4)])
-    top = max(c.generators)
-    pieces = [(top, a, b) for a, b in c.facets if top not in (a, b)]
-    assert len(pieces) == len(c.generators) - 2
-    candidates = {v for gens in pieces for v in box_parallelepiped_points(gens)}
-    candidates.discard((0, 0, 0))
-    expected = {v for v in candidates if box_is_irreducible(c.generators, v)}
-    assert set(hilbert_basis(c).elements) == expected
+    # Only on the seeded cones, with four or five facets, do the reduction's
+    # heights run over more than three normals.
+    fixed = Cone.from_generators([(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 7, 4)])
+    for c in [fixed, *_non_simplicial_octant_cones(20, seed=27)]:
+        top = max(c.generators)
+        pieces = [(top, a, b) for a, b in c.facets if top not in (a, b)]
+        assert len(pieces) == len(c.generators) - 2
+        candidates = {v for gens in pieces for v in box_parallelepiped_points(gens)}
+        candidates.discard((0, 0, 0))
+        expected = {v for v in candidates if box_is_irreducible(c.generators, v)}
+        assert set(hilbert_basis(c).elements) == expected, c
 
 
 def test_parse_cone_round_trip():

@@ -120,3 +120,15 @@ def test_a_pickled_cone_keeps_its_cached_basis_and_profile():
     assert {"hilbert", "profile"} <= set(vars(clone))
     assert clone.hilbert == cone.hilbert and clone.profile == cone.profile
     assert clone.hilbert.cone is clone
+    # the simplex builder records the |det| it computed
+    rays = [(0, 1, 0), (3, 1, 0), (6, 8, 9)]  # det -27
+    simplex = Cone._simplex(*rays)
+    assert vars(simplex) == {"multiplicity": 27}
+    for clone in (copy.copy(simplex), copy.deepcopy(simplex), pickle.loads(pickle.dumps(simplex))):
+        assert vars(clone) == {"multiplicity": 27}
+    # (3, 9, 0) is not extremal, so this cone is built by the facet search,
+    # not by the simplex builder, and records nothing
+    plain = Cone.from_generators([*rays, (3, 9, 0)])
+    assert vars(plain) == {}
+    assert plain == simplex and hash(plain) == hash(simplex)
+    assert plain.multiplicity == 27
