@@ -39,7 +39,6 @@ _EXPORTS = {
         "NewtonPolyhedron",
         "dual_newton_cones",
         "fan_consistency_report",
-        "fan_faces",
         "newton_polyhedron",
         "octant_solid_volume",
     ),

@@ -395,9 +395,11 @@ def profile_discrepancy(
 ) -> dict:
     """B-odd cone 0: the stated profile pair next to the computed hull facets.
 
-    The first stated hyperplane misses every incidence requirement and the
-    second cuts off a generator, so profile() ignores both; this report
-    records the mismatch instead of guessing an intended expression.
+    Each stated row counts the generators on its hyperplane and says whether
+    it separates one from the origin.  ``flagged`` is true exactly when the
+    stated pair is not the recomputed facets.  On the grid both separate a
+    generator (at r=1, n=2 the first also holds three), so profile() ignores
+    them and this report records the mismatch instead of guessing an intent.
     """
     rec = instance(family, params).stated
     if rec.printed_profile is None:
@@ -422,7 +424,7 @@ def profile_discrepancy(
         "cone_index": 0,
         "stated": rows,
         "recomputed_facets": recomputed,
-        "flagged": True,
+        "flagged": {row["hyperplane"] for row in rows} != set(recomputed),
     }
 
 
@@ -643,11 +645,10 @@ def _groebner_stage(p: Polynomial, cones: list[Cone], tropical) -> dict:
     uses = Counter(g for c in cones for g in c.generators)
     skeleton.update(frozenset({g}) for g, k in uses.items() if k >= 2)
     # support equality: larger classes absorb their boundary sub-faces,
-    # so compare point sets, not the face lists themselves
-    trop_cones = [Cone.from_generators(fs) for fs in trop_sets]
+    # so compare point sets, not the face lists themselves; both are faces
+    # of the dual fan, where one lies in another exactly when its rays do
     on_skeleton = trop_sets <= skeleton and all(
-        any(all(tc.contains(g) for g in face) for tc in trop_cones)
-        for face in skeleton
+        any(face <= ts for ts in trop_sets) for face in skeleton
     )
     matches = trop_sets == tropical
     return _status(

@@ -92,6 +92,8 @@ class Fan(NamedTuple):
         if not all(integers(r) and len(r) == 3 for r in obj["rays"]):
             raise ValueError("fan rays must be 3-vectors of integers")
         rays = tuple(tuple(r) for r in obj["rays"])
+        if len(set(rays)) < len(rays):
+            raise ValueError("fan rays must be distinct")
         cones = []
         for entry in obj["cones"]:
             if not isinstance(entry, dict) or not integers(entry.get("rays")):
@@ -101,6 +103,8 @@ class Fan(NamedTuple):
                 raise ValueError("fan cones need at least one ray")
             if any(i < 0 or i >= len(rays) for i in idx):
                 raise ValueError("cone ray index out of range")
+            if len(set(idx)) < len(idx):
+                raise ValueError(f"fan cone {list(idx)} repeats a ray index")
             label = entry.get("label")
             if label is not None and not isinstance(label, str):
                 raise ValueError("fan cone labels must be strings")
@@ -137,19 +141,6 @@ def _newton_hull(p: Polynomial) -> tuple[list[tuple[Vec, int]], list[tuple[Vec, 
 def dual_newton_cones(p: Polynomial) -> list[tuple[Cone, Vec]]:
     """Maximal cones of the dual fan, each with the NP vertex it selects."""
     return [(Cone.from_generators(normals), s) for s, normals in _newton_hull(p)[1]]
-
-
-def fan_faces(maximal: Sequence[Cone]) -> list[tuple[tuple[Vec, ...], int]]:
-    """All distinct non-zero faces of the cones in a fan, as (rays, dim)."""
-    seen: dict[tuple[Vec, ...], int] = {}
-    for c in maximal:
-        seen.setdefault(tuple(sorted(c.generators)), c.dim)
-        if c.dim == 3:
-            for f in c.facets:
-                seen.setdefault(f, 2)
-        for g in c.generators:
-            seen.setdefault((g,), 1)
-    return sorted(seen.items(), key=lambda t: (t[1], t[0]))
 
 
 def newton_polyhedron(p: Polynomial) -> NewtonPolyhedron:

@@ -11,11 +11,13 @@ over strictly positive weights.
 from __future__ import annotations
 
 from operator import add
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .cones import Cone, Vec, dot
-from .newton import Fan, dual_newton_cones, fan_faces
 from .polyparse import Polynomial, _format_sum, _Frozen
+
+if TYPE_CHECKING:
+    from .newton import Fan
 
 
 def w_order(p: Polynomial, w: Sequence[int]) -> int:
@@ -47,36 +49,38 @@ def groebner_fan(p: Polynomial) -> list[GroebnerCone]:
     boundary can share its initial form with a larger cone (its dual
     Newton-polyhedron face is unbounded but meets the support in the same
     set), in which case it is part of the same class and is absorbed.
+    Faces are keyed by their sorted rays: two faces of a fan meet in a face
+    of both, so one lies in another exactly when its rays are a subset.
     For a monomial every weight is equivalent and the whole octant is the
     single Groebner cone.
     """
+    from .newton import dual_newton_cones
+
     if len(p) == 0:
         raise ValueError("the zero polynomial has no Groebner fan")
-    maximal = [c for c, _ in dual_newton_cones(p)]
-    faces = []
-    for rays, _dim in fan_faces(maximal):
-        c = Cone.from_generators(rays)
-        faces.append((c, initial_form(p, c.interior_point())))
-    groups: dict[frozenset, list[int]] = {}
-    for k, (_, form) in enumerate(faces):
-        groups.setdefault(form.support(), []).append(k)
-    out = []
-    for members in groups.values():
-        for k in members:
-            c, form = faces[k]
-            absorbed = any(
-                j != k
-                and faces[j][0].dim > c.dim
-                and all(faces[j][0].contains(g) for g in c.generators)
-                for j in members
-            )
-            if not absorbed:
-                out.append(GroebnerCone(c, form))
+    # the maximal cones are kept as built, a lower face is built if kept
+    faces: dict[tuple[Vec, ...], Cone | None] = {}
+    for c, _ in dual_newton_cones(p):
+        faces[c.generators] = c
+        for f in (*c.facets, *((g,) for g in c.generators)):
+            faces.setdefault(f, None)
+    groups: dict[frozenset, list] = {}
+    for rays in faces:
+        form = initial_form(p, tuple(map(sum, zip(*rays))))
+        groups.setdefault(form.support(), []).append((frozenset(rays), rays, form))
+    out = [
+        GroebnerCone(faces[rays] or Cone.from_generators(rays), form)
+        for members in groups.values()
+        for s, rays, form in members
+        if not any(s < t for t, _, _ in members)
+    ]
     return sorted(out, key=lambda g: (g.cone.dim, g.cone.generators))
 
 
 def tropical_variety(p: Polynomial) -> Fan:
     """Subfan of Groebner cones whose initial form is not a monomial."""
+    from .newton import Fan
+
     if len(p) < 2:
         raise ValueError("the tropical variety needs at least two terms")
     kept = [g for g in groebner_fan(p) if not g.initial_form.is_monomial()]

@@ -47,6 +47,12 @@ torfan's chain of cyclic subgroups.  torfan pulls only the star of each
 ray, through a facet map of the non-regular pieces.  The cone's Hilbert
 basis is an input.
 
+``groebner_fan_oracle`` rebuilds the Groebner fan of a hypersurface from
+the rays of its maximal dual cones alone: faces from ``supporting_normals``,
+initial forms from its own least w.a, and absorption by exact cone
+membership (``_in_cone_span``).  torfan keys faces by their rays and
+absorbs a face exactly when its rays are a proper subset of another's.
+
 ``validate_output`` checks a CLI JSON output against the published schema
 ``data/cli_schema.json``, which it reads itself; the CLI never checks its
 own output.
@@ -387,6 +393,41 @@ def _rank3(vectors) -> int:
     if any(_cross(a, b) != (0, 0, 0) for a, b in combinations(vectors, 2)):
         return 2
     return 1 if any(v != (0, 0, 0) for v in vectors) else 0
+
+
+def groebner_fan_oracle(terms, maximal) -> list[tuple[int, tuple[Vec, ...], dict]]:
+    """(dim, sorted rays, initial-form terms) of every Groebner cone of the
+    polynomial with ``terms`` (exponent -> coefficient), sorted, given the
+    ray tuples of the 3-dimensional maximal dual cones.
+
+    The faces are each cone, the rays on each of its supporting planes
+    through two rays, and each ray.  A face's initial form holds the terms
+    of least w.a at the sum w of its rays.  A face is dropped when a face
+    of higher dimension with the same initial-form support holds each of
+    its rays.
+    """
+    faces = set()
+    for gens in maximal:
+        gens = sorted(gens)
+        faces.add((_rank3(gens), tuple(gens)))
+        for n in supporting_normals(gens):
+            faces.add((2, tuple(g for g in gens if _dot(n, g) == 0)))
+        faces.update((1, (g,)) for g in gens)
+    forms = {}
+    for dim, rays in faces:
+        w = tuple(sum(r[i] for r in rays) for i in range(3))
+        least = min(_dot(w, a) for a in terms)
+        forms[dim, rays] = {a: c for a, c in terms.items() if _dot(w, a) == least}
+    return sorted(
+        (dim, rays, form)
+        for (dim, rays), form in forms.items()
+        if not any(
+            big > dim
+            and set(other) == set(form)
+            and all(_in_cone_span(r, big_rays) for r in rays)
+            for (big, big_rays), other in forms.items()
+        )
+    )
 
 
 def brute_newton_polyhedron(support):

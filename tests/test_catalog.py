@@ -303,6 +303,27 @@ def test_profile_discrepancy_is_flagged():
     assert first["separates_generator"] is True
     with pytest.raises(CatalogError):
         profile_discrepancy("B-even")
+    for params in default_grid("B-odd"):
+        report = profile_discrepancy("B-odd", params)
+        stated = {row["hyperplane"] for row in report["stated"]}
+        assert stated != set(report["recomputed_facets"])
+        assert report["flagged"] is True
+
+
+def test_profile_discrepancy_does_not_flag_a_pair_equal_to_the_hull_facets(monkeypatch):
+    from torfan import catalog
+
+    odd = entry("B-odd")
+
+    def stated(p):
+        rec = odd.stated(p)
+        return rec._replace(printed_profile=rec.cones[0].profile.bounding)
+
+    monkeypatch.setitem(catalog._ENTRIES, "B-odd", odd._replace(stated=stated))
+    report = profile_discrepancy("B-odd", B22)
+    assert [row["hyperplane"] for row in report["stated"]] == report["recomputed_facets"]
+    assert report["recomputed_facets"] == ["x+y-z+1", "x+y-4z+7"]
+    assert report["flagged"] is False
 
 
 @pytest.mark.parametrize("params", [(1, 2), (2, 2), (2, 3), (3, 4)])

@@ -250,17 +250,28 @@ def test_render_rejects_empty_fan(tmp_path, capsys):
             '{"rays": [[1, 0, 0]], "cones": [{"rays": [false]}]}',
             "fan cones must be objects with a 'rays' index list",
         ),
+        (
+            '{"rays": [[1, 0, 0], [0, 1, 0]], "cones": [{"rays": [0, 0, 0, 1]}]}',
+            "fan cone [0, 0, 0, 1] repeats a ray index",
+        ),
+        (
+            '{"rays": [[1, 0, 0], [0, 1, 0], [1, 0, 0]], "cones": [{"rays": [0, 1]}]}',
+            "fan rays must be distinct",
+        ),
     ],
     ids=[
         "empty-object", "list", "non-list-ray", "non-object-cone", "deep", "truncated",
         "non-string-label", "bool-ray-coordinate", "bool-cone-index",
+        "repeated-index", "repeated-ray",
     ],
 )
 def test_render_rejects_malformed_fans_with_a_reason(tmp_path, capsys, text, reason):
     fan_path = tmp_path / "fan.json"
+    svg_path = tmp_path / "x.svg"
     fan_path.write_text(text)
-    assert cli.run(["render", str(fan_path), "--out", str(tmp_path / "x.svg")]) == 2
+    assert cli.run(["render", str(fan_path), "--out", str(svg_path)]) == 2
     assert reason in capsys.readouterr().err
+    assert not svg_path.exists()
 
 
 def test_byte_determinism(capsys):
@@ -440,7 +451,7 @@ print(" ".join(sorted(n[7:] for n in sys.modules if n.startswith("torfan."))))
         (["render", "FAN", "--out", "OUT"], ("newton",)),
         (["resolve", ELL], ("newton", "refine")),
         (["groebner", ELL], ("newton", "valuation")),
-        (["jets", ELL, "--m", "1"], ("newton", "valuation")),
+        (["jets", ELL, "--m", "1"], ("valuation",)),
         (["verify", "E60"], LAZY),
     ],
     ids=["hilbert", "usage-error", "dnp", "render", "resolve", "groebner", "jets", "verify"],
@@ -490,7 +501,7 @@ PUBLIC_NAMES = """
 ParseError Polynomial parse_polynomial support
 Cone HilbertBasis cross dot hilbert_basis is_irreducible parse_cone primitive
 triangulate unimodular_det
-Fan NewtonPolyhedron dual_newton_cones fan_consistency_report fan_faces
+Fan NewtonPolyhedron dual_newton_cones fan_consistency_report
 newton_polyhedron octant_solid_volume
 AffineFunctional Profile contains_point facet_equation l_functional
 profile profile_lattice_points

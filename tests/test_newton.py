@@ -14,7 +14,6 @@ from torfan.newton import (
     Fan,
     dual_newton_cones,
     fan_consistency_report,
-    fan_faces,
     newton_polyhedron,
     octant_solid_volume,
 )
@@ -144,6 +143,16 @@ def test_fan_json_rejects_bad_indices():
         raise AssertionError("expected ValueError")
 
 
+def test_fan_json_rejects_a_repeated_ray_or_ray_index():
+    rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match=r"fan cone \[0, 0, 0, 1\] repeats a ray index"):
+        Fan.from_obj({"rays": rays, "cones": [{"rays": [0, 0, 0, 1]}]})
+    with pytest.raises(ValueError, match="fan rays must be distinct"):
+        Fan.from_obj({"rays": [*rays, [0, 1, 0]], "cones": [{"rays": [0, 1, 2]}]})
+    fan = Fan.from_obj({"rays": rays, "cones": [{"rays": [0, 1, 2]}, {"rays": [2, 1]}]})
+    assert fan.cones[1].rays == (2, 1)
+
+
 def test_fan_consistency_and_covering():
     for poly in (ELLIPTIC, B22):
         cones = [c for c, _ in dual_newton_cones(poly)]
@@ -171,16 +180,6 @@ def test_octant_volume_refuses_a_ray_of_non_positive_coordinate_sum(ray):
         octant_solid_volume([cone])
     with pytest.raises(ValueError, match=pattern):
         fan_consistency_report([cone, OCTANT])
-
-
-def test_fan_faces_enumeration():
-    cones = [c for c, _ in dual_newton_cones(ELLIPTIC)]
-    faces = fan_faces(cones)
-    dims = [d for _, d in faces]
-    assert dims.count(3) == 3
-    assert dims.count(1) == 5  # five distinct rays
-    shared = [rays for rays, d in faces if d == 2]
-    assert (((3, 1, 0), (6, 8, 9))) in shared
 
 
 exponents = st.tuples(

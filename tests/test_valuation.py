@@ -1,10 +1,12 @@
+import random
 import re
 
 import pytest
 
-from oracle import sympy_jet_oracle
+from oracle import groebner_fan_oracle, sympy_jet_oracle
+from torfan.catalog import default_grid, families, instance
 from torfan.cones import Cone, dot
-from torfan.newton import dual_newton_cones, fan_faces
+from torfan.newton import dual_newton_cones
 from torfan.polyparse import Polynomial, parse_polynomial
 from torfan.valuation import (
     groebner_fan,
@@ -100,17 +102,65 @@ def test_tropical_equals_compact_face_duals():
     # duals of bounded Newton-polyhedron edges and facets are the fan
     # faces of dimension <= 2 whose interior sample is strictly positive,
     # and those are exactly the tropical cones of this surface
-    maximal = [c for c, _ in dual_newton_cones(B22)]
+    faces = set()
+    for c, _ in dual_newton_cones(B22):
+        faces.update(c.facets)
+        faces.update((g,) for g in c.generators)
     compact_duals = set()
-    for rays, dim in fan_faces(maximal):
+    for rays in faces:
         sample = tuple(sum(r[i] for r in rays) for i in range(3))
-        if dim <= 2 and all(s > 0 for s in sample):
+        if all(s > 0 for s in sample):
             compact_duals.add(rays)
     trop = tropical_variety(B22)
     trop_sets = {
         tuple(sorted(trop.rays[i] for i in fc.rays)) for fc in trop.cones
     }
     assert trop_sets == compact_duals
+
+
+def _random_polynomial(rng: random.Random) -> Polynomial:
+    terms = {
+        tuple(rng.randint(0, 7) for _ in range(3)): rng.choice((-3, -2, -1, 1, 2, 3))
+        for _ in range(rng.randint(1, 6))
+    }
+    return Polynomial.from_dict(terms)
+
+
+def test_groebner_fan_matches_an_independent_oracle():
+    # 240 seeded random polynomials and every default-grid equation
+    rng = random.Random(28)
+    polys = [_random_polynomial(rng) for _ in range(240)]
+    polys += [instance(f, g).poly for f in families() for g in default_grid(f)]
+    dims = set()
+    for p in polys:
+        maximal = [c.generators for c, _ in dual_newton_cones(p)]
+        # the initial form as printed, read back
+        got = [
+            (g.cone.dim, g.cone.generators, parse_polynomial(str(g.initial_form)).as_dict())
+            for g in groebner_fan(p)
+        ]
+        assert got == groebner_fan_oracle(p.as_dict(), maximal), str(p)
+        dims.update(d for d, _, _ in got)
+    assert dims == {1, 2, 3}
+
+
+def test_groebner_fan_builds_only_its_kept_lower_faces(monkeypatch):
+    from torfan import newton
+
+    pairs = dual_newton_cones(B22)
+    built = []
+    build = Cone.from_generators.__func__
+
+    def counted(cls, vectors):
+        built.append(tuple(vectors))
+        return build(cls, vectors)
+
+    monkeypatch.setattr(newton, "dual_newton_cones", lambda p: pairs)
+    monkeypatch.setattr(Cone, "from_generators", classmethod(counted))
+    monkeypatch.setattr(Cone, "contains", lambda self, v: pytest.fail("contains called"))
+    fan = groebner_fan(B22)
+    assert sorted(built) == sorted(g.cone.generators for g in fan if g.cone.dim < 3)
+    assert all(g.cone is c for g, (c, _) in zip(fan[-3:], sorted(pairs)))
 
 
 def test_groebner_cone_count_b22():
