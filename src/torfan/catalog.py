@@ -512,7 +512,7 @@ def _missing_extra(expected, found) -> dict:
 
 def _cone_row(c: Cone, vertex: Vec, insert: list[Vec], rtp: bool) -> dict:
     """The report row of one dual cone, refined at ``insert`` or its Hilbert basis."""
-    h = c.hilbert.elements
+    h = c.hilbert
     rep = refine_fan([c], insert or h)
     points = profile_lattice_points(c.profile)
     uncovered = sorted(set(points) - set(h))
@@ -659,21 +659,32 @@ def _groebner_stage(p: Polynomial, cones: list[Cone], tropical) -> dict:
     )
 
 
-def _fixture_stage(cones: list[Cone], fx: AppendixFixture | None) -> dict:
+def _fixture_stage(
+    computed: list[tuple[Cone, Vec]], p: Polynomial, fx: AppendixFixture | None
+) -> dict:
     if fx is None:
         return {"status": "skipped"}
-    by_rays = {frozenset(c.generators): c for c in cones}
+    by_rays = {frozenset(c.generators): (c, vertex) for c, vertex in computed}
     mismatches = []
+    if parse_polynomial(fx.equation) != p:
+        mismatches.append({"equation": fx.equation, "reason": "equation differs"})
     for fc in fx.cones:
-        c = by_rays.get(frozenset(fc.rays))
+        c, vertex = by_rays.get(frozenset(fc.rays), (None, None))
         if c is None:
             mismatches.append({"label": fc.label, "reason": "cone not found"})
             continue
+        if fc.vertex != vertex:
+            mismatches.append({
+                "label": fc.label,
+                "vertex": list(fc.vertex),
+                "computed": list(vertex),
+                "reason": "vertex differs",
+            })
         diff = _missing_extra(fc.hilbert, c.hilbert)
         if any(diff.values()):
             mismatches.append({"label": fc.label, **diff})
     return _status(
-        not mismatches and len(fx.cones) == len(cones),
+        not mismatches and len(fx.cones) == len(computed),
         cones=len(fx.cones),
         mismatches=mismatches,
     )
@@ -721,7 +732,7 @@ def verify(
         "subprofile": _subprofile_stage(rec),
         "valuations": _valuations_stage(cones, rec.valuations),
         "groebner": _groebner_stage(inst.poly, cones, rec.tropical),
-        "fixture": _fixture_stage(cones, inst.fixture),
+        "fixture": _fixture_stage(computed, inst.poly, inst.fixture),
         "determinants": _determinants_stage(rec),
     }
     overall = all(st["status"] != "fail" for st in stages.values())

@@ -202,7 +202,7 @@ def _run_dnp(ns) -> tuple[bool, str, dict]:
 
 def _run_hilbert(ns) -> tuple[bool, str, list]:
     c = parse_cone(ns.cone)
-    return True, "hilbert", _vecs(hilbert_basis(c).elements)
+    return True, "hilbert", _vecs(hilbert_basis(c))
 
 
 def _run_resolve(ns) -> tuple[bool, str, dict]:

@@ -26,7 +26,7 @@ from itertools import combinations
 from math import gcd
 from operator import le
 
-from .polyparse import _Frozen, _integer
+from .polyparse import _integer
 
 Vec = tuple[int, int, int]
 
@@ -409,22 +409,18 @@ def is_irreducible(c: Cone, v: Sequence[int]) -> bool:
     if not c.contains(t):
         raise ValueError(f"{t} is not in the cone")
     _require_octant_semigroup(c)
-    return t in c.hilbert.elements
+    return t in c.hilbert
 
 
-class HilbertBasis(_Frozen):
-    """Minimal generating set of cone ∩ Z^3, sorted lexicographically."""
+class HilbertBasis(tuple):
+    """Minimal generating set of cone ∩ Z^3: the tuple of its elements, the
+    irreducible lattice points of the cone, sorted lexicographically."""
 
-    __slots__ = ("cone", "elements")
+    __slots__ = ()
 
-    def __init__(self, cone: Cone, elements: tuple[Vec, ...]) -> None:
-        super().__init__(cone, elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
+    @property
+    def elements(self) -> tuple[Vec, ...]:
+        return tuple(self)
 
 
 def hilbert_basis(c: Cone) -> HilbertBasis:
@@ -469,7 +465,7 @@ def _hilbert_basis(c: Cone) -> HilbertBasis:
         else:
             kept.append(v)
             heights.append(height)
-    return HilbertBasis(c, tuple(sorted(kept)))
+    return HilbertBasis(sorted(kept))
 
 
 _CONE_TEXT = re.compile(r"^\s*<\s*(.*?)\s*>\s*$", re.S)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import le
 from typing import Iterable, NamedTuple, Sequence
 
@@ -94,6 +94,8 @@ class Fan(NamedTuple):
         rays = tuple(tuple(r) for r in obj["rays"])
         if len(set(rays)) < len(rays):
             raise ValueError("fan rays must be distinct")
+        if any(gcd(*r) != 1 for r in rays):
+            raise ValueError("fan rays must be primitive")
         cones = []
         for entry in obj["cones"]:
             if not isinstance(entry, dict) or not integers(entry.get("rays")):

@@ -7,7 +7,7 @@ coefficients are kept exactly so initial forms can be printed back out.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Exponent = tuple[int, int, int]
 
@@ -53,50 +53,12 @@ def _format_sum(
     return text or "0"
 
 
-class _Frozen:
-    """Base of the records that iterate their contents, so cannot be tuples
-    (``copy``, pickling and namedtuple's helpers iterate a tuple to rebuild
-    it): fields in ``__slots__``, set once in ``__init__``, read-only after,
-    and compared, hashed and printed by value like a frozen dataclass."""
+class Polynomial(tuple):
+    """Immutable sparse polynomial: the tuple of its ``(exponent, coeff)``
+    terms, nonzero coefficients only, largest exponent first in graded
+    lexicographic order."""
 
     __slots__ = ()
-
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class Polynomial(_Frozen):
-    """Immutable sparse polynomial; ``terms`` maps exponents to nonzero ints."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[Exponent, int], ...]) -> None:
-        super().__init__(terms)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[Exponent, int]) -> "Polynomial":
@@ -111,34 +73,32 @@ class Polynomial(_Frozen):
                     f"bad term {exponent!r}: {coeff!r} (want three non-negative int"
                     " exponents and an int coefficient)"
                 )
-        items = tuple(
-            sorted(((tuple(e), c) for e, c in mapping.items() if c), key=lambda t: _grevord(t[0]))
+        items = sorted(
+            ((tuple(e), c) for e, c in mapping.items() if c), key=lambda t: _grevord(t[0])
         )
         if not items:
             raise ValueError("polynomial has no terms")
         return cls(items)
 
+    @property
+    def terms(self) -> tuple[tuple[Exponent, int], ...]:
+        return tuple(self)
+
     def as_dict(self) -> dict[Exponent, int]:
-        return dict(self.terms)
+        return dict(self)
 
     def support(self) -> frozenset[Exponent]:
-        return frozenset(e for e, _ in self.terms)
+        return frozenset(e for e, _ in self)
 
     def restricted_to(self, exponents: Iterable[Exponent]) -> "Polynomial":
         keep = set(exponents)
-        return Polynomial.from_dict({e: c for e, c in self.terms if e in keep})
+        return Polynomial.from_dict({e: c for e, c in self if e in keep})
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def __iter__(self) -> Iterator[tuple[Exponent, int]]:
-        return iter(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
+        return len(self) == 1
 
     def __str__(self) -> str:
-        return _format_sum((zip(_VARIABLES, e), c) for e, c in self.terms)
+        return _format_sum((zip(_VARIABLES, e), c) for e, c in self)
 
 
 def support(p: Polynomial) -> frozenset[Exponent]:

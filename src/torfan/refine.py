@@ -13,8 +13,7 @@ Insertion is local: a ray is only tested against pieces that can hold it.
 rays.  One insertion loop (``_ray_pieces``) serves both modes: rays go in
 by increasing profile level down a tree, each piece pulled at the first
 ray it holds and its children handed the later rays they hold, and a
-non-simplicial cone that no ray fell inside is pulled at a Hilbert
-element inside it, or triangulated.  The Hilbert-driven refinement then
+piece left with no rays triangulated.  The Hilbert-driven refinement then
 splits each non-regular piece at the source-basis element of least value
 of that piece's l-functional; a piece that holds none is split at its
 nonzero half-open point of least l, which is its least-l Hilbert element
@@ -94,7 +93,7 @@ def _build_report(
     pieces = sorted(pieces, key=lambda p: p.generators)
     fan = Fan.from_cones(pieces)
     tiling = _tiling_certificate(pieces, sources)
-    bases = [(s, set(s.hilbert.elements)) for s in sources]
+    bases = [(s, set(s.hilbert)) for s in sources]
     irreducible = []
     for ray in fan.rays:
         flags = [ray in basis for s, basis in bases if s.contains(ray)]
@@ -112,32 +111,25 @@ def _build_report(
     )
 
 
-def _ray_pieces(c: Cone, rays: Iterable[Vec], pool: Sequence[Vec] = ()) -> list[Cone]:
-    """Pieces of c with the primitive rays of ``rays`` inserted by
-    increasing (profile level, lexicographic) order; raises ValueError on
-    the zero vector.  Inserting a ray pulls each piece that holds it off its
-    generators and acts on each piece on its own, so a piece is pulled at
-    the first ray it holds and each child inherits the later rays it holds.
-    If c holds none, a non-simplicial c is pulled at its least-level pool
-    element, or triangulated when the pool has none inside it."""
+def _ray_pieces(c: Cone, rays: Iterable[Vec]) -> list[Cone]:
+    """Pieces of c with ``rays`` inserted by increasing (profile level,
+    lexicographic) order; the rays must be distinct primitive points of c
+    off its generators.  Inserting a ray pulls each piece that holds it off
+    its generators and acts on each piece on its own, so a piece is pulled
+    at the first ray it holds and each child inherits the later rays it
+    holds.  A piece left with no rays is triangulated, which changes only a
+    non-simplicial c that holds none."""
     level = c.profile.level
-    order = [_primitive(v) for v in sorted(rays, key=lambda v: (level(v), v))]
-    held = [v for v in order if v not in c.generators and c.contains(v)]
-    if not held and not c.is_simplicial():
-        inside = [h for h in pool if h not in c.generators and c.contains(h)]
-        if inside:
-            return list(c.pulled(min(inside, key=lambda h: (level(h), h))))
-        return list(triangulate(c))
     out: list[Cone] = []
-    stack = [(c, held)]
+    stack = [(c, sorted(rays, key=lambda v: (level(v), v)))]
     while stack:
         p, todo = stack.pop()
         if not todo:
-            out.append(p)
+            out.extend(triangulate(p))
             continue
         v, *later = todo
         for child in reversed(p.pulled(v)):
-            stack.append((child, [w for w in later if w != v and child.contains(w)]))
+            stack.append((child, [w for w in later if child.contains(w)]))
     return out
 
 
@@ -178,7 +170,7 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
     and b).  Pulled pieces' children that are unimodular are done; the
     others inherit their parent's pool, filtered by containment.
     """
-    basis = c.hilbert.elements
+    basis = c.hilbert
     done: list[Cone] = []
     table: dict[tuple[Vec, ...], tuple[Cone, list[Vec]]] = {}
     owners: dict[tuple[Vec, ...], list[tuple[Vec, ...]]] = {}
@@ -192,12 +184,15 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
             owners.setdefault(f, []).append(p.generators)
 
     # Every basis element lies in c, so it lies on the 2-face of a facet
-    # exactly when that facet's normal vanishes on it.  A cone whose basis
-    # meets no boundary 2-face is split at an interior element, or fanned.
-    for p in _ray_pieces(c, [
-        h for h in basis
-        if h not in c.generators and any(dot(n, h) == 0 for n in c.facet_normals)
-    ], basis):
+    # exactly when that facet's normal vanishes on it.  A non-simplicial
+    # cone whose basis meets no boundary 2-face is first split at its
+    # least-level interior element, or fanned when it has none.
+    inner = [h for h in basis if h not in c.generators]
+    rays = [h for h in inner if any(dot(n, h) == 0 for n in c.facet_normals)]
+    if not rays and inner and not c.is_simplicial():
+        level = c.profile.level
+        rays = [min(inner, key=lambda h: (level(h), h))]
+    for p in _ray_pieces(c, rays):
         place(p, basis)
     used_fallback = False
     while table:

@@ -11,10 +11,10 @@ over strictly positive weights.
 from __future__ import annotations
 
 from operator import add
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .cones import Cone, Vec, dot
-from .polyparse import Polynomial, _format_sum, _Frozen
+from .polyparse import Polynomial, _format_sum
 
 if TYPE_CHECKING:
     from .newton import Fan
@@ -112,36 +112,38 @@ def _truncated_mul(a: dict[JetTerm, int], b: dict[JetTerm, int], m: int) -> dict
     return out
 
 
-class JetSystem(_Frozen):
-    """Equations of the m-jet space of f = 0, F_0 .. F_m."""
+class JetSystem(tuple):
+    """Equations of the m-jet space of f = 0: the tuple F_0 .. F_m."""
 
-    __slots__ = ("order", "variables", "equations")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        order: int,
-        variables: tuple[str, ...],
-        equations: tuple[tuple[tuple[JetTerm, int], ...], ...],
-    ) -> None:
-        super().__init__(order, variables, equations)
+    @property
+    def order(self) -> int:
+        return len(self) - 1
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return tuple(f"{name}{j}" for j in range(len(self)) for name in "xyz")
+
+    @property
+    def equations(self) -> tuple[tuple[tuple[JetTerm, int], ...], ...]:
+        return tuple(self)
 
     def equation_dicts(self) -> list[dict[JetTerm, int]]:
-        return [dict(eq) for eq in self.equations]
+        return [dict(eq) for eq in self]
 
     def equation_strings(self) -> list[str]:
         # factors ordered x before y before z, then by series index
-        order = [k for axis in range(3) for k in range(axis, len(self.variables), 3)]
+        names = self.variables
+        order = [k for axis in range(3) for k in range(axis, len(names), 3)]
         return [
             _format_sum(
-                ((((self.variables[k], term[k]) for k in order), c) for term, c in eq),
+                ((((names[k], term[k]) for k in order), c) for term, c in eq),
                 " + ",
                 " - ",
             )
-            for eq in self.equations
+            for eq in self
         ]
-
-    def __iter__(self) -> Iterator[tuple[tuple[JetTerm, int], ...]]:
-        return iter(self.equations)
 
     def to_obj(self) -> dict:
         return {
@@ -183,5 +185,4 @@ def jet_equations(p: Polynomial, m: int) -> JetSystem:
     for key, c in sorted(total.items(), reverse=True):
         if c:
             equations[key[0]].append((key[1:], c))
-    variables = tuple(f"{name}{j}" for j in range(m + 1) for name in "xyz")
-    return JetSystem(m, variables, tuple(map(tuple, equations)))
+    return JetSystem(map(tuple, equations))

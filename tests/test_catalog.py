@@ -212,6 +212,18 @@ def test_subprofile_hyperplanes_pinned_at_2_2():
     assert [str(h) for h in elliptic[2]] == ["8x-3y-3z+3"]
 
 
+def test_b_odd_recomputed_hyperplanes_are_the_hull_facets_of_cone_0():
+    # the two restated closed forms of cone 0 are its profile's bounding
+    # facets, negated; the hull lists them in another order for r >= 3, so
+    # the set is pinned, not the order
+    for r, n in itertools.product(range(1, 7), range(2, 8)):
+        rec = instance("B-odd", {"r": r, "n": n}).stated
+        recomputed = [h.functional for h in rec.subprofiles[0] if h.recomputed]
+        assert len(recomputed) == 2
+        hull = {f.negated() for f in rec.cones[0].profile.bounding}
+        assert set(recomputed) == hull, (r, n)
+
+
 # every instance the data tests below read: the B families at r <= 6 and
 # 2 <= n <= 7, which hold both default grids, and ELLIPTIC-1
 STATED_INSTANCES = [
@@ -362,6 +374,29 @@ def test_fixture_tables_equal_computed(family, params):
         key = frozenset(cone.rays)
         assert key in computed
         assert set(cone.hilbert) == computed[key]
+
+
+@pytest.mark.parametrize("wrong", ["vertex", "equation"])
+def test_fixture_stage_checks_the_tabulated_vertex_and_equation(monkeypatch, wrong):
+    from torfan import catalog
+
+    fixtures = catalog._load_fixtures()
+    e60 = next(fx for fx in fixtures if fx.family == "E60")
+    first = e60.cones[0]
+    if wrong == "vertex":
+        bad = e60._replace(cones=(first._replace(vertex=(9, 9, 9)), *e60.cones[1:]))
+        row = {"label": first.label, "vertex": [9, 9, 9], "computed": list(first.vertex)}
+        row["reason"] = "vertex differs"
+    else:
+        bad = e60._replace(equation=e60.equation + "+x*y*z")
+        row = {"equation": bad.equation, "reason": "equation differs"}
+    assert verify("E60").stages["fixture"]["status"] == "ok"
+    monkeypatch.setattr(
+        catalog, "_load_fixtures", lambda: [bad if fx is e60 else fx for fx in fixtures]
+    )
+    stage = verify("E60").stages["fixture"]
+    assert stage["status"] == "fail"
+    assert stage["mismatches"] == [row]
 
 
 def test_verify_b_odd_all_green():

@@ -258,11 +258,16 @@ def test_render_rejects_empty_fan(tmp_path, capsys):
             '{"rays": [[1, 0, 0], [0, 1, 0], [1, 0, 0]], "cones": [{"rays": [0, 1]}]}',
             "fan rays must be distinct",
         ),
+        (
+            '{"rays": [[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]],'
+            ' "cones": [{"rays": [0, 2, 3]}, {"rays": [1, 2, 3]}]}',
+            "fan rays must be primitive",
+        ),
     ],
     ids=[
         "empty-object", "list", "non-list-ray", "non-object-cone", "deep", "truncated",
         "non-string-label", "bool-ray-coordinate", "bool-cone-index",
-        "repeated-index", "repeated-ray",
+        "repeated-index", "repeated-ray", "non-primitive-ray",
     ],
 )
 def test_render_rejects_malformed_fans_with_a_reason(tmp_path, capsys, text, reason):

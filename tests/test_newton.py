@@ -149,6 +149,10 @@ def test_fan_json_rejects_a_repeated_ray_or_ray_index():
         Fan.from_obj({"rays": rays, "cones": [{"rays": [0, 0, 0, 1]}]})
     with pytest.raises(ValueError, match="fan rays must be distinct"):
         Fan.from_obj({"rays": [*rays, [0, 1, 0]], "cones": [{"rays": [0, 1, 2]}]})
+    # a positive multiple of a ray is the same direction: (2, 0, 0) and
+    # (1, 0, 0) would be drawn at one point
+    with pytest.raises(ValueError, match="fan rays must be primitive"):
+        Fan.from_obj({"rays": [*rays, [2, 0, 0]], "cones": [{"rays": [3, 1, 2]}]})
     fan = Fan.from_obj({"rays": rays, "cones": [{"rays": [0, 1, 2]}, {"rays": [2, 1]}]})
     assert fan.cones[1].rays == (2, 1)
 

@@ -114,12 +114,26 @@ def test_records_copy_pickle_and_stay_read_only(record, field):
         setattr(record, field, getattr(record, field))
 
 
+@pytest.mark.parametrize(
+    "index, contents",
+    [(0, "terms"), (2, "elements"), (10, "equations")],
+    ids=["Polynomial", "HilbertBasis", "JetSystem"],
+)
+def test_sequence_records_are_tuples_of_their_contents(index, contents):
+    # no instance dict, equal to the plain tuple of their contents, which
+    # the read-only property returns
+    record = RECORDS[index][0]
+    assert isinstance(record, tuple) and not hasattr(record, "__dict__")
+    assert record == tuple(record) and hash(record) == hash(tuple(record))
+    assert type(getattr(record, contents)) is tuple and getattr(record, contents) == record
+
+
 def test_a_pickled_cone_keeps_its_cached_basis_and_profile():
     cone = RECORDS[1][0]
     clone = pickle.loads(pickle.dumps(cone))
     assert {"hilbert", "profile"} <= set(vars(clone))
     assert clone.hilbert == cone.hilbert and clone.profile == cone.profile
-    assert clone.hilbert.cone is clone
+    assert type(clone.hilbert) is type(cone.hilbert)
     # the simplex builder records the |det| it computed
     rays = [(0, 1, 0), (3, 1, 0), (6, 8, 9)]  # det -27
     simplex = Cone._simplex(*rays)

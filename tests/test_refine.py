@@ -342,21 +342,35 @@ def test_elliptic_fan_rays_are_all_irreducible():
     assert rep.all_rays_irreducible
 
 
+# refine_fan checks the prescribed rays before the insertion loop
+# (_ray_pieces) sees them, so these cases go through refine_fan
+
+
 def test_ray_pieces_skip_outside_and_existing_rays():
-    assert refine._ray_pieces(OCTANT, [E1]) == [OCTANT]
-    assert refine._ray_pieces(OCTANT, [(-1, 1, 1)]) == [OCTANT]
+    # a generator as a prescribed ray is accepted and inserts nothing; a ray
+    # outside the fan is refused
+    c = Cone.from_generators([E1, E2, (1, 1, 3)])
+    for cone, ray in ((OCTANT, E1), (c, (1, 1, 3))):
+        rep = refine_fan([cone], [ray])
+        assert piece_triples(rep) == [cone.generators] and rep.new_rays == ()
+    with pytest.raises(ValueError, match=r"prescribed ray \(-1, 1, 1\) lies in no cone"):
+        refine_fan([OCTANT], [(-1, 1, 1)])
 
 
 def test_ray_pieces_refuse_the_zero_vector():
-    with pytest.raises(ValueError):
-        refine._ray_pieces(OCTANT, [(0, 0, 0)])
+    with pytest.raises(ValueError, match="zero vector has no primitive representative"):
+        refine_fan([OCTANT], [(0, 0, 0)])
 
 
 def test_ray_pieces_at_a_multiple_of_a_generator_change_nothing():
+    # the multiple is refused as non-primitive; the primitive ray itself
+    # changes nothing where it is a generator and splits the octant in three
     c = Cone.from_generators([E1, E2, (1, 1, 3)])
-    assert refine._ray_pieces(c, [(2, 2, 6)]) == [c]
-    split = refine._ray_pieces(OCTANT, [(2, 2, 6)])
-    assert len(split) == 3 and split == refine._ray_pieces(OCTANT, [(1, 1, 3)])
+    for cone in (c, OCTANT):
+        with pytest.raises(ValueError, match=r"\(2, 2, 6\) is not primitive"):
+            refine_fan([cone], [(2, 2, 6)])
+    assert piece_triples(refine_fan([c], [(1, 1, 3)])) == [c.generators]
+    assert len(refine_fan([OCTANT], [(1, 1, 3)]).result.cones) == 3
 
 
 def test_hilbert_pieces_raise_instead_of_looping_on_a_stuck_insertion(monkeypatch):

@@ -20,7 +20,11 @@ like any other output.  Sections:
   seeded random polynomials;
 - ``jets``: ``jet_equations`` at m = 0..3;
 - ``verify``: ``verify(...).to_obj()`` on the default grid of every family
-  and a few instances off it.
+  and a few instances off it;
+- ``cli``: every call of perfbench's ``CLI_CALLS``, and each of them again
+  with ``--format text`` where its verb takes it, one ``torfan`` process
+  per call run from TREE on ``TREE/src``: the exit code, stdout, and the
+  file that ``render`` writes into a temporary directory.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SEED = 20261020
@@ -42,6 +47,8 @@ NAMED = (
     "x*y*z",
     "x-y",
 )
+# the verbs that take ``--format``
+TEXT_VERBS = ("dnp", "hilbert", "resolve", "profile", "groebner", "jets", "catalog", "verify")
 OFF_GRID = (
     ("A1", {"m": 7}),
     ("A2", {"k": 3, "m": 7}),
@@ -125,14 +132,39 @@ def _sections(torfan) -> dict[str, list]:
     return out
 
 
+def _cli_section(tree: Path) -> list:
+    """Exit code, stdout and written file of each CLI call, run from tree."""
+    sys.path.insert(0, str(tree / "perfbench"))
+    import workloads
+
+    calls = list(workloads.CLI_CALLS)
+    calls += [(*argv, "--format", "text") for argv in calls
+              if argv[0] in TEXT_VERBS and "--format" not in argv]
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        svg = Path(tmp, "fan.svg")  # render's --out, in place of perfbench's path
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "torfan.cli",
+                 *(str(svg) if a == workloads.SVG_OUT else a for a in argv)],
+                cwd=tree, env=workloads.child_env(), capture_output=True, timeout=300,
+            )
+            written = hashlib.sha256(svg.read_bytes()).hexdigest() if svg.exists() else None
+            svg.unlink(missing_ok=True)
+            out.append([argv, proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), written])
+    return out
+
+
 def _child(src: str) -> None:
     sys.path.insert(0, src)
     import torfan
 
     if Path(torfan.__file__).resolve().parent != Path(src, "torfan").resolve():
         sys.exit(f"imported {torfan.__file__}, not the tree's own torfan")
+    sections = _sections(torfan)
+    sections["cli"] = _cli_section(Path(src).parent)
     total = hashlib.sha256()
-    for name, items in _sections(torfan).items():
+    for name, items in sections.items():
         data = json.dumps(items, sort_keys=True, default=repr).encode()
         total.update(name.encode() + b"\0" + data)
         print(f"{name:<9} {len(items):>4} {hashlib.sha256(data).hexdigest()}")
