@@ -397,12 +397,23 @@ def test_usage_and_input_errors(capsys, tmp_path):
 
 
 def test_an_order_past_the_index_range_is_an_input_error(capsys):
-    # (0,) * (3*m + 4) raised OverflowError, which escaped as exit 1
+    # refused for its 3(m+1) variables before anything is allocated
     assert cli.run(["jets", "x", "--m", "100000000000000000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: cannot fit 'int' into an index-sized integer"
+        "error: order-100000000000000000000 jets have 300000000000000000003 variables,"
+        " more than the bound of 1000000"
+    ]
+
+
+def test_jets_past_the_monomial_bound_are_an_input_error(capsys):
+    # x^100 at m = 200 has over 10^13 jet monomials
+    assert cli.run(["jets", "x^100", "--m", "200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: order-200 jets have at least 3095037 monomials, more than the bound of 1000000"
     ]
 
 

@@ -1,14 +1,19 @@
 import random
 import re
+import time
+import tracemalloc
+from math import comb
 
 import pytest
 
-from oracle import groebner_fan_oracle, sympy_jet_oracle
+from oracle import groebner_fan_oracle, jets_match_oracle, sympy_jet_oracle
 from torfan.catalog import default_grid, families, instance
 from torfan.cones import Cone, dot
 from torfan.newton import dual_newton_cones
 from torfan.polyparse import Polynomial, parse_polynomial
 from torfan.valuation import (
+    JET_BOUND,
+    _jet_monomial_count,
     groebner_fan,
     initial_form,
     jet_equations,
@@ -270,3 +275,82 @@ def test_jet_order_must_be_an_int(m):
     # True gave a system with "m": true, and 1.5 a TypeError from (0,) * 7.5
     with pytest.raises(ValueError, match=f"jet order {re.escape(repr(m))} is not an int"):
         jet_equations(parse_polynomial("x*y"), m)
+
+
+def _random_jet_polynomial(rng):
+    # 1-4 terms with exponents 0-5 on each axis, so most terms are mixed
+    # monomials such as x^2*y*z^3 and the axes' series meet in products
+    return Polynomial.from_dict(
+        {
+            tuple(rng.randint(0, 5) for _ in range(3)): rng.choice((-3, -2, -1, 1, 2, 7))
+            for _ in range(rng.randint(1, 4))
+        }
+    )
+
+
+def test_jets_match_the_sympy_oracle_on_random_polynomials():
+    rng = random.Random(20261020)
+    polys = [_random_jet_polynomial(rng) for _ in range(60)]
+    assert sum(sum(map(bool, e)) >= 2 for p in polys for e, _ in p) >= 60
+    for p in polys:
+        oracle = sympy_jet_oracle(p, 5)
+        for m in range(6):
+            system = jet_equations(p, m)
+            assert jets_match_oracle(p, m, system, oracle=oracle), (str(p), m)
+            # the count that the work bound reads is the number built
+            assert _jet_monomial_count(p, m) == sum(map(len, system))
+
+
+def test_jets_of_a_huge_exponent_are_a_few_monomials():
+    # the dense ladder took 10^8 series products for x^100000000
+    start = time.perf_counter()
+    system = jet_equations(parse_polynomial("x^100000000+y^2+z^3"), 3)
+    assert time.perf_counter() - start < 2
+    f2 = dict(system.equations[2])
+    assert f2[((0, 99999998), (3, 2))] == 4999999950000000 == comb(10**8, 2)
+    assert "4999999950000000*x0^99999998*x1^2" in system.equation_strings()[2]
+
+
+def test_jets_memory_is_linear_in_the_order():
+    # linear in m: dense keys of length 3m+4 took 192 MB at this order
+    tracemalloc.start()
+    try:
+        system = jet_equations(parse_polynomial("x"), 1600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert system.equation_strings() == [f"x{j}" for j in range(1601)]
+
+
+@pytest.mark.parametrize(
+    "text, m, message",
+    [
+        (
+            "x^100",
+            200,
+            f"order-200 jets have at least 3095037 monomials, more than the bound of {JET_BOUND}",
+        ),
+        (
+            "x",
+            10**20,
+            "order-100000000000000000000 jets have 300000000000000000003 variables,"
+            f" more than the bound of {JET_BOUND}",
+        ),
+    ],
+    ids=["monomials", "variables"],
+)
+def test_jets_past_the_work_bound_are_refused(text, m, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refusal:
+        jet_equations(parse_polynomial(text), m)
+    assert str(refusal.value) == message
+    assert time.perf_counter() - start < 2
+
+
+def test_the_jet_work_bound_is_a_count_of_monomials():
+    # x^2 has floor(k/2) + 1 monomials at each t-degree k, so 1,000,000 in
+    # all at m = 1998, the largest order the bound accepts for it
+    m = 1998
+    assert _jet_monomial_count(parse_polynomial("x^2"), m) == JET_BOUND
+    assert _jet_monomial_count(parse_polynomial("x^2"), m + 1) > JET_BOUND

@@ -18,7 +18,7 @@ like any other output.  Sections:
   Hilbert elements as prescribed rays;
 - ``groebner``: ``groebner_fan`` and ``tropical_variety`` on named and
   seeded random polynomials;
-- ``jets``: ``jet_equations`` at m = 0..3;
+- ``jets``: ``jet_equations`` at m = 0..6;
 - ``verify``: ``verify(...).to_obj()`` on the default grid of every family
   and a few instances off it;
 - ``cli``: every call of perfbench's ``CLI_CALLS``, and each of them again
@@ -124,7 +124,7 @@ def _sections(torfan) -> dict[str, list]:
 
     for text in polys[:60]:
         p = torfan.parse_polynomial(text)
-        out["jets"].extend([text, torfan.jet_equations(p, m).to_obj()] for m in range(4))
+        out["jets"].extend([text, torfan.jet_equations(p, m).to_obj()] for m in range(7))
 
     instances = [(f, g) for f in torfan.families() for g in torfan.default_grid(f)]
     for family, params in instances + list(OFF_GRID):
