@@ -10,7 +10,10 @@ Cones handed to the semigroup routines (irreducibility, Hilbert bases) must
 live in the non-negative octant, where the coordinate sum is a positive
 grading that orders the reduction of candidates.
 
-Hilbert bases and profile points read one enumeration, the half-open
+Hilbert bases and profile points read one of two enumerations.  On a
+height-one cone, whose generators lie on one integral plane l = 1
+(``_height_one``), both are the lattice points of that polygon, scanned row
+by row (``_polygon_points``).  Every other cone is read from the half-open
 parallelepiped walk of each simplicial piece (``_half_open_points``): a
 lattice point u + sum n_i g_i (u half-open, n_i >= 0) that is irreducible,
 or has l <= 1, is a generator or u itself.
@@ -281,18 +284,23 @@ class Cone(
         return f"<{inner}>"
 
 
+def _plane_form(a: Vec, b: Vec, g: Vec) -> tuple[Vec, int]:
+    """(u, q), q > 0, with u.v / q = 1 on three independent a, b, g: the
+    adjugate rows b x g, g x a, a x b each take the value det(a, b, g) on
+    one of them and 0 on the others."""
+    bg = cross(b, g)
+    u = vadd(vadd(bg, cross(g, a)), cross(a, b))
+    q = dot(a, bg)
+    return (u, q) if q > 0 else (vneg(u), -q)
+
+
 def _l_form(c: Cone) -> tuple[Vec, int]:
     """(u, q), q > 0, with l(v) = u.v / q the l-functional of a simplicial
-    c: 1 on every generator, 0 on the normals of c's span.  The adjugate
-    rows b x g, g x a, a x b of a 3-dimensional (a, b, g) each take the
-    value det(a, b, g) on one generator and 0 on the others; a planar
-    (a, b) is read in the frame (a, b, n), n = a x b."""
+    c: 1 on every generator, 0 on the normals of c's span
+    (``_plane_form``); a planar (a, b) is read in the frame (a, b, n),
+    n = a x b."""
     if c.dim == 3:
-        a, b, g = c.generators
-        bg = cross(b, g)
-        u = vadd(vadd(bg, cross(g, a)), cross(a, b))
-        q = dot(a, bg)
-        return (u, q) if q > 0 else ((-u[0], -u[1], -u[2]), -q)
+        return _plane_form(*c.generators)
     if c.dim == 2:
         a, b = c.generators
         n = cross(a, b)
@@ -330,6 +338,58 @@ def _unit_dual(n: Vec) -> Vec:
     g, x, y = _xgcd(n[0], n[1])
     _, u, z = _xgcd(g, n[2])
     return (u * x, u * y, z)
+
+
+def _height_one(c: Cone) -> Vec | None:
+    """The integral l with l(g) = 1 on every generator g of a 3-dimensional
+    c, or None when there is none or c is not 3-dimensional.  Three
+    extremal rays of a pointed cone are never coplanar, so l is the plane
+    through the first three generators, integral exactly when q divides u,
+    and primitive since it takes the value 1."""
+    if c.dim != 3:
+        return None
+    u, q = _plane_form(*c.generators[:3])
+    if u[0] % q or u[1] % q or u[2] % q:
+        return None
+    l = (u[0] // q, u[1] // q, u[2] // q)
+    return l if all(dot(l, g) == 1 for g in c.generators[3:]) else None
+
+
+def _polygon_points(c: Cone, l: Vec) -> list[Vec]:
+    """The lattice points of the polygon c ∩ {l = 1}, sorted, for the l of
+    ``_height_one``, scanned in rows along one of its edges.
+
+    For an edge (a, b) in ``c.facets``, e2 = the primitive b - a and
+    e1 = ``_unit_dual(e2)`` x l have e1 x e2 = l, so they are a lattice
+    basis of ker l, and with w = ``_unit_dual(l)`` every lattice point of
+    the plane is w + s*e1 + t*e2, with s = (e2 x w).v since
+    det(e1, e2, w) = l.w = 1.  The polygon is the hull of the generators,
+    so each integer s between their extremes is a row that meets it: a
+    facet normal n with n.e2 = 0 holds on the whole row, and any other
+    bounds t on it by n.w + s*n.e1 + t*n.e2 >= 0, in exact floor division.
+    The rows number h + 1, h the lattice distance of the farthest vertex
+    from the edge; its triangle on the edge has area at least h/2, so by
+    Pick's theorem h is less than twice the polygon's point count.  The
+    edge with the fewest rows is scanned.
+    """
+    w = _unit_dual(l)
+    scans = []
+    for a, b in c.facets:
+        e2 = _primitive((b[0] - a[0], b[1] - a[1], b[2] - a[2]))
+        f1 = cross(e2, w)
+        s_values = [dot(f1, v) for v in c.generators]
+        scans.append((max(s_values) - min(s_values), e2, s_values))
+    _, e2, s_values = min(scans, key=lambda scan: scan[0])
+    e1 = cross(_unit_dual(e2), l)
+    rows = [(dot(n, w), dot(n, e1), dot(n, e2)) for n in c.facet_normals if dot(n, e2)]
+    out: list[Vec] = []
+    for s in range(min(s_values), max(s_values) + 1):
+        lo = max(-((p + s * q) // d) for p, q, d in rows if d > 0)
+        hi = min((p + s * q) // -d for p, q, d in rows if d < 0)
+        x0, y0, z0 = w[0] + s * e1[0], w[1] + s * e1[1], w[2] + s * e1[2]
+        out += [(x0 + t * e2[0], y0 + t * e2[1], z0 + t * e2[2]) for t in range(lo, hi + 1)]
+    out.sort()
+    return out
 
 
 def _half_open_points(c: Cone) -> tuple[int, list[tuple[Vec, Vec]]]:
@@ -434,13 +494,27 @@ def hilbert_basis(c: Cone) -> HilbertBasis:
 def _hilbert_basis(c: Cone) -> HilbertBasis:
     """The computation behind ``Cone.hilbert``.
 
+    On a height-one cone (``_height_one``) the basis is the lattice points
+    of the polygon P = c ∩ {l = 1} (``_polygon_points``).  A nonzero lattice
+    point of c has integral l >= 1, so the points of P are irreducible, and
+    every lattice polygon is normal: its cone's lattice points are sums of
+    points of P (Bruns-Gubeladze, *Polytopes, Rings, and K-Theory*, 2009).
+    Every other cone is walked and reduced (``_walked_basis``).
+    """
+    _require_octant_semigroup(c)
+    l = _height_one(c)
+    return HilbertBasis(_walked_basis(c) if l is None else _polygon_points(c, l))
+
+
+def _walked_basis(c: Cone) -> list[Vec]:
+    """The Hilbert basis of an octant cone c, sorted, by the group walk.
+
     Candidates are the generators and the half-open parallelepiped points of
     each piece of a triangulation.  An irreducible point v of the cone lies
     in a piece, where v = u + sum n_i g_i with u half-open and n_i >= 0
     integers; v is irreducible there too, so either v = u or u = 0 and v is
     a single generator.
     """
-    _require_octant_semigroup(c)
     candidates: set[Vec] = set(c.generators)
     for piece in triangulate(c):
         if piece.dim > 1:
@@ -465,7 +539,7 @@ def _hilbert_basis(c: Cone) -> HilbertBasis:
         else:
             kept.append(v)
             heights.append(height)
-    return HilbertBasis(sorted(kept))
+    return sorted(kept)
 
 
 _CONE_TEXT = re.compile(r"^\s*<\s*(.*?)\s*>\s*$", re.S)

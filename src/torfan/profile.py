@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .cones import (
@@ -21,8 +21,11 @@ from .cones import (
     Vec,
     ZERO,
     _half_open_points,
+    _height_one,
     _l_form,
+    _polygon_points,
     _supporting_planes,
+    dot,
     triangulate,
 )
 
@@ -97,10 +100,20 @@ class Profile(namedtuple("Profile", "cone bounding kind")):
     and ``kind``, "simplicial" or "convex-hull"."""
 
     @cached_property
-    def _level_forms(self) -> tuple[tuple[int, int, int, int], ...]:
-        """(a, b, c, -d) for each bounding form a*x + b*y + c*z + d, in integers."""
-        forms = (f.integer_form for f in self.bounding)
-        return tuple((a, b, c, -d) for a, b, c, d, _ in forms)
+    def _level_forms(self) -> tuple[tuple[tuple[int, int, int], ...], int]:
+        """(rows, L): the height of v over a bounding form a*x + b*y + c*z + d
+        in integers is (a, b, c).v / -d, with d < 0 since 0 is inside; each
+        row is (a, b, c) times L / -d, L the least common multiple of the -d."""
+        forms = [f.integer_form[:4] for f in self.bounding]
+        big = lcm(*(-d for *_, d in forms))
+        rows = tuple((a * (big // -d), b * (big // -d), c * (big // -d)) for a, b, c, d in forms)
+        return rows, big
+
+    def _level_numerator(self, v: Sequence[int]) -> int:
+        """``level(v)`` times the profile's fixed denominator: the same order,
+        in integers on lattice points."""
+        x, y, z = v
+        return max(a * x + b * y + c * z for a, b, c in self._level_forms[0])
 
     def level(self, v: Sequence[int]) -> Fraction:
         """Height of v against the profile hull: 1 exactly on the hull.
@@ -108,10 +121,7 @@ class Profile(namedtuple("Profile", "cone bounding kind")):
         Agrees with the l-functional on simplicial cones and is defined
         without reference to any triangulation otherwise.
         """
-        x, y, z = v
-        return max(
-            Fraction(a * x + b * y + c * z, minus_d) for a, b, c, minus_d in self._level_forms
-        )
+        return Fraction(self._level_numerator(v), self._level_forms[1])
 
 
 def l_functional(c: Cone) -> AffineFunctional:
@@ -148,7 +158,13 @@ def _profile(c: Cone) -> Profile:
 
 
 def contains_point(p: Profile, v: Sequence[int]) -> bool:
-    return p.cone.contains(v) and all(f(v) <= 0 for f in p.bounding)
+    """v in the cone and on the inner side of every bounding form, whose
+    sign is that of its integer form's numerator."""
+    if not p.cone.contains(v):
+        return False
+    x, y, z = v
+    forms = (f.integer_form for f in p.bounding)
+    return all(a * x + b * y + c * z + d <= 0 for a, b, c, d, _ in forms)
 
 
 def profile_lattice_points(p: Profile) -> list[Vec]:
@@ -159,17 +175,22 @@ def profile_lattice_points(p: Profile) -> list[Vec]:
     so it is a generator or a nonzero u with q_1 + q_2 + q_3 <= D.  Otherwise
     every generator is a vertex of the hull, so the profile is the union of
     such simplices over a triangulation of the generators on each off-origin
-    hull facet.
+    hull facet.  On a height-one cone (``_height_one``) the profile is
+    {v in c : l(v) <= 1}, and a nonzero lattice point of c has integral
+    l >= 1, so its points are those of the polygon c ∩ {l = 1}: in the
+    octant, the Hilbert basis ``c.hilbert`` already holds them.
     """
     c = p.cone
+    if (l := _height_one(c)) is not None:
+        return list(c.hilbert) if c.in_octant() else _polygon_points(c, l)
     if c.is_simplicial():
         simplices: tuple[Cone, ...] = (c,) if c.dim > 1 else ()
     else:
         simplices = tuple(
             piece
-            for f in p.bounding
+            for a, b, e, d, _ in (f.integer_form for f in p.bounding)
             for piece in triangulate(
-                Cone.from_generators([g for g in c.generators if f(g) == 0])
+                Cone.from_generators([g for g in c.generators if dot((a, b, e), g) == -d])
             )
         )
     out: set[Vec] = set(c.generators)

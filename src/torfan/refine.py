@@ -119,7 +119,7 @@ def _ray_pieces(c: Cone, rays: Iterable[Vec]) -> list[Cone]:
     at the first ray it holds and each child inherits the later rays it
     holds.  A piece left with no rays is triangulated, which changes only a
     non-simplicial c that holds none."""
-    level = c.profile.level
+    level = c.profile._level_numerator
     out: list[Cone] = []
     stack = [(c, sorted(rays, key=lambda v: (level(v), v)))]
     while stack:
@@ -190,7 +190,7 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
     inner = [h for h in basis if h not in c.generators]
     rays = [h for h in inner if any(dot(n, h) == 0 for n in c.facet_normals)]
     if not rays and inner and not c.is_simplicial():
-        level = c.profile.level
+        level = c.profile._level_numerator
         rays = [min(inner, key=lambda h: (level(h), h))]
     for p in _ray_pieces(c, rays):
         place(p, basis)

@@ -10,7 +10,8 @@ over strictly positive weights.
 
 from __future__ import annotations
 
-from math import comb
+import sys
+from math import comb, log10
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -249,7 +250,10 @@ def jet_equations(p: Polynomial, m: int) -> JetSystem:
     Each term of p is the product of its axes' truncated powers, from the
     closed form of ``_power_series``, so the work follows the number of
     monomials in the answer.  More than JET_BOUND variables or monomials
-    is refused with a ValueError, before any is built.
+    is refused with a ValueError, before any is built, and so is a
+    coefficient past the interpreter's limit on the digits ``str()`` prints
+    (``sys.get_int_max_str_digits()``, absent before Python 3.10.7, which
+    has no limit), once it is built.
     """
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValueError(f"jet order {m!r} is not an int")
@@ -277,4 +281,19 @@ def jet_equations(p: Polynomial, m: int) -> JetSystem:
             prod = out
         for eq, terms in zip(equations, prod):
             eq += terms if len(axes) < 2 else [(tuple(sorted(t)), c) for t, c in terms]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    widest = max((abs(c) for eq in equations for _, c in eq), default=0)
+    if limit and widest.bit_length() > 3 * limit and (digits := _digits(widest)) > limit:
+        raise ValueError(
+            f"order-{m} jets have a coefficient of {digits} digits,"
+            f" more than the {limit}-digit limit for printing an integer"
+        )
     return JetSystem(tuple(sorted(eq, key=_descending, reverse=True)) for eq in equations)
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of an int n > 0, read without ``str(n)``, which
+    refuses past the interpreter's limit; the float log is off by at most
+    one near a power of ten."""
+    k = int(log10(n)) + 1
+    return k + (n >= 10**k) - (n < 10 ** (k - 1))

@@ -17,12 +17,14 @@ from oracle import (
     sympy_jet_oracle,
 )
 from torfan.catalog import (
+    default_grid,
     families,
     fixture_instances,
     instance,
     profile_discrepancy,
+    verify,
 )
-from torfan.cones import Cone, hilbert_basis, is_irreducible
+from torfan.cones import Cone, _height_one, hilbert_basis, is_irreducible
 from torfan.newton import dual_newton_cones
 from torfan.polyparse import parse_polynomial
 from torfan.profile import contains_point, facet_equation, l_functional, profile, profile_lattice_points
@@ -283,6 +285,28 @@ def test_criterion_09_profile_points_in_hilbert_basis():
     # the profile hull, e.g. (2,2,4) = (1,0,2) + (1,2,2) sits on the hull
     # boundary of the cone over (1,0,0),(1,0,2),(1,4,0),(3,4,8).
     assert _record(9, ok, detail), violations
+
+
+def test_criterion_09_holds_on_every_height_one_cone():
+    # On a height-one cone the profile's nonzero lattice points are those
+    # of the polygon at l = 1, which are the Hilbert basis, so criterion 9
+    # can fail only off these cones (ROADMAP items 3 and 15).
+    height_one = 0
+    for fam in families():
+        for params in default_grid(fam):
+            for row in verify(fam, params).cones:
+                if _height_one(Cone.from_generators(row["rays"])) is not None:
+                    height_one += 1
+                    assert row["uncovered"] == [], (fam, params, row["rays"])
+    assert height_one == 92
+    failing = [
+        c
+        for fam, params in [*_b_instances(), *fixture_instances()]
+        for c, _ in dual_newton_cones(instance(fam, params).poly)
+        if not set(profile_lattice_points(profile(c))) <= set(hilbert_basis(c))
+    ]
+    assert len(failing) == 8
+    assert all(_height_one(c) is None for c in failing)
 
 
 def test_criterion_10_jet_truncation():

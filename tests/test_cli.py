@@ -417,6 +417,46 @@ def test_jets_past_the_monomial_bound_are_an_input_error(capsys):
     ]
 
 
+def test_jets_past_the_printable_digits_are_an_input_error(capsys):
+    # a 4,290-digit coefficient parses, but its order-5 jets reach 4,303
+    # digits, past what the interpreter converts to text
+    assert cli.run(["jets", "9" * 4290 + "*x^1000", "--m", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: order-5 jets have a coefficient of 4303 digits,"
+        " more than the 4300-digit limit for printing an integer"
+    ]
+    assert cli.run(["jets", "9" * 4280 + "*x^1000", "--m", "5"]) == 0
+    capsys.readouterr()
+
+
+def test_thin_height_one_cones_answer_at_once():
+    # unimodular height-one simplices 10^8 wide across x: their polygon
+    # holds three lattice points, and a row scan across that width would
+    # not finish
+    code = (
+        "import contextlib, io, json\n"
+        "from torfan import cli\n"
+        "for verb, x in (('hilbert', 1), ('profile', 1), ('profile', -1)):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.run([verb, '<(0,0,1),(1,0,1),(%d,1,1)>' % (x * 10**8)])\n"
+        "    obj = json.loads(out.getvalue())\n"
+        "    points = obj if verb == 'hilbert' else obj['profiles'][0]['lattice_points']\n"
+        "    print(code, len(points))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 3"] * 3
+
+
 @pytest.mark.parametrize(
     "args",
     [["dnp", "x^2+y^3+z^5"], ["verify", "B-odd"], ["render", "FAN"]],

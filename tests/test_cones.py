@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 from operator import sub
 
@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from torfan.cones import (
     Cone,
     _half_open_points,
+    _height_one,
     _supporting_normals,
+    _walked_basis,
     cross,
     dot,
     hilbert_basis,
@@ -22,12 +24,15 @@ from torfan.cones import (
     unimodular_det,
     vadd,
 )
-from torfan.profile import profile
+from torfan.catalog import instance
+from torfan.newton import dual_newton_cones
+from torfan.profile import profile, profile_lattice_points
 
 from oracle import (
     box_is_irreducible,
     _in_cone_span,
     box_parallelepiped_points,
+    box_profile_points,
     brute_force_hilbert_planar,
     brute_force_hilbert_simplicial,
     caratheodory_extremal_rays,
@@ -507,6 +512,66 @@ def test_hilbert_basis_non_simplicial_against_triangulation_choice():
         candidates.discard((0, 0, 0))
         expected = {v for v in candidates if box_is_irreducible(c.generators, v)}
         assert set(hilbert_basis(c).elements) == expected, c
+
+
+def _height_one_cones(count: int, seed: int, low: int = 0) -> list[Cone]:
+    """Seeded cones over 3-6 points of [low, 5]^3 on one plane l = 1, l
+    primitive with entries in -4..4, each a 3-dimensional cone."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        l = [rng.randint(-4, 4) for _ in range(3)]
+        plane = [v for v in product(range(low, 6), repeat=3) if dot(l, v) == 1]
+        if len(plane) < 3:
+            continue
+        c = Cone.from_generators(rng.sample(plane, min(len(plane), rng.randint(3, 6))))
+        if c.dim == 3:
+            cones.append(c)
+    return cones
+
+
+def test_height_one_bases_match_the_oracles():
+    # a simplex against the box oracle, any other cone against the group walk
+    cones = _height_one_cones(60, seed=31)
+    assert sum(c.is_simplicial() for c in cones) >= 15
+    assert sum(not c.is_simplicial() for c in cones) >= 15
+    for c in cones:
+        l = _height_one(c)
+        assert l is not None and all(dot(l, g) == 1 for g in c.generators), c
+        expected = (
+            brute_force_hilbert_simplicial(*c.generators) if c.is_simplicial()
+            else tuple(_walked_basis(c))
+        )
+        assert hilbert_basis(c) == expected, c
+        assert profile_lattice_points(profile(c)) == list(c.hilbert), c
+
+
+def test_height_one_profile_points_off_the_octant_match_the_box_oracle():
+    cones = [c for c in _height_one_cones(40, seed=32, low=-3) if not c.in_octant()]
+    assert len(cones) >= 30
+    for c in cones:
+        assert _height_one(c) is not None, c
+        assert profile_lattice_points(profile(c)) == box_profile_points(c.generators), c
+
+
+def test_height_one_needs_one_integral_plane():
+    assert _height_one(Cone.from_generators([E1, E2, E3])) == (1, 1, 1)
+    assert _height_one(SIGMA3) is None  # l = -8x/3 + y + z
+    assert _height_one(Cone.from_generators([E1, E2, (1, 1, 2)])) is None  # x + y - z/2
+    quad = Cone.from_generators([E1, E2, (1, 1, 1), (2, 0, 1)])
+    assert len(quad.generators) == 4 and _height_one(quad) == (1, 1, -1)
+    # four rays on no common plane, and a planar cone
+    off_plane = Cone.from_generators([E1, E2, (0, 1, 1), (2, 0, 1)])
+    assert len(off_plane.generators) == 4 and _height_one(off_plane) is None
+    assert _height_one(Cone.from_generators([E1, E2])) is None
+
+
+def test_height_one_a2_bases_match_the_group_walk():
+    for m in (50, 120, 200):
+        for c, _ in dual_newton_cones(instance("A2", {"k": 1, "m": m}).poly):
+            assert _height_one(c) is not None, (m, c)
+            assert hilbert_basis(c) == tuple(_walked_basis(c)), (m, c)
+            assert profile_lattice_points(profile(c)) == list(c.hilbert), (m, c)
 
 
 def test_parse_cone_round_trip():

@@ -243,6 +243,38 @@ def test_profile_level_at_most_one_is_profile_membership():
             assert (c.profile.level(v) <= 1) == contains_point(c.profile, v), (c, v)
 
 
+def test_integer_profile_tests_match_their_fraction_definitions():
+    # contains_point and level read integer forms; rebuild both from the
+    # Fraction coefficients, on int and Fraction vectors
+    rng = random.Random(20261031)
+    cones = [SIGMA3, OCTANT, B22_S1, B22_S2, B22_S3]
+    while len(cones) < 40:
+        vectors = [tuple(rng.randint(-3, 7) for _ in range(3)) for _ in range(rng.randint(3, 6))]
+        try:
+            c = Cone.from_generators(vectors)
+        except ValueError:
+            continue  # not pointed, or only zero vectors
+        if c.dim == 3:
+            cones.append(c)
+    assert sum(not c.is_simplicial() for c in cones) >= 10
+    for c in cones:
+        p = profile(c)
+        for _ in range(40):
+            v = tuple(
+                Fraction(rng.randint(-40, 90), rng.randint(1, 9)) if rng.random() < 0.5
+                else rng.randint(-5, 12)
+                for _ in range(3)
+            )
+            values = [sum(a * x for a, x in zip(f.coeffs, v)) for f in p.bounding]
+            assert contains_point(p, v) == (
+                c.contains(v) and all(y + f.constant <= 0 for y, f in zip(values, p.bounding))
+            ), (c, v)
+            level = max(y / -f.constant for y, f in zip(values, p.bounding))
+            assert p.level(v) == level, (c, v)
+            if all(isinstance(x, int) for x in v):
+                assert p._level_numerator(v) == level * p._level_numerator(c.generators[0])
+
+
 def test_profile_points_can_contain_reducible_vectors():
     # (2,2,2) = (1,1,1)+(1,1,1) sits in the profile (l-value 4/9) yet is
     # reducible, so profile points are not in general Hilbert elements

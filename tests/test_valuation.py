@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 import tracemalloc
 from math import comb
@@ -337,8 +338,15 @@ def test_jets_memory_is_linear_in_the_order():
             "order-100000000000000000000 jets have 300000000000000000003 variables,"
             f" more than the bound of {JET_BOUND}",
         ),
+        (
+            # 10^4290 - 1 times C(1000, 5), a 13-digit number, at x0^995*x1^5
+            "9" * 4290 + "*x^1000",
+            5,
+            "order-5 jets have a coefficient of 4303 digits,"
+            " more than the 4300-digit limit for printing an integer",
+        ),
     ],
-    ids=["monomials", "variables"],
+    ids=["monomials", "variables", "digits"],
 )
 def test_jets_past_the_work_bound_are_refused(text, m, message):
     start = time.perf_counter()
@@ -346,6 +354,13 @@ def test_jets_past_the_work_bound_are_refused(text, m, message):
         jet_equations(parse_polynomial(text), m)
     assert str(refusal.value) == message
     assert time.perf_counter() - start < 2
+
+
+def test_jets_without_a_digit_limit_print_any_coefficient(monkeypatch):
+    # interpreters before 3.10.7 have neither the str() limit nor its getter
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    system = jet_equations(parse_polynomial("9" * 4290 + "*x^1000"), 5)
+    assert len(system) == 6
 
 
 def test_the_jet_work_bound_is_a_count_of_monomials():

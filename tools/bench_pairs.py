@@ -3,7 +3,7 @@ one CHANGES.md table row per workload.
 
 Usage:
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--pairs 10] [--seconds 25]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--pairs 10] [--seconds 25] [--out FILE]
 
 PARENT and CHANGE are two checkouts of the repository, for example a
 ``git archive`` of the parent commit and a copy of the working tree.  Both
@@ -17,8 +17,10 @@ Nothing is added to the environment or the command line of the runs.
 Each run's result goes to stderr as it lands.  stdout gets a table header
 and then one row per workload: for each end-to-end metric of BENCHMARK.json,
 parent median -> change median (pairs the change won, parent IQR, change in
-percent).  The exit status is 1 when any run was not ``correct`` or had a
-failed operation.
+percent).  With ``--out FILE``, FILE gets the same as JSON, rewritten
+after each workload: every run's result under ``runs`` and, under
+``medians``, each workload's cells as numbers.  The exit status is 1 when
+any run was not ``correct`` or had a failed operation.
 """
 
 from __future__ import annotations
@@ -49,13 +51,23 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def _cell(parent: list[float], change: list[float], better: str) -> str:
+def _summary(parent: list[float], change: list[float], better: str) -> dict:
     before, after = statistics.median(parent), statistics.median(change)
     wins = sum((c > p) if better == "higher" else (c < p) for p, c in zip(parent, change))
-    percent = 100 * (after - before) / before if before else 0.0
+    return {
+        "parent": before,
+        "change": after,
+        "wins": wins,
+        "pairs": len(parent),
+        "parent_iqr": _iqr(parent),
+        "percent": 100 * (after - before) / before if before else 0.0,
+    }
+
+
+def _cell(m: dict) -> str:
     return (
-        f"{before:.4g} → {after:.4g} "
-        f"({wins}/{len(parent)}, IQR {_iqr(parent):.4g}, {percent:+.1f}%)"
+        f"{m['parent']:.4g} → {m['change']:.4g} "
+        f"({m['wins']}/{m['pairs']}, IQR {m['parent_iqr']:.4g}, {m['percent']:+.1f}%)"
     )
 
 
@@ -66,6 +78,7 @@ def main() -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--out", type=Path)
     a = ap.parse_args()
 
     bench = json.loads((a.parent / "BENCHMARK.json").read_text())
@@ -81,6 +94,7 @@ def main() -> int:
     print("| workload | " + " | ".join(name for name, _ in metrics) + " |")
     print("| --- |" + " --- |" * len(metrics))
     clean = True
+    saved: dict[str, object] = {"seconds": a.seconds, "runs": [], "medians": {}}
     for workload in workloads:
         values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
         for i in range(a.pairs):
@@ -88,6 +102,7 @@ def main() -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 r = _run(getattr(a, side), command, workload, seed, a.seconds)
+                saved["runs"].append({"workload": workload, "pair": i + 1, "side": side, "result": r})
                 clean = clean and r["correct"] and r["failed"] == 0
                 for name, _ in metrics:
                     values[side].setdefault(name, []).append(r["metrics"][name]["value"])
@@ -98,10 +113,14 @@ def main() -> int:
                     file=sys.stderr,
                     flush=True,
                 )
-        cells = (
-            _cell(values["parent"][name], values["change"][name], better)
+        summaries = {
+            name: _summary(values["parent"][name], values["change"][name], better)
             for name, better in metrics
-        )
+        }
+        saved["medians"][workload] = summaries
+        if a.out:
+            a.out.write_text(json.dumps(saved, indent=1) + "\n")
+        cells = (_cell(m) for m in summaries.values())
         print(f"| {workload} | " + " | ".join(cells) + " |", flush=True)
     return 0 if clean else 1
 

@@ -21,6 +21,10 @@ like any other output.  Sections:
 - ``jets``: ``jet_equations`` at m = 0..6;
 - ``verify``: ``verify(...).to_obj()`` on the default grid of every family
   and a few instances off it;
+- ``height-one``: seeded octant cones whose generators lie on one integral
+  plane l = 1, two thin unimodular ones, and the dual cones of A2 at
+  k < m <= 400: Hilbert basis, profile lattice points and
+  ``refine_fan([c], c.hilbert).to_obj()``;
 - ``cli``: every call of perfbench's ``CLI_CALLS``, and each of them again
   with ``--format text`` where its verb takes it, one ``torfan`` process
   per call run from TREE on ``TREE/src``: the exit code, stdout, and the
@@ -30,6 +34,7 @@ like any other output.  Sections:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import subprocess
@@ -85,9 +90,23 @@ def _random_octant_rays(rng: random.Random) -> list[tuple[int, int, int]]:
     return rays
 
 
+def _random_height_one_rays(rng: random.Random) -> list[tuple[int, int, int]]:
+    """3-6 octant points of one plane l = 1, l primitive with entries in
+    -4..4; fewer when the box holds fewer."""
+    while True:
+        l = [rng.randint(-4, 4) for _ in range(3)]
+        on_plane = [
+            v for v in itertools.product(range(7), repeat=3)
+            if sum(a * x for a, x in zip(l, v)) == 1
+        ]
+        if len(on_plane) >= 3:
+            return rng.sample(on_plane, min(len(on_plane), rng.randint(3, 6)))
+
+
 def _sections(torfan) -> dict[str, list]:
     rng = random.Random(SEED)
-    out: dict[str, list] = {name: [] for name in ("octant", "refine", "groebner", "jets", "verify")}
+    names = ("octant", "refine", "groebner", "jets", "verify", "height-one")
+    out: dict[str, list] = {name: [] for name in names}
 
     def octant(rays):
         c = torfan.Cone.from_generators(rays)
@@ -129,6 +148,27 @@ def _sections(torfan) -> dict[str, list]:
     instances = [(f, g) for f in torfan.families() for g in torfan.default_grid(f)]
     for family, params in instances + list(OFF_GRID):
         out["verify"].append(torfan.verify(family, params).to_obj())
+
+    from torfan.catalog import instance
+
+    def height_one(c):
+        return [
+            str(c),
+            [list(v) for v in torfan.hilbert_basis(c)],
+            [list(v) for v in torfan.profile_lattice_points(torfan.profile(c))],
+            torfan.refine_fan([c], c.hilbert).to_obj(),
+        ]
+
+    for _ in range(150):
+        rays = _random_height_one_rays(rng)
+        out["height-one"].append([rays, _attempt(lambda: height_one(torfan.Cone.from_generators(rays)))])
+    # unimodular and 10^8 wide across x: a handful of points in long rows
+    thin = [(0, 0, 1), (1, 0, 1), (10**8, 1, 1)]
+    for rays in (thin, [*thin, (10**8 + 1, 1, 1)]):
+        out["height-one"].append(height_one(torfan.Cone.from_generators(rays)))
+    for k, m in ((1, 50), (1, 100), (1, 200), (1, 400), (3, 100), (7, 200)):
+        p = instance("A2", {"k": k, "m": m}).poly
+        out["height-one"].extend(height_one(c) for c, _ in torfan.dual_newton_cones(p))
     return out
 
 
