@@ -36,10 +36,8 @@ _EXPORTS = {
     ),
     "newton": (
         "Fan",
-        "NewtonPolyhedron",
         "dual_newton_cones",
         "fan_consistency_report",
-        "newton_polyhedron",
         "octant_solid_volume",
     ),
     "profile": (

@@ -4,7 +4,9 @@ NP(f) is the convex hull of support(f) + the non-negative octant, read off
 one supporting-hyperplane pass over the cone it is a slice of.  Its normal
 fan lives exactly on the octant (the recession cone is self-dual), so the
 dual fan is complete there.  Maximal dual cones correspond to vertices of
-NP(f), rays to facets, and strictly positive cones to compact faces.
+NP(f), rays to facets, and strictly positive cones to compact faces.  The
+faces below the maximal cones are read in one place, the face walk
+``valuation._dual_faces``: each with the support points on its NP face.
 """
 
 from __future__ import annotations
@@ -31,14 +33,6 @@ from .polyparse import Polynomial
 E1: Vec = (1, 0, 0)
 E2: Vec = (0, 1, 0)
 E3: Vec = (0, 0, 1)
-
-
-class NewtonPolyhedron(NamedTuple):
-    """Vertices, facet inequalities (w·x >= o), and compact faces of NP(f)."""
-
-    vertices: tuple[Vec, ...]
-    facets: tuple[tuple[Vec, int], ...]
-    compact_faces: tuple[tuple[tuple[Vec, ...], int], ...]
 
 
 class FanCone(NamedTuple):
@@ -122,9 +116,9 @@ class Fan(NamedTuple):
         return cls.from_obj(obj)
 
 
-def _newton_hull(p: Polynomial) -> tuple[list[tuple[Vec, int]], list[tuple[Vec, list[Vec]]]]:
-    """Facets (w, o), sorted, of NP(f) = {x : w·x >= o}, and its vertices in
-    sorted order, each with the normals of the facets through it.
+def dual_newton_cones(p: Polynomial) -> list[tuple[Cone, Vec]]:
+    """Maximal cones of the dual fan, each with the NP vertex it selects, in
+    sorted vertex order.
 
     NP(f) is the slice t = 1 of the cone over the (e_i, 0) and the (a, 1) for
     the support points a above no other b: (a, 1) = (b, 1) + sum (a - b)_i
@@ -137,26 +131,7 @@ def _newton_hull(p: Polynomial) -> tuple[list[tuple[Vec, int]], list[tuple[Vec, 
     lifted = [(*e, 0) for e in (E1, E2, E3)] + [(*a, 1) for a in minimal]
     facets = sorted((n[:3], -n[3]) for n in _supporting_planes(lifted) if any(n[:3]))
     tight = ((s, [w for w, o in facets if dot(w, s) == o]) for s in minimal)
-    return facets, [(s, normals) for s, normals in tight if _rank(normals) == 3]
-
-
-def dual_newton_cones(p: Polynomial) -> list[tuple[Cone, Vec]]:
-    """Maximal cones of the dual fan, each with the NP vertex it selects."""
-    return [(Cone.from_generators(normals), s) for s, normals in _newton_hull(p)[1]]
-
-
-def newton_polyhedron(p: Polynomial) -> NewtonPolyhedron:
-    """NP(f) read off its facets.  The compact faces are the facets with a
-    positive normal, and the edges where two facets meet in two vertices:
-    two facets meet in one face, so those are the bounded edges."""
-    facets, tight = _newton_hull(p)
-    vertices = tuple(s for s, _ in tight)
-    on = [tuple(v for v in vertices if dot(w, v) == o) for w, o in facets]
-    compact = [(face, 2) for (w, _), face in zip(facets, on) if min(w) > 0]
-    edges = (tuple(v for v in f if v in g) for f, g in combinations(on, 2))
-    compact += [(edge, 1) for edge in edges if len(edge) == 2]
-    compact.sort(key=lambda t: (t[1], t[0]))
-    return NewtonPolyhedron(vertices, tuple(facets), tuple(compact))
+    return [(Cone.from_generators(normals), s) for s, normals in tight if _rank(normals) == 3]
 
 
 _OCTANT = Cone._simplex(E1, E2, E3)

@@ -2,7 +2,10 @@
 
 For a hypersurface the Groebner fan is the normal fan of the Newton
 polyhedron, so its cones are taken straight from the dual fan machinery
-and only the labels (initial forms) are computed here.  Weights live in
+and only the labels (initial forms) are computed here.  The face walk
+``_dual_faces`` is the one reader of every face of the dual fan: its
+initial forms carry each compact face of the Newton polyhedron with all
+its support points, and ``groebner_fan`` groups them.  Weights live in
 the closed octant: the catalog cones use boundary rays such as (0,1,2),
 so equivalence-class closures are restricted to w >= 0 rather than taken
 over strictly positive weights.
@@ -42,6 +45,30 @@ class GroebnerCone(NamedTuple):
     initial_form: Polynomial
 
 
+def _dual_faces(p: Polynomial) -> list[tuple[tuple[Vec, ...], Polynomial, Cone | None]]:
+    """Every face of the dual fan of NP(f), keyed by its sorted rays, with
+    the initial form at the ray sum and, for a maximal cone, the cone.
+
+    The initial form's support is every support point on the dual face of
+    NP(f), not only its vertices: a vertex for a maximal cone, an edge for
+    a wall and a facet for a ray, so the face has dimension 3 minus the
+    number of rays.  The face is compact exactly when the ray sum is
+    strictly positive.  The maximal cones are kept as built, a lower face
+    is built by whoever reads it.
+    """
+    from . import newton
+
+    faces: dict[tuple[Vec, ...], Cone | None] = {}
+    for c, _ in newton.dual_newton_cones(p):
+        faces[c.generators] = c
+        for f in (*c.facets, *((g,) for g in c.generators)):
+            faces.setdefault(f, None)
+    return [
+        (rays, initial_form(p, tuple(map(sum, zip(*rays)))), cone)
+        for rays, cone in faces.items()
+    ]
+
+
 def groebner_fan(p: Polynomial) -> list[GroebnerCone]:
     """All octant-restricted Groebner cones of p.
 
@@ -51,30 +78,21 @@ def groebner_fan(p: Polynomial) -> list[GroebnerCone]:
     boundary can share its initial form with a larger cone (its dual
     Newton-polyhedron face is unbounded but meets the support in the same
     set), in which case it is part of the same class and is absorbed.
-    Faces are keyed by their sorted rays: two faces of a fan meet in a face
-    of both, so one lies in another exactly when its rays are a subset.
-    For a monomial every weight is equivalent and the whole octant is the
+    Faces come from ``_dual_faces``: two faces of a fan meet in a face of
+    both, so one lies in another exactly when its rays are a subset.  For
+    a monomial every weight is equivalent and the whole octant is the
     single Groebner cone.
     """
-    from .newton import dual_newton_cones
-
     if len(p) == 0:
         raise ValueError("the zero polynomial has no Groebner fan")
-    # the maximal cones are kept as built, a lower face is built if kept
-    faces: dict[tuple[Vec, ...], Cone | None] = {}
-    for c, _ in dual_newton_cones(p):
-        faces[c.generators] = c
-        for f in (*c.facets, *((g,) for g in c.generators)):
-            faces.setdefault(f, None)
     groups: dict[frozenset, list] = {}
-    for rays in faces:
-        form = initial_form(p, tuple(map(sum, zip(*rays))))
-        groups.setdefault(form.support(), []).append((frozenset(rays), rays, form))
+    for rays, form, cone in _dual_faces(p):
+        groups.setdefault(form.support(), []).append((frozenset(rays), rays, form, cone))
     out = [
-        GroebnerCone(faces[rays] or Cone.from_generators(rays), form)
+        GroebnerCone(cone or Cone.from_generators(rays), form)
         for members in groups.values()
-        for s, rays, form in members
-        if not any(s < t for t, _, _ in members)
+        for s, rays, form, cone in members
+        if not any(s < t for t, *_ in members)
     ]
     return sorted(out, key=lambda g: (g.cone.dim, g.cone.generators))
 

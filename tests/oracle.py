@@ -431,9 +431,11 @@ def groebner_fan_oracle(terms, maximal) -> list[tuple[int, tuple[Vec, ...], dict
 
 
 def brute_newton_polyhedron(support):
-    """(vertices, facets, compact faces) of NP = conv(support) + octant, in
-    the layout of ``NewtonPolyhedron``, by triples over all the support
-    points and the unit directions.
+    """(vertices, facets, compact faces) of NP = conv(support) + octant, by
+    triples over all the support points and the unit directions: the
+    sorted vertices, the sorted facets (w, o) with w·x >= o on NP, and the
+    compact faces (the vertices on the face, its dimension), sorted by
+    dimension and then vertices.
 
     Three support points, two points and a direction, or one point and two
     directions span a plane; when the plane has NP on one side it meets NP

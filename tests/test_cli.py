@@ -557,8 +557,7 @@ PUBLIC_NAMES = """
 ParseError Polynomial parse_polynomial support
 Cone HilbertBasis cross dot hilbert_basis is_irreducible parse_cone primitive
 triangulate unimodular_det
-Fan NewtonPolyhedron dual_newton_cones fan_consistency_report
-newton_polyhedron octant_solid_volume
+Fan dual_newton_cones fan_consistency_report octant_solid_volume
 AffineFunctional Profile contains_point facet_equation l_functional
 profile profile_lattice_points
 RefinementReport refine_fan regular_refinement

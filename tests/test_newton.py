@@ -1,6 +1,7 @@
 """Newton polyhedra and dual fans on small cubic/quartic equations."""
 
 import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -14,10 +15,10 @@ from torfan.newton import (
     Fan,
     dual_newton_cones,
     fan_consistency_report,
-    newton_polyhedron,
     octant_solid_volume,
 )
 from torfan.polyparse import Polynomial, parse_polynomial
+from torfan.valuation import _dual_faces, w_order
 
 from oracle import brute_newton_polyhedron, octant_tiling_defects
 
@@ -29,6 +30,31 @@ B22 = parse_polynomial("x^7*z-x^2*y^2-y^2*z")
 
 def ray_sets(cones):
     return {frozenset(c.generators) for c, _ in cones}
+
+
+def compact_walk_faces(poly):
+    """The face walk's compact faces of NP(f): (dimension, rays, support
+    of the initial form) for each face below the maximal cones whose ray
+    sum is strictly positive."""
+    return [
+        (3 - len(rays), rays, form.support())
+        for rays, form, _ in _dual_faces(poly)
+        if len(rays) < 3 and min(map(sum, zip(*rays))) > 0
+    ]
+
+
+def walked_polyhedron(poly):
+    """(vertices, facets, compact faces) of NP(f) in the layout of
+    ``brute_newton_polyhedron``, read off the dual fan: the vertices from
+    the maximal cones, the facets (w, o) from the walk's one-ray faces, and
+    the compact faces from the walk, restricted to the vertices."""
+    vertices = tuple(s for _, s in dual_newton_cones(poly))
+    facets = sorted((rays[0], w_order(poly, rays[0])) for rays, _, _ in _dual_faces(poly) if len(rays) == 1)
+    compact = sorted(
+        ((tuple(v for v in vertices if v in on), dim) for dim, _, on in compact_walk_faces(poly)),
+        key=lambda t: (t[1], t[0]),
+    )
+    return vertices, tuple(facets), tuple(compact)
 
 
 def test_elliptic_maximal_cones():
@@ -60,16 +86,16 @@ def test_monomial_fan_is_octant():
 
 
 def test_newton_polyhedron_elliptic():
-    np_ = newton_polyhedron(ELLIPTIC)
-    assert np_.vertices == ((0, 3, 0), (1, 0, 2), (4, 0, 0))
-    assert np_.facets == (
+    vertices, facets, compact = walked_polyhedron(ELLIPTIC)
+    assert vertices == ((0, 3, 0), (1, 0, 2), (4, 0, 0))
+    assert facets == (
         ((0, 0, 1), 0),
         ((0, 1, 0), 0),
         ((1, 0, 0), 0),
         ((3, 1, 0), 3),
         ((6, 8, 9), 24),
     )
-    assert np_.compact_faces == (
+    assert compact == (
         (((0, 3, 0), (1, 0, 2)), 1),
         (((0, 3, 0), (4, 0, 0)), 1),
         (((1, 0, 2), (4, 0, 0)), 1),
@@ -78,31 +104,16 @@ def test_newton_polyhedron_elliptic():
 
 
 def test_newton_polyhedron_b22_compact_faces():
-    np_ = newton_polyhedron(B22)
-    assert np_.vertices == ((0, 2, 1), (2, 2, 0), (7, 0, 1))
-    assert ((2, 7, 4), 18) in np_.facets
-    assert (((0, 2, 1), (2, 2, 0), (7, 0, 1)), 2) in np_.compact_faces
-    edges = {vs for vs, d in np_.compact_faces if d == 1}
+    vertices, facets, compact = walked_polyhedron(B22)
+    assert vertices == ((0, 2, 1), (2, 2, 0), (7, 0, 1))
+    assert ((2, 7, 4), 18) in facets
+    assert (((0, 2, 1), (2, 2, 0), (7, 0, 1)), 2) in compact
+    edges = {vs for vs, d in compact if d == 1}
     assert edges == {
         ((0, 2, 1), (2, 2, 0)),
         ((0, 2, 1), (7, 0, 1)),
         ((2, 2, 0), (7, 0, 1)),
     }
-
-
-def test_single_monomial_is_translated_octant():
-    np_ = newton_polyhedron(parse_polynomial("x"))
-    assert np_.vertices == ((1, 0, 0),)
-    assert np_.facets == (((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 1))
-    assert np_.compact_faces == ()
-
-
-def test_facet_inequalities_hold_on_support():
-    for poly in (ELLIPTIC, B22, parse_polynomial("x^2+y^3+z^5+x*y*z")):
-        np_ = newton_polyhedron(poly)
-        for w, o in np_.facets:
-            values = [dot(w, a) for a in poly.support()]
-            assert min(values) == o
 
 
 def test_duality_on_interior_samples():
@@ -204,26 +215,48 @@ def support_polynomial(support):
     )
 
 
+def face_key(face):
+    dim, on = face
+    return dim, sorted(on)
+
+
+def support_on_compact_faces(support, brute):
+    """Each compact face of the oracle's NP(f) as (dimension, every support
+    point on it): the points on all the oracle facets through the face's
+    vertices."""
+    _, facets, compact = brute
+    out = []
+    for face, dim in compact:
+        planes = [(w, o) for w, o in facets if all(dot(w, v) == o for v in face)]
+        out.append((dim, frozenset(a for a in support if all(dot(w, a) == o for w, o in planes))))
+    return sorted(out, key=face_key)
+
+
 def assert_hull_matches_the_oracle(support):
     poly = support_polynomial(support)
-    np_ = newton_polyhedron(poly)
-    vertices, facets, compact = brute_newton_polyhedron(support)
-    assert (np_.vertices, np_.facets, np_.compact_faces) == (vertices, facets, compact)
+    brute = brute_newton_polyhedron(support)
+    assert walked_polyhedron(poly) == brute
+    # the walk's compact faces carry every support point on them
+    walked = [(dim, on) for dim, _, on in compact_walk_faces(poly)]
+    assert sorted(walked, key=face_key) == support_on_compact_faces(support, brute)
     # each dual cone is spanned by the normals of the facets through its vertex
-    cones = dual_newton_cones(poly)
-    assert tuple(s for _, s in cones) == vertices
-    for cone, s in cones:
+    _, facets, _ = brute
+    for cone, s in dual_newton_cones(poly):
         assert cone.generators == tuple(sorted(w for w, o in facets if dot(w, s) == o))
 
 
 HULL_SUPPORTS = {
     "constant 1": {(0, 0, 0)},
     "one monomial": {(2, 1, 3)},
+    # NP(x) is the octant moved to (1, 0, 0): no compact face
+    "single monomial x": {(1, 0, 0)},
     "dominated points": {(1, 0, 0), (2, 0, 0), (1, 1, 0), (3, 2, 1), (0, 0, 5), (0, 1, 5)},
     "antichain x+y+z=4": {(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)},
     "coplanar antichain": {(4, 0, 0), (0, 4, 0), (2, 2, 0), (1, 3, 0), (0, 0, 2)},
     "collinear on an edge": {(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0), (0, 0, 1)},
     "elliptic": {(0, 3, 0), (1, 0, 2), (4, 0, 0)},
+    # 91 points on x+y+z = 12, three of them vertices of its one compact facet
+    "homogeneous antichain": {(a, b, 12 - a - b) for a in range(13) for b in range(13 - a)},
 }
 
 
@@ -236,6 +269,37 @@ def test_newton_polyhedron_matches_the_triple_oracle_on_edge_supports(name):
 @given(st.sets(exponents, min_size=1, max_size=10))
 def test_newton_polyhedron_matches_the_triple_oracle(support):
     assert_hull_matches_the_oracle(support)
+
+
+def seeded_supports_with_midpoints(count, seed=20261020):
+    """Seeded supports of 2-6 points in [0, 6]^3, each with the lattice
+    midpoints of its pairs added, so that edges and facets of NP(f) hold
+    support points that are not vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        points = {tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(rng.randint(2, 6))}
+        yield points | {
+            tuple((x + y) // 2 for x, y in zip(a, b))
+            for a in points for b in points
+            if all((x + y) % 2 == 0 for x, y in zip(a, b))
+        }
+
+
+def test_the_walk_carries_every_support_point_on_a_compact_face():
+    cubic = parse_polynomial("x^3+y^3+z^3+x*y*z")
+    faces = compact_walk_faces(cubic)
+    (two_face,) = [on for dim, _, on in faces if dim == 2]
+    assert two_face == {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
+    assert (1, 1, 1) not in walked_polyhedron(cubic)[0]
+    inside = 0
+    for support in [cubic.support(), *seeded_supports_with_midpoints(60)]:
+        assert_hull_matches_the_oracle(support)
+        poly = support_polynomial(support)
+        vertices = {s for _, s in dual_newton_cones(poly)}
+        inside += sum(len(on - vertices) for _, _, on in compact_walk_faces(poly))
+    # past the cubic's xyz, the sweep holds non-vertex points on compact
+    # faces, or it shows nothing
+    assert inside > 1
 
 
 def dense_witness(k):
@@ -262,18 +326,6 @@ def test_dense_witness_reads_three_cones_off_its_minimal_points(capsys):
     ]
     assert cli.run(["dnp", str(p)]) == 0
     assert json.loads(capsys.readouterr().out)["covering_ok"]
-
-
-def test_homogeneous_antichain_has_one_compact_facet():
-    p = Polynomial.from_dict({(a, b, 12 - a - b): 1 for a in range(13) for b in range(13 - a)})
-    assert len(p.support()) == 91
-    np_ = newton_polyhedron(p)
-    x12, y12, z12 = (12, 0, 0), (0, 12, 0), (0, 0, 12)
-    assert np_.vertices == (z12, y12, x12)
-    assert np_.facets == ((E3, 0), (E2, 0), (E1, 0), ((1, 1, 1), 12))
-    assert np_.compact_faces == (
-        ((z12, y12), 1), ((z12, x12), 1), ((y12, x12), 1), ((z12, y12, x12), 2),
-    )
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,10 +12,12 @@ fixed seed, and a refusal (a ``ValueError`` and its message) is digested
 like any other output.  Sections:
 
 - ``octant``: seeded octant cones with 1-5 rays, planar ones included:
-  Hilbert basis, ``regular_refinement(c).to_obj()``, profile forms and
-  profile lattice points;
+  Hilbert basis, ``refine_fan([c]).to_obj()``, profile forms and profile
+  lattice points;
 - ``refine``: ``refine_fan`` on dual fans, Hilbert-driven and at the
   Hilbert elements as prescribed rays;
+- ``newton``: ``dual_newton_cones`` on the polynomials of ``groebner``:
+  each cone's generators, facet normals and facets, and its vertex;
 - ``groebner``: ``groebner_fan`` and ``tropical_variety`` on named and
   seeded random polynomials;
 - ``jets``: ``jet_equations`` at m = 0..6;
@@ -105,7 +107,7 @@ def _random_height_one_rays(rng: random.Random) -> list[tuple[int, int, int]]:
 
 def _sections(torfan) -> dict[str, list]:
     rng = random.Random(SEED)
-    names = ("octant", "refine", "groebner", "jets", "verify", "height-one")
+    names = ("octant", "refine", "newton", "groebner", "jets", "verify", "height-one")
     out: dict[str, list] = {name: [] for name in names}
 
     def octant(rays):
@@ -114,7 +116,7 @@ def _sections(torfan) -> dict[str, list]:
         return [
             str(c),
             [list(v) for v in torfan.hilbert_basis(c)],
-            torfan.regular_refinement(c).to_obj(),
+            torfan.refine_fan([c]).to_obj(),
             pr.kind,
             [str(f) for f in pr.bounding],
             [list(v) for v in torfan.profile_lattice_points(pr)],
@@ -135,9 +137,13 @@ def _sections(torfan) -> dict[str, list]:
     def groebner(p):
         return [[repr(g.cone), str(g.initial_form), list(g.initial_form)] for g in torfan.groebner_fan(p)]
 
+    def newton(p):
+        return [[c.generators, c.facet_normals, c.facets, s] for c, s in torfan.dual_newton_cones(p)]
+
     polys = list(NAMED) + [_random_polynomial(rng) for _ in range(600)]
     for text in polys:
         p = torfan.parse_polynomial(text)
+        out["newton"].append([text, _attempt(lambda: newton(p))])
         trop = _attempt(lambda: torfan.tropical_variety(p).to_obj())
         out["groebner"].append([text, str(p), _attempt(lambda: groebner(p)), trop])
 
