@@ -407,16 +407,13 @@ def profile_discrepancy(
     cone = rec.cones[0]
     rows = []
     for f in rec.printed_profile:
-        tight = sum(1 for g in cone.generators if f(g) == 0)
-        origin = f((0, 0, 0))
-        separates = any(
-            (f(g) > 0) != (origin > 0) for g in cone.generators if f(g) != 0
-        )
+        # numerators of f on the generators; f(0) has the sign of d
+        values = [f.a * x + f.b * y + f.c * z + f.d for x, y, z in cone.generators]
         rows.append(
             {
                 "hyperplane": facet_equation(f),
-                "generators_on": tight,
-                "separates_generator": separates,
+                "generators_on": values.count(0),
+                "separates_generator": any((val > 0) != (f.d > 0) for val in values if val),
             }
         )
     recomputed = [facet_equation(f) for f in cone.profile.bounding]
@@ -590,13 +587,15 @@ def _subprofile_stage(rec: _Stated) -> dict:
         hyps = rec.subprofiles[i]
         rows = []
         for v in (v for v in evs if i in containing[v]):
-            values = [h.functional(v) for h in hyps]
+            # each value has the sign of f(v), as the denominator q is positive
+            x, y, z = v
+            values = [a * x + b * y + c * z + d for (a, b, c, d, _), _ in hyps]
             reaches = [k for k, val in enumerate(values) if val == 0]
             if reaches:
                 reached.add(v)
             # within the cone, the subprofile is the union of the sides of
             # the hyperplanes that hold the origin: f(v) * f(0) >= 0
-            in_region = any(val * h.functional.constant >= 0 for h, val in zip(hyps, values))
+            in_region = any(val * h.functional.d >= 0 for h, val in zip(hyps, values))
             rows.append({"vector": list(v), "reaches": reaches, "in_region": in_region})
         per_cone.append({
             "hyperplanes": [str(h.functional) for h in hyps],

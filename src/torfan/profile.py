@@ -6,6 +6,10 @@ single functional taking value 1 on every generator, otherwise by the
 facets of conv({0} ∪ generators) that miss the origin, read off the cone
 over the lifted points (p, 1) by the supporting-hyperplane kernel of
 ``cones``.  Bounding functionals are oriented so that inside, ℓ ≤ 0.
+
+Each functional is five ints, (a·x + b·y + c·z + d)/q in lowest terms, and
+every decision reads the sign of the numerator; a ``Fraction`` is built
+only to evaluate, print or level a point.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cones import (
     Cone,
@@ -30,69 +34,47 @@ from .cones import (
 )
 
 
-class AffineFunctional(namedtuple("AffineFunctional", "coeffs constant", defaults=(Fraction(0),))):
-    """a·x + b·y + c·z + d with exact rational coefficients: ``coeffs`` is
-    (a, b, c) and ``constant`` is d, all ``Fraction``s.
+class AffineFunctional(NamedTuple):
+    """(a·x + b·y + c·z + d)/q in lowest terms with q > 0, so equal
+    functionals are equal records; build one with ``from_integers``."""
 
-    ``integer_form`` is (a', b', c', d', q): integers with q > 0, the least
-    common denominator, such that the functional is (a'x + b'y + c'z + d')/q;
-    it is computed once and kept in the instance ``__dict__``.
-    """
+    a: int
+    b: int
+    c: int
+    d: int = 0
+    q: int = 1
 
     @classmethod
-    def from_integers(cls, a: int, b: int, c: int, d: int = 0) -> "AffineFunctional":
-        return cls((Fraction(a), Fraction(b), Fraction(c)), Fraction(d))
-
-    @cached_property
-    def integer_form(self) -> tuple[int, int, int, int, int]:
-        parts = (*self.coeffs, self.constant)
-        q = 1
-        for p in parts:
-            q = q * p.denominator // gcd(q, p.denominator)
-        return (*(p.numerator * (q // p.denominator) for p in parts), q)
+    def from_integers(cls, a: int, b: int, c: int, d: int = 0, q: int = 1) -> "AffineFunctional":
+        if q == 0:
+            raise ValueError("an affine functional needs a nonzero denominator")
+        g = gcd(a, b, c, d, q) if q > 0 else -gcd(a, b, c, d, q)
+        return cls(a // g, b // g, c // g, d // g, q // g)
 
     def __call__(self, v: Sequence) -> Fraction:
-        a, b, c, d, q = self.integer_form
+        a, b, c, d, q = self
         return Fraction(a * v[0] + b * v[1] + c * v[2] + d, q)
-
-    def negated(self) -> "AffineFunctional":
-        a, b, c = self.coeffs
-        return AffineFunctional((-a, -b, -c), -self.constant)
-
-    def integer_primitive(self) -> "AffineFunctional":
-        """Smallest positive multiple with integer coefficients."""
-        ints = self.integer_form[:4]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        return AffineFunctional.from_integers(*ints)
 
     def __str__(self) -> str:
         out = []
-        for coeff, name in zip(self.coeffs, "xyz"):
-            if coeff == 0:
+        # the constant d is printed when nonzero or when it is the only term
+        for n, name in zip(self[:4], ("x", "y", "z", "")):
+            if n == 0 and (name or out):
                 continue
-            sign = "-" if coeff < 0 else ("+" if out else "")
-            mag = abs(coeff)
-            body = name if mag == 1 else f"{mag}{name}"
-            out.append(sign + body)
-        if self.constant != 0 or not out:
-            sign = "-" if self.constant < 0 else ("+" if out else "")
-            out.append(sign + str(abs(self.constant)))
+            mag = Fraction(abs(n), self.q)
+            sign = "-" if n < 0 else ("+" if out else "")
+            out.append(sign + (name if mag == 1 and name else f"{mag}{name}"))
         return "".join(out)
 
 
 def facet_equation(bounding: AffineFunctional) -> str:
-    """Hyperplane text with the first nonzero coefficient positive, e.g. 8x-3y-3z+3."""
-    f = bounding.integer_primitive()
-    for part in (*f.coeffs, f.constant):
-        if part > 0:
-            return str(f)
-        if part < 0:
-            return str(f.negated())
-    return str(f)
+    """Hyperplane text of the primitive integer multiple of a·x + b·y + c·z + d
+    whose first nonzero coefficient is positive, e.g. 8x-3y-3z+3."""
+    parts = bounding[:4]
+    g = gcd(*parts) or 1
+    if next((n for n in parts if n), 0) < 0:
+        g = -g
+    return str(AffineFunctional(*(n // g for n in parts)))
 
 
 class Profile(namedtuple("Profile", "cone bounding kind")):
@@ -104,9 +86,10 @@ class Profile(namedtuple("Profile", "cone bounding kind")):
         """(rows, L): the height of v over a bounding form a*x + b*y + c*z + d
         in integers is (a, b, c).v / -d, with d < 0 since 0 is inside; each
         row is (a, b, c) times L / -d, L the least common multiple of the -d."""
-        forms = [f.integer_form[:4] for f in self.bounding]
-        big = lcm(*(-d for *_, d in forms))
-        rows = tuple((a * (big // -d), b * (big // -d), c * (big // -d)) for a, b, c, d in forms)
+        big = lcm(*(-f.d for f in self.bounding))
+        rows = tuple(
+            (a * (big // -d), b * (big // -d), c * (big // -d)) for a, b, c, d, _ in self.bounding
+        )
         return rows, big
 
     def _level_numerator(self, v: Sequence[int]) -> int:
@@ -130,16 +113,16 @@ def l_functional(c: Cone) -> AffineFunctional:
     if c.dim != 3 or not c.is_simplicial():
         raise ValueError("l functional requires a full-dimensional simplicial cone")
     u, q = _l_form(c)
-    return AffineFunctional(tuple(Fraction(x, q) for x in u))
+    return AffineFunctional.from_integers(*u, 0, q)
 
 
 def _hull_facets_off_origin(points: Sequence[Vec]) -> tuple[AffineFunctional, ...]:
     """Facets of conv(points) not through 0, oriented inside ≤ 0, for points
     whose hull is full-dimensional and holds 0: the facet normals n with
-    n[3] != 0 of the cone over the (p, 1), since n·(x, 1) >= 0 inside."""
+    n[3] != 0 of the cone over the (p, 1), since n·(x, 1) >= 0 inside.  The
+    kernel's normals are primitive, so each is a form in lowest terms."""
     planes = _supporting_planes([(*q, 1) for q in points])
-    forms = [AffineFunctional.from_integers(-a, -b, -c, -d) for a, b, c, d in planes if d]
-    return tuple(sorted(forms, key=lambda f: (f.coeffs, f.constant)))
+    return tuple(sorted(AffineFunctional(-a, -b, -c, -d) for a, b, c, d in planes if d))
 
 
 def profile(c: Cone) -> Profile:
@@ -152,19 +135,17 @@ def _profile(c: Cone) -> Profile:
     """The computation behind ``Cone.profile``."""
     if c.is_simplicial():
         u, q = _l_form(c)
-        below_one = AffineFunctional(tuple(Fraction(x, q) for x in u), Fraction(-1))
-        return Profile(c, (below_one,), "simplicial")
+        return Profile(c, (AffineFunctional.from_integers(*u, -q, q),), "simplicial")
     return Profile(c, _hull_facets_off_origin([ZERO, *c.generators]), "convex-hull")
 
 
 def contains_point(p: Profile, v: Sequence[int]) -> bool:
     """v in the cone and on the inner side of every bounding form, whose
-    sign is that of its integer form's numerator."""
+    sign is that of its numerator."""
     if not p.cone.contains(v):
         return False
     x, y, z = v
-    forms = (f.integer_form for f in p.bounding)
-    return all(a * x + b * y + c * z + d <= 0 for a, b, c, d, _ in forms)
+    return all(a * x + b * y + c * z + d <= 0 for a, b, c, d, _ in p.bounding)
 
 
 def profile_lattice_points(p: Profile) -> list[Vec]:
@@ -188,7 +169,7 @@ def profile_lattice_points(p: Profile) -> list[Vec]:
     else:
         simplices = tuple(
             piece
-            for a, b, e, d, _ in (f.integer_form for f in p.bounding)
+            for a, b, e, d, _ in p.bounding
             for piece in triangulate(
                 Cone.from_generators([g for g in c.generators if dot((a, b, e), g) == -d])
             )

@@ -220,7 +220,10 @@ def test_b_odd_recomputed_hyperplanes_are_the_hull_facets_of_cone_0():
         rec = instance("B-odd", {"r": r, "n": n}).stated
         recomputed = [h.functional for h in rec.subprofiles[0] if h.recomputed]
         assert len(recomputed) == 2
-        hull = {f.negated() for f in rec.cones[0].profile.bounding}
+        hull = {
+            AffineFunctional.from_integers(*(-x for x in f[:4]), f.q)
+            for f in rec.cones[0].profile.bounding
+        }
         assert set(recomputed) == hull, (r, n)
 
 
@@ -235,9 +238,8 @@ STATED_INSTANCES = [
 
 
 def _int_plane(h: CatalogHyperplane) -> tuple[int, int, int, int]:
-    parts = (*h.functional.coeffs, h.functional.constant)
-    assert all(x.denominator == 1 for x in parts), str(h)
-    return tuple(int(x) for x in parts)
+    assert h.functional.q == 1, str(h)
+    return h.functional[:4]
 
 
 def test_stated_hyperplanes_meet_two_generators_and_miss_the_origin():

@@ -56,7 +56,7 @@ def test_primitive():
         primitive((0, 0, 0))
     # read as (2,4,6), (1,2,4) and an IndexError before
     for v in [(2, 4, 6, 7), (True, 2, 4), (1, 1)]:
-        with pytest.raises(ValueError, match=re.escape(f"vector {v!r} needs three int")):
+        with pytest.raises(ValueError, match=re.escape(f"vector {v!r} needs three int coordinates")):
             primitive(v)
 
 

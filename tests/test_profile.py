@@ -28,7 +28,8 @@ B22_S3 = Cone.from_generators([(0, 1, 0), (0, 1, 2), (2, 7, 0), (2, 7, 4)])
 
 def test_l_functional_sigma3():
     l = l_functional(SIGMA3)
-    assert l.coeffs == (Fraction(-8, 3), Fraction(1), Fraction(1))
+    assert l == (-8, 3, 3, 0, 3)
+    assert str(l) == "-8/3x+y+z"
     assert l((1, 2, 2)) == Fraction(4, 3)
     assert l((3, 4, 5)) == 1
     assert all(l(g) == 1 for g in SIGMA3.generators)
@@ -36,7 +37,7 @@ def test_l_functional_sigma3():
 
 def test_l_functional_octant():
     l = l_functional(OCTANT)
-    assert l.coeffs == (Fraction(1), Fraction(1), Fraction(1))
+    assert l == (1, 1, 1, 0, 1)
     assert str(l) == "x+y+z"
 
 
@@ -44,7 +45,8 @@ def test_l_functional_exact_solve():
     c = Cone.from_generators([(1, 0, 0), (2, 7, 0), (2, 7, 4)])
     l = l_functional(c)
     assert all(l(g) == 1 for g in c.generators)
-    assert l.coeffs == (Fraction(1), Fraction(-1, 7), Fraction(0))
+    assert l == (7, -1, 0, 0, 7)
+    assert str(l) == "x-1/7y"
 
 
 def test_l_functional_rejects_non_simplicial_and_flat():
@@ -79,7 +81,7 @@ def test_simplicial_profile_vanishes_on_generators_in_every_dimension():
         (bound,) = p.bounding
         assert all(bound(g) == 0 for g in c.generators), c
         if c.dim == 2:
-            assert dot(bound.coeffs, cross(*c.generators)) == 0, c
+            assert dot(bound[:3], cross(*c.generators)) == 0, c
 
 
 def test_profile_single_hull_facet():
@@ -118,9 +120,12 @@ def hull_cases(count, seed=22):
 def test_profile_hull_facets_match_the_triple_oracle():
     square = Cone.from_generators([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
     five = Cone.from_generators([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 2, -1), (2, -1, 1)])
+    # a form in lowest terms with d = -q (simplicial) or q = 1 (hull) has a
+    # primitive numerator a, b, c, d
     for cone in (B22_S1, B22_S2, square, five, *hull_cases(300)):
-        forms = [f.integer_primitive().integer_form[:4] for f in profile(cone).bounding]
-        assert forms == hull_facets_off_origin([(0, 0, 0), *cone.generators]), cone
+        bounding = profile(cone).bounding
+        assert [f[:4] for f in bounding] == hull_facets_off_origin([(0, 0, 0), *cone.generators]), cone
+        assert all((f.d == -f.q) if cone.is_simplicial() else (f.q == 1) for f in bounding), cone
         assert (profile(cone).kind == "simplicial") == cone.is_simplicial()
 
 
@@ -243,9 +248,25 @@ def test_profile_level_at_most_one_is_profile_membership():
             assert (c.profile.level(v) <= 1) == contains_point(c.profile, v), (c, v)
 
 
+def _fraction_str(parts):
+    """a·x + b·y + c·z + d as printed from its four Fraction parts, written
+    out apart from ``AffineFunctional.__str__``."""
+    out = []
+    for coeff, name in zip(parts[:3], "xyz"):
+        if coeff == 0:
+            continue
+        sign = "-" if coeff < 0 else ("+" if out else "")
+        mag = abs(coeff)
+        out.append(sign + (name if mag == 1 else f"{mag}{name}"))
+    if parts[3] != 0 or not out:
+        out.append(("-" if parts[3] < 0 else ("+" if out else "")) + str(abs(parts[3])))
+    return "".join(out)
+
+
 def test_integer_profile_tests_match_their_fraction_definitions():
-    # contains_point and level read integer forms; rebuild both from the
-    # Fraction coefficients, on int and Fraction vectors
+    # contains_point and level read the ints; rebuild both, and each form's
+    # text, from the Fraction parts a/q, b/q, c/q, d/q on int and Fraction
+    # vectors
     rng = random.Random(20261031)
     cones = [SIGMA3, OCTANT, B22_S1, B22_S2, B22_S3]
     while len(cones) < 40:
@@ -259,18 +280,21 @@ def test_integer_profile_tests_match_their_fraction_definitions():
     assert sum(not c.is_simplicial() for c in cones) >= 10
     for c in cones:
         p = profile(c)
+        parts = [[Fraction(n, f.q) for n in f[:4]] for f in p.bounding]
+        assert [str(f) for f in p.bounding] == [_fraction_str(fs) for fs in parts], c
         for _ in range(40):
             v = tuple(
                 Fraction(rng.randint(-40, 90), rng.randint(1, 9)) if rng.random() < 0.5
                 else rng.randint(-5, 12)
                 for _ in range(3)
             )
-            values = [sum(a * x for a, x in zip(f.coeffs, v)) for f in p.bounding]
+            values = [sum(a * x for a, x in zip(fs, v)) for fs in parts]
             assert contains_point(p, v) == (
-                c.contains(v) and all(y + f.constant <= 0 for y, f in zip(values, p.bounding))
+                c.contains(v) and all(y + fs[3] <= 0 for y, fs in zip(values, parts))
             ), (c, v)
-            level = max(y / -f.constant for y, f in zip(values, p.bounding))
+            level = max(y / -fs[3] for y, fs in zip(values, parts))
             assert p.level(v) == level, (c, v)
+            assert [f(v) for f in p.bounding] == [y + fs[3] for y, fs in zip(values, parts)]
             if all(isinstance(x, int) for x in v):
                 assert p._level_numerator(v) == level * p._level_numerator(c.generators[0])
 
@@ -285,10 +309,26 @@ def test_profile_points_can_contain_reducible_vectors():
 
 
 def test_functional_str_and_primitive():
-    f = AffineFunctional((Fraction(-8, 3), Fraction(1), Fraction(1)), Fraction(-1))
-    assert str(f.negated().integer_primitive()) == "8x-3y-3z+3"
-    assert str(AffineFunctional.from_integers(0, 0, 0, 2).integer_primitive()) == "1"
+    f = AffineFunctional.from_integers(-8, 3, 3, -3, 3)
+    assert f == (-8, 3, 3, -3, 3) and str(f) == "-8/3x+y+z-1"
+    assert facet_equation(f) == "8x-3y-3z+3"
+    assert facet_equation(AffineFunctional.from_integers(0, 0, 0, 2)) == "1"
+    assert facet_equation(AffineFunctional.from_integers(0, 0, 0, 0)) == "0"
     assert str(AffineFunctional.from_integers(4, -1, 0, -1)) == "4x-y-1"
+    assert str(AffineFunctional.from_integers(0, 0, 0, -3, 2)) == "-3/2"
+
+
+def test_from_integers_keeps_one_lowest_terms_form():
+    # equal functionals are equal records; the numerator alone is not made
+    # primitive: (2, 4, 6, -4)/1 is already in lowest terms
+    assert AffineFunctional.from_integers(2, 4, 6, -4, 4) == AffineFunctional.from_integers(1, 2, 3, -2, 2)
+    assert AffineFunctional.from_integers(2, 4, 6, -4, 4) == (1, 2, 3, -2, 2)
+    assert AffineFunctional.from_integers(2, 4, 6, -4) == (2, 4, 6, -4, 1)
+    assert AffineFunctional.from_integers(3, 0, -6, 9, -3) == (-1, 0, 2, -3, 1)
+    assert AffineFunctional.from_integers(0, 0, 0, 0, 5) == (0, 0, 0, 0, 1)
+    assert not hasattr(AffineFunctional.from_integers(1, 2, 3), "__dict__")
+    with pytest.raises(ValueError, match="nonzero denominator"):
+        AffineFunctional.from_integers(1, 2, 3, 4, 0)
 
 
 def test_integer_form_matches_fraction_arithmetic():
@@ -299,18 +339,18 @@ def test_integer_form_matches_fraction_arithmetic():
 
     for _ in range(600):
         parts = [rational() for _ in range(4)]
-        f = AffineFunctional(tuple(parts[:3]), parts[3])
+        scale = rng.choice([1, -1]) * rng.randint(1, 3) * lcm(*(p.denominator for p in parts))
+        f = AffineFunctional.from_integers(*(int(p * scale) for p in parts), scale)
+        assert [Fraction(n, f.q) for n in f[:4]] == parts and f.q > 0
+        assert gcd(*f) == 1
         v = tuple(rng.randint(-20, 20) for _ in range(3))
         assert f(v) == parts[0] * v[0] + parts[1] * v[1] + parts[2] * v[2] + parts[3]
+        assert str(f) == _fraction_str(parts)
 
-        scale = lcm(*(p.denominator for p in parts))
-        ints = [p.numerator * scale // p.denominator for p in parts]
+        ints = [int(p * scale) for p in parts]
         g = gcd(*ints) or 1
-        ints = [x // g for x in ints]
-        assert f.integer_primitive() == AffineFunctional.from_integers(*ints)
         sign = next((1 if x > 0 else -1 for x in ints if x), 1)
-        expected = AffineFunctional.from_integers(*(sign * x for x in ints))
-        assert facet_equation(f) == str(expected)
+        assert facet_equation(f) == _fraction_str([Fraction(sign * x // g) for x in ints])
 
 
 def _subprofile_row_at_2_2(index, cone):

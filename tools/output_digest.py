@@ -7,7 +7,9 @@ Usage:
 
 TREE is a checkout of the repository.  Its ``src`` is imported in a fresh
 Python process, so two trees can be compared with the same copy of this
-tool: run it on each and compare the lines.  Every input is drawn from a
+tool: run it on each and compare the lines.  ``tests/test_output_digest.py``
+runs it on its own checkout against the committed
+``tests/output_digest.txt``.  Every input is drawn from a
 fixed seed, and a refusal (a ``ValueError`` and its message) is digested
 like any other output.  Sections:
 
