@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 from .profile import profile
 
 _EXPORTS = {
-    "polyparse": ("ParseError", "Polynomial", "parse_polynomial", "support"),
+    "polyparse": ("ParseError", "Polynomial", "parse_polynomial"),
     "cones": (
         "Cone",
         "HilbertBasis",

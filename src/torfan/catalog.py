@@ -22,9 +22,9 @@ from collections import Counter, namedtuple
 from functools import cache, cached_property, partial
 from typing import Callable, Mapping, NamedTuple
 
-from .cones import Cone, Vec, unimodular_det
+from .cones import Cone, Vec, _lists, unimodular_det
 from .newton import _facet_incidence, dual_newton_cones
-from .polyparse import Polynomial, parse_polynomial
+from .polyparse import Polynomial, _is_int, parse_polynomial
 from .profile import (
     AffineFunctional,
     contains_point,
@@ -371,7 +371,7 @@ def instance(family: str, params: Mapping[str, int] | None = None) -> Instance:
     ent = entry(family)
     got = dict(ent.grid[0] if params is None else params)
     for k, v in got.items():
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise CatalogError(
                 f"parameter {k!r} of {ent.name} must be an integer, got {v!r}"
             )
@@ -493,10 +493,6 @@ class VerificationReport(NamedTuple):
         return deepcopy(self._asdict())
 
 
-def _lists(vs) -> list[list[int]]:
-    return [list(v) for v in vs]
-
-
 def _status(ok: bool, **fields) -> dict:
     return {"status": "ok" if ok else "fail", **fields}
 
@@ -524,7 +520,7 @@ def _cone_row(c: Cone, vertex: Vec, insert: list[Vec], rtp: bool) -> dict:
         "uncovered": _lists(uncovered),
         "covered": not uncovered,
         "coverage_enforced": rtp,
-        "escapes": [list(v) for v in h if not contains_point(c.profile, v)],
+        "escapes": _lists(v for v in h if not contains_point(c.profile, v)),
         "hilbert": _lists(h),
     }
 

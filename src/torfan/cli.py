@@ -18,7 +18,16 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .cones import _VECTOR_TEXT, Cone, Vec, _vector_literals, hilbert_basis, parse_cone
+from .cones import (
+    _VECTOR_TEXT,
+    Cone,
+    Vec,
+    _lists,
+    _vector_literals,
+    _vector_str,
+    hilbert_basis,
+    parse_cone,
+)
 from .polyparse import ParseError, Polynomial, parse_polynomial
 from .profile import contains_point, facet_equation, profile_lattice_points
 
@@ -72,7 +81,7 @@ def _project(v) -> tuple[float, float]:
 
 def _ray_label(v) -> str:
     units = {(1, 0, 0): "e1", (0, 1, 0): "e2", (0, 0, 1): "e3"}
-    return units.get(tuple(v), "(%d,%d,%d)" % tuple(v))
+    return units.get(tuple(v), _vector_str(v))
 
 
 def _points_attr(pts) -> str:
@@ -162,10 +171,6 @@ def _params_from(ns: argparse.Namespace) -> dict[str, int] | None:
     return params or None
 
 
-def _vecs(vs) -> list[list[int]]:
-    return [list(v) for v in vs]
-
-
 def _dual_cones(text: str) -> tuple[Polynomial, list[tuple[Cone, Vec]]]:
     """The polynomial of ``text`` and its (cone, vertex) pairs; ValueError
     when the dual Newton fan has no full-dimensional cone."""
@@ -186,10 +191,8 @@ def _run_dnp(ns) -> tuple[bool, str, dict]:
     from .newton import Fan, fan_consistency_report
 
     p, pairs = _dual_cones(ns.poly)
-    fan = Fan.from_cones(
-        [c for c, _ in pairs], ["vertex (%d,%d,%d)" % v for _, v in pairs]
-    )
-    by_label = {"vertex (%d,%d,%d)" % v: v for _, v in pairs}
+    by_label = {f"vertex {_vector_str(v)}": v for _, v in pairs}
+    fan = Fan.from_cones([c for c, _ in pairs], list(by_label))
     consistency = fan_consistency_report([c for c, _ in pairs])
     obj = fan.to_obj()
     for row in obj["cones"]:
@@ -202,7 +205,7 @@ def _run_dnp(ns) -> tuple[bool, str, dict]:
 
 def _run_hilbert(ns) -> tuple[bool, str, list]:
     c = parse_cone(ns.cone)
-    return True, "hilbert", _vecs(hilbert_basis(c))
+    return True, "hilbert", _lists(hilbert_basis(c))
 
 
 def _run_resolve(ns) -> tuple[bool, str, dict]:
@@ -214,11 +217,11 @@ def _run_resolve(ns) -> tuple[bool, str, dict]:
     report = refine_fan(cones, inserted)
     obj = {
         "equation": str(p),
-        "source_rays": _vecs(sorted({g for c in cones for g in c.generators})),
+        "source_rays": _lists(sorted({g for c in cones for g in c.generators})),
         "refinement": report.to_obj(),
     }
     if inserted is not None:
-        obj["inserted"] = _vecs(inserted)
+        obj["inserted"] = _lists(inserted)
     rep = obj["refinement"]
     ok = (
         rep["regular"]
@@ -234,7 +237,7 @@ def _run_profile(ns) -> tuple[bool, str, dict]:
     obj: dict = {}
     if text.startswith("<"):
         cones = [parse_cone(text)]
-        obj["cone"] = _vecs(cones[0].generators)
+        obj["cone"] = _lists(cones[0].generators)
         rows = [{}]
     else:
         p, pairs = _dual_cones(text)
@@ -245,10 +248,10 @@ def _run_profile(ns) -> tuple[bool, str, dict]:
     for c, row in zip(cones, rows):
         entries.append(
             {
-                "rays": _vecs(c.generators),
+                "rays": _lists(c.generators),
                 "kind": c.profile.kind,
                 "bounding": [facet_equation(f) for f in c.profile.bounding],
-                "lattice_points": _vecs(profile_lattice_points(c.profile)),
+                "lattice_points": _lists(profile_lattice_points(c.profile)),
                 **row,
             }
         )
@@ -287,7 +290,7 @@ def _run_groebner(ns) -> tuple[bool, str, dict]:
         "equation": str(p),
         "cones": [
             {
-                "rays": _vecs(g.cone.generators),
+                "rays": _lists(g.cone.generators),
                 "dim": g.cone.dim,
                 "initial_form": str(g.initial_form),
             }
@@ -340,7 +343,7 @@ def _run_catalog(ns) -> tuple[bool, str, dict]:
     obj["fixture"] = inst.fixture is not None
     rec = inst.stated
     if rec.cones is not None:
-        obj["stated_maximal_cones"] = [_vecs(c.generators) for c in rec.cones]
+        obj["stated_maximal_cones"] = [_lists(c.generators) for c in rec.cones]
         by_cone = rec.subprofiles or {}
         obj["subprofiles"] = [
             [
@@ -370,17 +373,13 @@ def _run_render(ns) -> tuple[bool, None, str]:
 # text rendering
 
 
-def _pv(v) -> str:
-    return "(%d,%d,%d)" % tuple(v)
-
-
 def _text_lines(key: str, obj) -> list[str]:
     if key == "hilbert":
-        return [_pv(v) for v in obj]
+        return [_vector_str(v) for v in obj]
     if key == "dnp":
         lines = [f"equation: {obj['equation']}"]
         for row in obj["cones"]:
-            rays = " ".join(_pv(obj["rays"][i]) for i in row["rays"])
+            rays = " ".join(_vector_str(obj["rays"][i]) for i in row["rays"])
             lines.append(f"{row['label']}: {rays}")
         lines.append(f"covering_ok: {obj['covering_ok']}")
         lines.append(f"face_fitting_ok: {obj['face_fitting_ok']}")
@@ -390,7 +389,7 @@ def _text_lines(key: str, obj) -> list[str]:
         return [
             f"equation: {obj['equation']}",
             f"pieces: {len(rep['certificates'])}",
-            f"new rays: {' '.join(_pv(v) for v in rep['new_rays']) or '(none)'}",
+            f"new rays: {' '.join(_vector_str(v) for v in rep['new_rays']) or '(none)'}",
             f"regular: {rep['regular']}",
             f"covering_ok: {rep['covering_ok']}",
             f"face_fitting_ok: {rep['face_fitting_ok']}",
@@ -401,7 +400,7 @@ def _text_lines(key: str, obj) -> list[str]:
         if "equation" in obj:
             lines.append(f"equation: {obj['equation']}")
         for i, prof in enumerate(obj["profiles"]):
-            rays = " ".join(_pv(v) for v in prof["rays"])
+            rays = " ".join(_vector_str(v) for v in prof["rays"])
             lines.append(f"cone {i} [{prof['kind']}]: {rays}")
             for eq in prof["bounding"]:
                 lines.append(f"  facet: {eq} = 0")
@@ -410,18 +409,18 @@ def _text_lines(key: str, obj) -> list[str]:
             state = "ok" if row["ok"] else f"outside in cones {row['outside_profile_of']}"
             if not row["containing_cones"]:
                 state = "in no cone"
-            lines.append(f"vector {_pv(row['vector'])}: {state}")
+            lines.append(f"vector {_vector_str(row['vector'])}: {state}")
         return lines
     if key == "groebner":
         lines = [f"equation: {obj['equation']}"]
         for g in obj["cones"]:
-            rays = " ".join(_pv(v) for v in g["rays"])
+            rays = " ".join(_vector_str(v) for v in g["rays"])
             lines.append(f"dim {g['dim']}: {rays} | initial: {g['initial_form']}")
         return lines
     if key == "groebner-tropical":
         lines = [f"equation: {obj['equation']}"]
         for row in obj["cones"]:
-            rays = " ".join(_pv(obj["rays"][i]) for i in row["rays"])
+            rays = " ".join(_vector_str(obj["rays"][i]) for i in row["rays"])
             lines.append(f"{rays} | initial: {row.get('label', '')}")
         return lines
     if key == "jets":

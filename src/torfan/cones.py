@@ -29,7 +29,7 @@ from itertools import combinations
 from math import gcd
 from operator import le
 
-from .polyparse import _integer
+from .polyparse import _integer, _is_int
 
 Vec = tuple[int, int, int]
 
@@ -54,6 +54,16 @@ def vadd(a: Vec, b: Vec) -> Vec:
 
 def vneg(a: Vec) -> Vec:
     return (-a[0], -a[1], -a[2])
+
+
+def _vector_str(v: Sequence[int]) -> str:
+    """The ``(a,b,c)`` text of an integer 3-vector, as cone text writes it."""
+    return "(%d,%d,%d)" % tuple(v)
+
+
+def _lists(vs: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Vectors as JSON data: lists, which ``json.loads`` gives back equal."""
+    return [list(v) for v in vs]
 
 
 def unimodular_det(v1: Vec, v2: Vec, v3: Vec) -> int:
@@ -269,19 +279,11 @@ class Cone(
             if dot(n, v) > 0
         )
 
-    def interior_point(self) -> Vec:
-        """An integer point in the relative interior (the ray sum)."""
-        s = ZERO
-        for g in self.generators:
-            s = vadd(s, g)
-        return s
-
     def in_octant(self) -> bool:
         return all(c >= 0 for g in self.generators for c in g)
 
     def __str__(self) -> str:
-        inner = ",".join("(%d,%d,%d)" % g for g in self.generators)
-        return f"<{inner}>"
+        return f"<{','.join(map(_vector_str, self.generators))}>"
 
 
 def _plane_form(a: Vec, b: Vec, g: Vec) -> tuple[Vec, int]:
@@ -447,10 +449,9 @@ def _require_octant_semigroup(c: Cone) -> None:
 
 
 def _integer_vector(v: Sequence[int], name: str) -> Vec:
-    """v as a tuple of three ints, or a ValueError naming it; a bool is not
-    an int here, as in ``Polynomial.from_dict``."""
+    """v as a tuple of three ints (``_is_int``), or a ValueError naming it."""
     t = tuple(v) if isinstance(v, Sequence) else ()
-    if len(t) != 3 or not all(isinstance(x, int) and not isinstance(x, bool) for x in t):
+    if len(t) != 3 or not all(map(_is_int, t)):
         raise ValueError(f"{name} {v!r} needs three int coordinates")
     return t
 

@@ -21,6 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .cones import (
     Cone,
     Vec,
+    _lists,
     _rank,
     _supporting_normals,
     _supporting_planes,
@@ -28,7 +29,7 @@ from .cones import (
     triangulate,
     vneg,
 )
-from .polyparse import Polynomial
+from .polyparse import Polynomial, _is_int
 
 E1: Vec = (1, 0, 0)
 E2: Vec = (0, 1, 0)
@@ -67,16 +68,13 @@ class Fan(NamedTuple):
             if fc.label is not None:
                 entry["label"] = fc.label
             cones.append(entry)
-        return {"rays": [list(r) for r in self.rays], "cones": cones}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"), sort_keys=True)
+        return {"rays": _lists(self.rays), "cones": cones}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Fan":
         """Read a fan object; ValueError with the reason on any other shape."""
         def integers(v) -> bool:  # JSON true/false load as bool, an int subclass
-            return isinstance(v, list) and all(type(x) is int for x in v)
+            return isinstance(v, list) and all(map(_is_int, v))
 
         if not isinstance(obj, dict):
             raise ValueError("a fan must be an object with 'rays' and 'cones'")

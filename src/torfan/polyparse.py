@@ -27,6 +27,12 @@ class ParseError(ValueError):
         super().__init__(f"{message} (position {pos} in {where})")
 
 
+def _is_int(v: object) -> bool:
+    """An int and not a bool: ``True`` is an int subclass, but not a number
+    any entry point takes."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _grevord(e: Exponent) -> tuple[int, int, int, int]:
     # graded-lexicographic, largest first: sort key for canonical printing
     return (-(e[0] + e[1] + e[2]), -e[0], -e[1], -e[2])
@@ -66,7 +72,7 @@ class Polynomial(tuple):
             values = (*exponent, coeff)
             if (
                 len(exponent) != 3
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+                or not all(map(_is_int, values))
                 or min(exponent) < 0
             ):
                 raise ValueError(
@@ -84,9 +90,6 @@ class Polynomial(tuple):
     def terms(self) -> tuple[tuple[Exponent, int], ...]:
         return tuple(self)
 
-    def as_dict(self) -> dict[Exponent, int]:
-        return dict(self)
-
     def support(self) -> frozenset[Exponent]:
         return frozenset(e for e, _ in self)
 
@@ -99,11 +102,6 @@ class Polynomial(tuple):
 
     def __str__(self) -> str:
         return _format_sum((zip(_VARIABLES, e), c) for e, c in self)
-
-
-def support(p: Polynomial) -> frozenset[Exponent]:
-    """Exponent vectors carrying a nonzero coefficient."""
-    return p.support()
 
 
 # One token per match, after optional whitespace.  A variable token takes

@@ -14,11 +14,12 @@ rays.  One insertion loop (``_ray_pieces``) serves both modes: rays go in
 by increasing profile level down a tree, each piece pulled at the first
 ray it holds and its children handed the later rays they hold, and a
 piece left with no rays triangulated.  The Hilbert-driven refinement then
-splits each non-regular piece at the source-basis element of least value
-of that piece's l-functional; a piece that holds none is split at its
-nonzero half-open point of least l, which is its least-l Hilbert element
-that is not a generator, so only the source cone's Hilbert basis is ever
-computed.  Each split pulls only the star of the new ray, found through
+splits each non-regular piece by one rule, at the point of its pool of
+least value of that piece's l-functional.  The pool is the source-basis
+elements the piece holds or, when it holds none, its nonzero half-open
+points, whose least-l point is its least-l Hilbert element that is not a
+generator, so only the source cone's Hilbert basis is ever computed.
+Each split pulls only the star of the new ray, found through
 the facets of the non-regular pieces (``_hilbert_pieces``).
 Every report carries exact certificates (per-piece multiplicities), the
 irreducibility of each result ray, and the tiling certificate of
@@ -41,6 +42,7 @@ from .cones import (
     _half_open_points,
     _integer_vector,
     _l_form,
+    _lists,
     _primitive,
     dot,
     triangulate,
@@ -71,14 +73,14 @@ class RefinementReport(NamedTuple):
 
     def to_obj(self) -> dict:
         return {
-            "rays": [list(r) for r in self.result.rays],
+            "rays": _lists(self.result.rays),
             "certificates": [
                 {"cone": list(idx), "det": det} for idx, det in self.certificates
             ],
             "covering_ok": self.covering_ok,
             "face_fitting_ok": self.face_fitting_ok,
             "all_rays_irreducible": self.all_rays_irreducible,
-            "new_rays": [list(r) for r in self.new_rays],
+            "new_rays": _lists(self.new_rays),
             "regular": self.all_unimodular(),
         }
 
@@ -133,36 +135,31 @@ def _ray_pieces(c: Cone, rays: Iterable[Vec]) -> list[Cone]:
     return out
 
 
-def _least_half_open_point(tau: Cone) -> Vec:
-    """The (l, h)-least Hilbert element of a non-regular simplicial tau that
-    is not a generator: its nonzero half-open point of least
-    (q1 + q2 + q3, u).
-
-    With D the multiplicity, a half-open point u has l(u) = (q1 + q2 + q3)/D,
-    q3 = 0 for a planar tau.  A nonzero non-generator lattice point of tau is
-    u + sum n_i g_i: either u != 0 and l >= m, the least l of a nonzero
-    half-open point, or sum n_i >= 2 and l >= 2.  The map q_i -> D - q_i
-    (q_i != 0) pairs nonzero half-open points with l(u) + l(u*) <= 3, so
-    m <= 3/2.  A point at level m that splits as a + b would need
-    m >= 2*min(m, 1), impossible for 0 < m < 2.  So the non-generator
-    Hilbert elements at level m are exactly the nonzero half-open points
-    there, and none lies lower.
-    """
-    return min((sum(q), u) for u, q in _half_open_points(tau)[1] if any(q))[1]
-
-
 def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
     """Unimodular pieces of c split at Hilbert-basis rays, and whether the
-    fallback ran: a piece holding no element of c's basis is split at
-    ``_least_half_open_point``, so no piece gets a Hilbert basis of its own.
+    fallback ran.
 
     Only the non-regular pieces are kept, in a table by generators, each
     with its pool: the elements of c's basis inside it, off its rays.  A map
     from each facet (``Cone.facets``) to the table pieces that own it is the
-    adjacency.  Each step splits tau, the least piece of the table, at a
-    point v off its rays, so v lies inside tau or inside one facet of it,
-    and the pieces that hold v are tau and the other owner of that facet in
-    the subdivision, if it has one.  That neighbour is never unimodular, so
+    adjacency.  Each step splits tau, the least piece of the table, at the
+    point v of its pool of least (l, v), l = u.v / q its l-functional
+    (``_l_form``).  When the pool is empty (the fallback) tau's nonzero
+    half-open points are its pool for that split, and its children inherit
+    the empty pool.  Then v is tau's least-l Hilbert element that is not a
+    generator, so no piece gets a Hilbert basis of its own: with D the
+    multiplicity, a half-open point h has l(h) = (q1 + q2 + q3)/D (q3 = 0
+    on a planar tau), so u.h is a positive multiple of q1 + q2 + q3.  A
+    nonzero non-generator lattice point of tau is h + sum n_i g_i: either
+    h != 0 and l >= m, the least l of a nonzero half-open point, or
+    sum n_i >= 2 and l >= 2.  The map q_i -> D - q_i (q_i != 0) pairs
+    nonzero half-open points with l(h) + l(h*) <= 3, so m <= 3/2, and a
+    point at level m that splits as a + b would need m >= 2*min(m, 1),
+    impossible for 0 < m < 2.
+
+    v lies off tau's rays, so inside tau or inside one facet of it, and the
+    pieces that hold v are tau and the other owner of that facet in the
+    subdivision, if it has one.  That neighbour is never unimodular, so
     the map finds it.  A unimodular piece's lattice points are sums of its
     rays, so an element of c's basis inside it is one of its rays, and v is
     none of them.  A fallback v is irreducible in tau, but a lattice point
@@ -198,12 +195,11 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
     while table:
         key = min(table)
         tau, pool = table[key]
-        if pool:
-            u, _ = _l_form(tau)
-            chosen = min(pool, key=lambda h: (dot(u, h), h))
-        else:
-            chosen = _least_half_open_point(tau)
+        if not pool:
+            pool = [h for h, q in _half_open_points(tau)[1] if any(q)]
             used_fallback = True
+        u, _ = _l_form(tau)
+        chosen = min(pool, key=lambda h: (dot(u, h), h))
         star = [key] + [
             k
             for n, f in zip(tau.facet_normals, tau.facets)
@@ -253,11 +249,14 @@ def refine_fan(
     2-faces first (so adjacent cones subdivide identically), then the
     lexicographically first non-regular piece at the basis element of least
     l-value, or at its own least-l Hilbert element that is not a generator
-    when it holds none.  Otherwise each cone is triangulated at its extremal
-    rays plus the prescribed rays it holds, by increasing (profile level,
-    lexicographic) order; every prescribed ray must lie in some cone
-    (``_held_rays``).
+    when it holds none (``_hilbert_pieces``).  Otherwise each cone is
+    triangulated at its extremal rays plus the prescribed rays it holds, by
+    increasing (profile level, lexicographic) order; every prescribed ray
+    must lie in some cone (``_held_rays``).  An empty list, which has no
+    fan to certify, and cones of mixed dimensions raise ValueError.
     """
+    if not cones:
+        raise ValueError("refine_fan needs at least one cone")
     flat = [c for c in cones if c.dim != 3]
     if flat and len(cones) > 1:
         raise ValueError(f"refine_fan needs one cone or 3-dimensional cones, got {flat[0]}")

@@ -19,7 +19,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .cones import Cone, Vec, dot
-from .polyparse import Polynomial, _format_sum
+from .polyparse import Polynomial, _format_sum, _is_int
 
 if TYPE_CHECKING:
     from .newton import Fan
@@ -273,7 +273,7 @@ def jet_equations(p: Polynomial, m: int) -> JetSystem:
     (``sys.get_int_max_str_digits()``, absent before Python 3.10.7, which
     has no limit), once it is built.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
+    if not _is_int(m):
         raise ValueError(f"jet order {m!r} is not an int")
     if m < 0:
         raise ValueError("jet order must be non-negative")

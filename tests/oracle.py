@@ -86,6 +86,12 @@ def _sub(a: Vec, b: Vec) -> Vec:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
+def ray_sum(gens) -> Vec:
+    """The sum of the rays: a lattice point in the relative interior of
+    their pointed cone."""
+    return tuple(map(sum, zip(*gens)))
+
+
 def brute_force_hilbert_simplicial(g1: Vec, g2: Vec, g3: Vec) -> tuple[Vec, ...]:
     """Hilbert basis of a full-dimensional simplicial cone in the octant."""
     det = _dot(g1, _cross(g2, g3))

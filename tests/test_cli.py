@@ -554,7 +554,7 @@ def test_cli_and_catalog_import_neither_dataclasses_nor_inspect():
 
 
 PUBLIC_NAMES = """
-ParseError Polynomial parse_polynomial support
+ParseError Polynomial parse_polynomial
 Cone HilbertBasis cross dot hilbert_basis is_irreducible parse_cone primitive
 triangulate unimodular_det
 Fan dual_newton_cones fan_consistency_report octant_solid_volume

@@ -38,6 +38,7 @@ from oracle import (
     caratheodory_extremal_rays,
     det3,
     random_simplicial_octant_cones,
+    ray_sum,
     supporting_normals,
 )
 
@@ -427,7 +428,7 @@ def test_simplex_matches_general_kernel_and_oracle(a, b, c, points):
         assert Cone.from_generators(order) == simplex
         # the builder records |det|, whatever the orientation of the order
         assert Cone._simplex(*order).multiplicity == abs(det3(a, b, c))
-    for child in simplex.pulled(primitive(simplex.interior_point())):
+    for child in simplex.pulled(primitive(ray_sum(simplex.generators))):
         assert child.multiplicity == abs(det3(*child.generators))
     gens = simplex.generators
     assert gens == tuple(sorted((a, b, c)))
@@ -636,7 +637,7 @@ def test_triangulation_independence_property(vectors):
         return
     # covering: the pieces agree with the cone on sample memberships
     pieces = triangulate(c)
-    samples = [p.interior_point() for p in pieces] + [c.interior_point()]
+    samples = [ray_sum(p.generators) for p in pieces] + [ray_sum(c.generators)]
     samples += [vadd(a, b) for a in c.generators for b in c.generators]
     for v in samples:
         assert c.contains(v)

@@ -3,6 +3,7 @@ pickles to an equal record, refuses assignment to its fields, and hashes
 by value where it is hashable."""
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -12,14 +13,17 @@ from torfan.catalog import (
     CatalogHyperplane,
     Instance,
     _elliptic1,
+    default_grid,
     entry,
+    families,
     instance,
     verify,
 )
 from torfan.cones import Cone, hilbert_basis
+from torfan.newton import Fan, dual_newton_cones
 from torfan.polyparse import parse_polynomial
 from torfan.profile import AffineFunctional, profile
-from torfan.refine import regular_refinement
+from torfan.refine import refine_fan, regular_refinement
 from torfan.valuation import groebner_fan, jet_equations, tropical_variety
 
 ELL = "y^3 + x*z^2 - x^4"
@@ -144,3 +148,34 @@ def test_a_pickled_cone_keeps_its_cached_basis_and_profile():
     assert vars(plain) == {}
     assert plain == simplex and hash(plain) == hash(simplex)
     assert plain.multiplicity == 27
+
+
+# Brieskorn x^a+y^b+z^c rungs, the resolve path's ladder
+LADDER = (
+    (2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 3, 11), (2, 5, 7),
+    (2, 3, 13), (3, 4, 7), (2, 5, 9), (3, 5, 7), (2, 5, 11),
+)
+
+
+def _to_objs():
+    """The ``to_obj()`` of every grid report and of each ladder rung's
+    refinement, tropical variety, jets and dual fan."""
+    objs = [verify(f, ps).to_obj() for f in families() for ps in default_grid(f)]
+    assert len(objs) == 45
+    for a, b, c in LADDER:
+        p = parse_polynomial(f"x^{a}+y^{b}+z^{c}")
+        cones = [cone for cone, _ in dual_newton_cones(p)]
+        objs += [
+            refine_fan(cones).to_obj(),
+            tropical_variety(p).to_obj(),
+            jet_equations(p, 3).to_obj(),
+            Fan.from_cones(cones).to_obj(),
+        ]
+    return objs
+
+
+def test_to_obj_is_json_data():
+    # lists, not tuples, all the way down: a JSON round trip gives back an
+    # equal object, so no report holds a tuple that would load as a list
+    for obj in _to_objs():
+        assert obj == json.loads(json.dumps(obj))

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -5,11 +6,10 @@ from functools import cmp_to_key
 
 import pytest
 
-from torfan import refine
+from torfan import cli, refine
 from torfan.cones import (
     Cone,
     _supporting_normals,
-    cross,
     dot,
     hilbert_basis,
     is_irreducible,
@@ -464,37 +464,66 @@ def test_regular_refinement_reuses_the_cone_basis(hilbert_calls):
 
 
 def _cramer_level(gens, h) -> Fraction:
-    """The sum of the coordinates of h in the frame of gens, a planar pair
-    completed by its cross product, by Cramer's rule."""
-    frame = list(gens) if len(gens) == 3 else [*gens, cross(*gens)]
-    d = det3(*frame)
+    """The sum of the coordinates of h in the frame of three rays gens, by
+    Cramer's rule."""
+    d = det3(*gens)
     return sum(
-        Fraction(det3(*(h if j == i else g for j, g in enumerate(frame))), d)
-        for i in range(len(gens))
+        Fraction(det3(*(h if j == i else g for j, g in enumerate(gens))), d)
+        for i in range(3)
     )
 
 
-def test_fallback_point_is_the_least_level_hilbert_element():
-    # the half-open point the fallback inserts against the (l, h)-least
-    # non-generator of an independently computed Hilbert basis
-    rng = random.Random(20261019)
-    oracles = {3: brute_force_hilbert_simplicial, 2: brute_force_hilbert_planar}
-    wanted = {3: 150, 2: 50}
-    while any(wanted.values()):
-        k = rng.choice((2, 3))
-        gens = [tuple(rng.randint(0, 9) for _ in range(3)) for _ in range(k)]
-        if not wanted[k] or (0, 0, 0) in gens:
-            continue
+def test_fallback_point_is_the_least_level_hilbert_element(monkeypatch):
+    # The split points, recorded at the pulls: a split at a point outside
+    # the source basis is a fallback, and the first piece pulled at it is
+    # the piece tau it splits.  Each must be the (l, h)-least non-generator
+    # of an independently computed Hilbert basis of tau.
+    pulls = []
+    original = Cone.pulled
+
+    def recorded(self, v):
+        pulls.append((self, v))
+        return original(self, v)
+
+    monkeypatch.setattr(Cone, "pulled", recorded)
+    checked = fallback_cones = 0
+    for gens in random_simplicial_octant_cones(40, 9, seed=20261019):
         c = Cone.from_generators(gens)
-        if c.dim != k or c.multiplicity == 1:
-            continue
-        wanted[k] -= 1
-        basis = oracles[k](*c.generators)
-        level, expected = min(
-            (_cramer_level(c.generators, h), h) for h in basis if h not in c.generators
-        )
-        assert level <= Fraction(3, 2), c
-        assert refine._least_half_open_point(c) == expected, c
+        pulls.clear()
+        _, used_fallback = refine._hilbert_pieces(c)
+        split_at = {}
+        for piece, v in pulls:
+            split_at.setdefault(v, piece)
+        fallbacks = [(tau, v) for v, tau in split_at.items() if v not in c.hilbert]
+        assert used_fallback == bool(fallbacks), c
+        fallback_cones += used_fallback
+        for tau, v in fallbacks:
+            basis = brute_force_hilbert_simplicial(*tau.generators)
+            level, expected = min(
+                (_cramer_level(tau.generators, h), h) for h in basis if h not in tau.generators
+            )
+            assert level <= Fraction(3, 2), tau
+            assert v == expected, tau
+            checked += 1
+    assert (fallback_cones, checked) == (18, 166)
+
+
+def test_brieskorn_101_103_107_is_regular_but_takes_the_fallback(capsys):
+    # README's finding: the fan certifies, yet some of its rays are
+    # reducible in their source cone, so resolve exits 1
+    cones = [c for c, _ in dual_newton_cones(parse_polynomial("x^101+y^103+z^107"))]
+    rep = refine_fan(cones)
+    assert len(rep.result.rays) == 355
+    assert rep.used_fallback
+    assert rep.all_unimodular() and rep.covering_ok and rep.face_fitting_ok
+    reducible = [v for v, ok in rep.irreducible if not ok]
+    assert len(reducible) == 128
+    # the independent witness: (83,80,77) = (1,0,0) + (82,80,77) in one source
+    source = Cone.from_generators([E2, E1, (11021, 10807, 10403)])
+    assert source in cones and (83, 80, 77) in reducible
+    assert source.contains((82, 80, 77)) and not is_irreducible(source, (83, 80, 77))
+    assert cli.run(["resolve", "x^101+y^103+z^107"]) == 1
+    assert json.loads(capsys.readouterr().out)["refinement"] == rep.to_obj()
 
 
 def test_extended_brieskorn_rung_resolves_with_sound_cones():
@@ -533,6 +562,13 @@ def test_refine_fan_takes_one_cone_of_any_dimension_but_not_mixed_dimensions():
         refine_fan([planar, OCTANT])
     with pytest.raises(ValueError, match="3-dimensional cones"):
         refine_fan([planar, planar])
+
+
+def test_refine_fan_refuses_an_empty_list_of_cones():
+    # no cones is no fan: a regular, tiled report for it would be vacuous
+    for rays in (None, [], [(1, 1, 1)]):
+        with pytest.raises(ValueError, match="refine_fan needs at least one cone"):
+            refine_fan([], rays)
 
 
 @pytest.mark.parametrize("cones", [[OCTANT], ELL_CONES], ids=["octant", "elliptic"])
