@@ -8,7 +8,7 @@ on one side.  A cone of 3-space is read times the ray (0,0,0,1); the Newton
 polyhedron and each profile hull are read as cones over lifted points.
 Cones handed to the semigroup routines (irreducibility, Hilbert bases) must
 live in the non-negative octant, where the coordinate sum is a positive
-grading that orders the reduction of candidates.
+grading that orders the reduction of a non-simplicial cone's candidates.
 
 Hilbert bases and profile points read one of two enumerations.  On a
 height-one cone, whose generators lie on one integral plane l = 1
@@ -16,7 +16,13 @@ height-one cone, whose generators lie on one integral plane l = 1
 by row (``_polygon_points``).  Every other cone is read from the half-open
 parallelepiped walk of each simplicial piece (``_half_open_points``): a
 lattice point u + sum n_i g_i (u half-open, n_i >= 0) that is irreducible,
-or has l <= 1, is a generator or u itself.
+or has l <= 1, is a generator or u itself.  The walked basis is reduced in
+two stages (``_walked_basis``).  In a piece, a half-open point is
+reducible exactly when another is no larger in every one of its integer
+coordinates q, so each piece is reduced by comparing those
+(``_piece_minima``).  A Hilbert element of the cone is irreducible in its
+piece, so only the union of the pieces' minima is then reduced in the
+cone's facet heights, and only when the cone is not simplicial.
 """
 
 from __future__ import annotations
@@ -507,23 +513,59 @@ def _hilbert_basis(c: Cone) -> HilbertBasis:
     return HilbertBasis(_walked_basis(c) if l is None else _polygon_points(c, l))
 
 
-def _walked_basis(c: Cone) -> list[Vec]:
-    """The Hilbert basis of an octant cone c, sorted, by the group walk.
+def _piece_minima(piece: Cone) -> list[Vec]:
+    """The nonzero half-open points of a 2- or 3-dimensional simplicial
+    piece that are irreducible in it: with its generators, the piece's
+    Hilbert basis.
 
-    Candidates are the generators and the half-open parallelepiped points of
-    each piece of a triangulation.  An irreducible point v of the cone lies
-    in a piece, where v = u + sum n_i g_i with u half-open and n_i >= 0
-    integers; v is irreducible there too, so either v = u or u = 0 and v is
-    a single generator.
+    A half-open point u = sum (q_i/D) g_i has coordinates q, each below D,
+    and u = a + b with a, b nonzero lattice points of the piece exactly
+    when a has coordinates no larger than q: then a is half-open too, and
+    u - a has the non-negative coordinates q - q(a).  So u is reducible
+    exactly when another half-open point is no larger in every coordinate.
+    Such a point has a smaller coordinate sum, so in order of (sum, q)
+    every possible dominator comes first, and a dominator is dominated by
+    a kept minimum: one pass with three comparisons per kept point, and no
+    dot products.
+    """
+    kept: list[tuple[int, int, int]] = []
+    out: list[Vec] = []
+    walk = sorted(
+        (q1 + q2 + q3, q1, q2, q3, u) for u, (q1, q2, q3) in _half_open_points(piece)[1]
+    )
+    for _, q1, q2, q3, u in walk[1:]:  # walk[0] is the zero point
+        for a1, a2, a3 in kept:
+            if a1 <= q1 and a2 <= q2 and a3 <= q3:
+                break
+        else:
+            kept.append((q1, q2, q3))
+            out.append(u)
+    return out
+
+
+def _walked_basis(c: Cone) -> list[Vec]:
+    """The Hilbert basis of an octant cone c, sorted, by the group walk,
+    reduced in two stages.
+
+    An irreducible point v of c lies in a piece of a triangulation, where
+    it is irreducible too: v = u + sum n_i g_i with u half-open and n_i >= 0
+    integers, so either v = u or u = 0 and v is a single generator.  So
+    stage 1 reduces each piece in its own coordinates (``_piece_minima``),
+    and a Hilbert element of c is a generator or one of those minima.  On
+    a simplicial, planar or ray cone, the one piece's minima and the
+    generators are the basis.
     """
     candidates: set[Vec] = set(c.generators)
     for piece in triangulate(c):
         if piece.dim > 1:
-            candidates.update(u for u, q in _half_open_points(piece)[1] if any(q))
+            candidates.update(_piece_minima(piece))
+    if c.is_simplicial():
+        return sorted(candidates)
 
-    # Reduction by degree (Bruns-Ichim): the coordinate sum is a positive
-    # grading on the octant, and a reducible v is v = h + w with h an
-    # irreducible point of smaller degree and w in the cone.  Irreducible
+    # Stage 2, on a non-simplicial c: a piece minimum can still be reducible
+    # in c.  Reduction by degree (Bruns-Ichim): the coordinate sum is a
+    # positive grading on the octant, and a reducible v is v = h + w with h
+    # an irreducible point of smaller degree and w in the cone.  Irreducible
     # points are candidates, so by induction on the degree the points kept
     # before v are exactly the Hilbert elements of smaller degree.  All
     # candidates lie in the span of c, where w = v - h is in the cone

@@ -113,6 +113,21 @@ def _build_report(
     )
 
 
+def _held(p: Cone, points: Iterable[Vec]) -> list[Vec]:
+    """The points that p holds, in order: ``Cone.contains`` on each, with a
+    3-dimensional simplex's three facet tests written out in one pass."""
+    if not (p.dim == 3 and p.is_simplicial()):
+        return [w for w in points if p.contains(w)]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = p.facet_normals
+    return [
+        w
+        for w in points
+        if a0 * w[0] + a1 * w[1] + a2 * w[2] >= 0
+        and b0 * w[0] + b1 * w[1] + b2 * w[2] >= 0
+        and c0 * w[0] + c1 * w[1] + c2 * w[2] >= 0
+    ]
+
+
 def _ray_pieces(c: Cone, rays: Iterable[Vec]) -> list[Cone]:
     """Pieces of c with ``rays`` inserted by increasing (profile level,
     lexicographic) order; the rays must be distinct primitive points of c
@@ -131,7 +146,7 @@ def _ray_pieces(c: Cone, rays: Iterable[Vec]) -> list[Cone]:
             continue
         v, *later = todo
         for child in reversed(p.pulled(v)):
-            stack.append((child, [w for w in later if child.contains(w)]))
+            stack.append((child, _held(child, later)))
     return out
 
 
@@ -155,7 +170,10 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
     sum n_i >= 2 and l >= 2.  The map q_i -> D - q_i (q_i != 0) pairs
     nonzero half-open points with l(h) + l(h*) <= 3, so m <= 3/2, and a
     point at level m that splits as a + b would need m >= 2*min(m, 1),
-    impossible for 0 < m < 2.
+    impossible for 0 < m < 2.  The planar clause covers a case that never
+    runs: consecutive basis elements of a planar c span a unimodular cone,
+    so a non-regular planar piece always holds one.  It goes when a proof
+    that the pool is never empty replaces the fallback.
 
     v lies off tau's rays, so inside tau or inside one facet of it, and the
     pieces that hold v are tau and the other owner of that facet in the
@@ -176,7 +194,7 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
         if p.multiplicity == 1:
             done.append(p)
             return
-        table[p.generators] = (p, [h for h in pool if h not in p.generators and p.contains(h)])
+        table[p.generators] = (p, [h for h in _held(p, pool) if h not in p.generators])
         for f in p.facets:
             owners.setdefault(f, []).append(p.generators)
 
@@ -224,7 +242,7 @@ def _held_rays(cones: Sequence[Cone], rays: Sequence[Vec]) -> list[list[Vec]]:
     order.  All rays are checked to be three ints, then to lie in some cone,
     then one by one to be primitive and listed once."""
     rays = [_integer_vector(r, "prescribed ray") for r in rays]
-    held = [[v for v in rays if c.contains(v)] for c in cones]
+    held = [_held(c, rays) for c in cones]
     inside = set().union(*held)
     for v in rays:
         if v not in inside:

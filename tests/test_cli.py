@@ -457,6 +457,30 @@ def test_thin_height_one_cones_answer_at_once():
     assert proc.stdout.splitlines() == ["0 3"] * 3
 
 
+def test_large_determinant_hilbert_basis_answers_in_time():
+    # |det| 300,007 and not height-one, so the basis is the group walk's,
+    # reduced first in each piece's own coordinates: about 2 s.  The limit
+    # is 10 s because a reduction that runs every walked point through the
+    # cone's facet heights takes 16-22 s, which 20 s would not catch
+    code = (
+        "import contextlib, io, json\n"
+        "from torfan import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.run(['hilbert', '<(1,0,0),(0,1,0),(1000,1001,300007)>'])\n"
+        "print(code, len(json.loads(out.getvalue())))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1335"]
+
+
 @pytest.mark.parametrize(
     "args",
     [["dnp", "x^2+y^3+z^5"], ["verify", "B-odd"], ["render", "FAN"]],

@@ -12,6 +12,7 @@ from torfan.cones import (
     Cone,
     _half_open_points,
     _height_one,
+    _piece_minima,
     _supporting_normals,
     _walked_basis,
     cross,
@@ -513,6 +514,40 @@ def test_hilbert_basis_non_simplicial_against_triangulation_choice():
         candidates.discard((0, 0, 0))
         expected = {v for v in candidates if box_is_irreducible(c.generators, v)}
         assert set(hilbert_basis(c).elements) == expected, c
+
+
+def test_piece_minima_and_generators_are_a_simplicial_cones_basis():
+    # stage 1 of the walk: on a simplicial, planar or ray cone, the one
+    # piece's minima in its own coordinates, with the generators, are the
+    # basis that the brute-force oracles find
+    rng = random.Random(35)
+    cones = [Cone.from_generators(g) for g in random_simplicial_octant_cones(30, 5, seed=35)]
+    while len(cones) < 60:
+        g1, g2 = (tuple(rng.randint(0, 8) for _ in range(3)) for _ in range(2))
+        if cross(g1, g2) != (0, 0, 0):
+            cones.append(Cone.from_generators([g1, g2]))
+    for c in cones:
+        oracle = brute_force_hilbert_simplicial if c.dim == 3 else brute_force_hilbert_planar
+        expected = oracle(*c.generators)
+        assert tuple(sorted([*c.generators, *_piece_minima(c)])) == expected, c
+        assert tuple(_walked_basis(c)) == expected, c
+    for v in [(0, 0, 1), (2, 4, 6), (3, 5, 7)]:
+        assert _walked_basis(Cone.from_generators([v])) == [primitive(v)]
+
+
+def test_walked_basis_keeps_the_piece_minima_irreducible_in_the_cone():
+    # stage 2: a non-simplicial cone's basis is the union of its pieces'
+    # minima, less those the box oracle finds reducible in the cone; on
+    # most seeded cones that drops at least one piece minimum
+    dropped = 0
+    for c in _non_simplicial_octant_cones(60, seed=35):
+        minima = set(c.generators).union(*(_piece_minima(p) for p in triangulate(c)))
+        basis = _walked_basis(c)
+        assert set(basis) <= minima, c
+        for v in minima:
+            assert (v in basis) == box_is_irreducible(c.generators, v), (c, v)
+        dropped += len(minima) > len(basis)
+    assert dropped >= 30
 
 
 def _height_one_cones(count: int, seed: int, low: int = 0) -> list[Cone]:

@@ -262,6 +262,18 @@ def test_planar_refinements_are_the_chain_through_their_rays():
         assert sorted(piece_triples(rep)) == chain_pairs(a, b, chosen)
 
 
+def test_planar_cones_never_take_the_fallback():
+    # consecutive Hilbert elements of a planar cone span a unimodular cone,
+    # so every non-regular planar piece holds a basis element: the planar
+    # clause of the fallback's proof covers a case that never runs
+    cones = [c for c in random_planar_cones(500, 30, seed=5) if c.multiplicity > 1]
+    assert len(cones) >= 100
+    for c in cones:
+        rep = refine_fan([c])
+        assert not rep.used_fallback, c
+        assert rep.all_unimodular() and rep.all_rays_irreducible, c
+
+
 def test_refinement_from_no_rays_triangulates_a_non_simplicial_cone():
     for c in (ELL_CONES[0], *B_CONES):
         rep = refine_fan([c], [])
