@@ -72,7 +72,8 @@ _FILLS = (
 
 def _project(v) -> tuple[float, float]:
     s = v[0] + v[1] + v[2]
-    a, b, c = v[0] / s, v[1] / s, v[2] / s  # int division: huge rays do not overflow
+    # int / int is true division, correctly rounded: no overflow for entries past float range
+    a, b, c = v[0] / s, v[1] / s, v[2] / s
     return (
         a * _E1[0] + b * _E2[0] + c * _E3[0],
         a * _E1[1] + b * _E2[1] + c * _E3[1],

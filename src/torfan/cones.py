@@ -11,27 +11,29 @@ live in the non-negative octant, where the coordinate sum is a positive
 grading that orders the reduction of a non-simplicial cone's candidates.
 
 Hilbert bases and profile points read one of two enumerations.  On a
-height-one cone, whose generators lie on one integral plane l = 1
+height-one octant cone, whose generators lie on one integral plane l = 1
 (``_height_one``), both are the lattice points of that polygon, scanned row
 by row (``_polygon_points``).  Every other cone is read from the half-open
 parallelepiped walk of each simplicial piece (``_half_open_points``): a
 lattice point u + sum n_i g_i (u half-open, n_i >= 0) that is irreducible,
-or has l <= 1, is a generator or u itself.  The walked basis is reduced in
-two stages (``_walked_basis``).  In a piece, a half-open point is
-reducible exactly when another is no larger in every one of its integer
-coordinates q, so each piece is reduced by comparing those
-(``_piece_minima``).  A Hilbert element of the cone is irreducible in its
-piece, so only the union of the pieces' minima is then reduced in the
-cone's facet heights, and only when the cone is not simplicial.
+or has l <= 1, is a generator or u itself.  The walk gives each u as its
+integer coordinates q, u = sum (q_i/D) g_i, and a reader builds u only for
+the q it keeps.  The walked basis is reduced in two stages
+(``_walked_basis``).  In a piece, a half-open point is reducible exactly
+when another is no larger in every coordinate q_i, so each piece is
+reduced by comparing those (``_piece_minima``).  A Hilbert element of the
+cone is irreducible in its piece, so only the union of the pieces' minima
+is then reduced in the cone's facet heights, and only when the cone is not
+simplicial.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 from operator import le
 
@@ -400,15 +402,18 @@ def _polygon_points(c: Cone, l: Vec) -> list[Vec]:
     return out
 
 
-def _half_open_points(c: Cone) -> tuple[int, list[tuple[Vec, Vec]]]:
-    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for a 2- or 3-dimensional
-    simplicial cone, as ``(D, [(u, q)])``: u = (q1*g1 + q2*g2 + q3*g3)/D with
-    integers 0 <= q_i < D, one per element of Z^3/<g1,g2,g3>, D = |det|.
-    A planar cone is completed by g3 with n.g3 = 1 for its primitive normal
-    n; then D is the plane index and every q3 is 0.  The adjugate rows (times
-    sign(det)) send u to D*t, so the residues of e1, e2, e3 under them
-    generate the group; it is walked as a chain of cyclic subgroups, so the
-    cost is D, not the volume of a box.
+def _half_open_points(c: Cone) -> tuple[int, list[Vec], Callable[[Vec], Vec]]:
+    """The half-open parallelepiped {sum t_i g_i : 0 <= t_i < 1} of a 2- or
+    3-dimensional simplicial cone, as ``(D, walk, point)``: ``walk`` lists
+    the coordinates q of its lattice points, integers 0 <= q_i < D, one per
+    element of Z^3/<g1,g2,g3>, D = |det|, the zero point first, and
+    ``point(q)`` is the lattice point (q1*g1 + q2*g2 + q3*g3)/D, built only
+    for the q a reader keeps.  A planar cone is completed by g3 with
+    n.g3 = 1 for its primitive normal n; then D is the plane index and
+    every q3 is 0.  The adjugate rows (times sign(det)) send a point to D*t,
+    so the residues of e1, e2, e3 under them generate the group; it is
+    walked as a chain of cyclic subgroups, so the cost is D, not the volume
+    of a box.
     """
     gens = c.generators
     g1, g2, g3 = gens if c.dim == 3 else (*gens, _unit_dual(c.plane_normal))
@@ -434,17 +439,16 @@ def _half_open_points(c: Cone) -> tuple[int, list[tuple[Vec, Vec]]]:
                 for a, b, c in group
             ]
     (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = g1, g2, g3
-    return big, [
-        (
-            (
-                (q1 * x1 + q2 * x2 + q3 * x3) // big,
-                (q1 * y1 + q2 * y2 + q3 * y3) // big,
-                (q1 * z1 + q2 * z2 + q3 * z3) // big,
-            ),
-            (q1, q2, q3),
+
+    def point(q: Vec) -> Vec:
+        q1, q2, q3 = q
+        return (
+            (q1 * x1 + q2 * x2 + q3 * x3) // big,
+            (q1 * y1 + q2 * y2 + q3 * y3) // big,
+            (q1 * z1 + q2 * z2 + q3 * z3) // big,
         )
-        for q1, q2, q3 in group
-    ]
+
+    return big, group, point
 
 
 def _require_octant_semigroup(c: Cone) -> None:
@@ -523,24 +527,23 @@ def _piece_minima(piece: Cone) -> list[Vec]:
     when a has coordinates no larger than q: then a is half-open too, and
     u - a has the non-negative coordinates q - q(a).  So u is reducible
     exactly when another half-open point is no larger in every coordinate.
-    Such a point has a smaller coordinate sum, so in order of (sum, q)
-    every possible dominator comes first, and a dominator is dominated by
-    a kept minimum: one pass with three comparisons per kept point, and no
-    dot products.
+    Such a point has a smaller coordinate sum, so with the walk sorted in
+    place by q1 + q2 + q3 every possible dominator comes first (two points
+    of one sum never dominate each other), and a dominator is dominated by
+    a kept minimum: one pass with three comparisons per kept point, no dot
+    products, and a lattice point built only for each minimum.
     """
-    kept: list[tuple[int, int, int]] = []
-    out: list[Vec] = []
-    walk = sorted(
-        (q1 + q2 + q3, q1, q2, q3, u) for u, (q1, q2, q3) in _half_open_points(piece)[1]
-    )
-    for _, q1, q2, q3, u in walk[1:]:  # walk[0] is the zero point
+    _, walk, point = _half_open_points(piece)
+    walk.sort(key=sum)
+    kept: list[Vec] = []
+    for q in islice(walk, 1, None):  # walk[0] is the zero point
+        q1, q2, q3 = q
         for a1, a2, a3 in kept:
             if a1 <= q1 and a2 <= q2 and a3 <= q3:
                 break
         else:
-            kept.append((q1, q2, q3))
-            out.append(u)
-    return out
+            kept.append(q)
+    return list(map(point, kept))
 
 
 def _walked_basis(c: Cone) -> list[Vec]:

@@ -86,10 +86,6 @@ class Polynomial(tuple):
             raise ValueError("polynomial has no terms")
         return cls(items)
 
-    @property
-    def terms(self) -> tuple[tuple[Exponent, int], ...]:
-        return tuple(self)
-
     def support(self) -> frozenset[Exponent]:
         return frozenset(e for e, _ in self)
 

@@ -10,6 +10,11 @@ over the lifted points (p, 1) by the supporting-hyperplane kernel of
 Each functional is five ints, (a·x + b·y + c·z + d)/q in lowest terms, and
 every decision reads the sign of the numerator; a ``Fraction`` is built
 only to evaluate, print or level a point.
+
+The profile's lattice points are read by one path: the half-open walk
+(``cones._half_open_points``) of each simplex over an off-origin bounding
+face, which is the cone itself when it is simplicial.  A height-one octant
+cone reads its Hilbert basis instead, which holds the same points.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .cones import (
     _half_open_points,
     _height_one,
     _l_form,
-    _polygon_points,
     _supporting_planes,
     dot,
     triangulate,
@@ -149,33 +153,29 @@ def contains_point(p: Profile, v: Sequence[int]) -> bool:
 
 
 def profile_lattice_points(p: Profile) -> list[Vec]:
-    """Nonzero lattice points of the profile conv(0, generators).
+    """Nonzero lattice points of the profile conv(0, generators), sorted.
 
-    A simplicial profile is the simplex conv(0, g_1, ..., g_k).  Its point
-    u + sum n_i g_i, with u half-open and n_i >= 0, has l = sum(q)/D + sum n_i,
-    so it is a generator or a nonzero u with q_1 + q_2 + q_3 <= D.  Otherwise
-    every generator is a vertex of the hull, so the profile is the union of
-    such simplices over a triangulation of the generators on each off-origin
-    hull facet.  On a height-one cone (``_height_one``) the profile is
-    {v in c : l(v) <= 1}, and a nonzero lattice point of c has integral
-    l >= 1, so its points are those of the polygon c ∩ {l = 1}: in the
-    octant, the Hilbert basis ``c.hilbert`` already holds them.
+    Every generator is a vertex of the hull, so the profile is the union of
+    the simplices conv(0, g_1, ..., g_k) over a triangulation of the
+    generators on each off-origin hull facet; a simplicial cone has one
+    such facet, through all its generators, and is its own triangulation.
+    A point u + sum n_i g_i of a simplex, with u = sum (q_i/D) g_i
+    half-open and n_i >= 0, has l = (q_1 + q_2 + q_3)/D + sum n_i, so it is
+    a generator or a nonzero u with q_1 + q_2 + q_3 <= D, and only those u
+    are built.  On a height-one octant cone (``_height_one``) the profile
+    is {v in c : l(v) <= 1}, and a nonzero lattice point of c has integral
+    l >= 1, so its points are those of the polygon c ∩ {l = 1}, which the
+    Hilbert basis ``c.hilbert`` already holds.
     """
     c = p.cone
-    if (l := _height_one(c)) is not None:
-        return list(c.hilbert) if c.in_octant() else _polygon_points(c, l)
-    if c.is_simplicial():
-        simplices: tuple[Cone, ...] = (c,) if c.dim > 1 else ()
-    else:
-        simplices = tuple(
-            piece
-            for a, b, e, d, _ in p.bounding
-            for piece in triangulate(
-                Cone.from_generators([g for g in c.generators if dot((a, b, e), g) == -d])
-            )
-        )
+    if c.in_octant() and _height_one(c) is not None:
+        return list(c.hilbert)
     out: set[Vec] = set(c.generators)
-    for sigma in simplices:
-        big, pairs = _half_open_points(sigma)
-        out.update(u for u, q in pairs if 0 < sum(q) <= big)
+    for a, b, e, d, _ in p.bounding:
+        face = c if c.is_simplicial() else Cone.from_generators(
+            [g for g in c.generators if dot((a, b, e), g) == -d]
+        )
+        for sigma in triangulate(face) if face.dim > 1 else ():
+            big, walk, point = _half_open_points(sigma)
+            out.update(point(q) for q in walk if 0 < sum(q) <= big)
     return sorted(out)

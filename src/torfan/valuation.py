@@ -153,10 +153,6 @@ class JetSystem(tuple):
     def variables(self) -> tuple[str, ...]:
         return tuple(f"{name}{j}" for j in range(len(self)) for name in "xyz")
 
-    @property
-    def equations(self) -> tuple[tuple[tuple[JetMonomial, int], ...], ...]:
-        return tuple(self)
-
     def equation_dicts(self) -> list[dict[tuple[int, ...], int]]:
         """F_0..F_m keyed by dense exponent tuples over ``variables``."""
         zero = [0] * (3 * len(self))

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
@@ -255,15 +256,17 @@ def test_is_regular_is_simplicial_with_multiplicity_one():
 
 def half_open(c):
     """The lattice points u of {sum t_i g_i : 0 <= t_i < 1}, sorted, after
-    checking D*u = sum q_i g_i for each."""
+    checking that the walk starts at zero, that its coordinates are
+    distinct and below D, and D*point(q) = sum q_i g_i for each q."""
     gens = c.generators
-    big, pairs = _half_open_points(c)
-    for u, q in pairs:
+    big, walk, point = _half_open_points(c)
+    assert walk[0] == (0, 0, 0) and len(set(walk)) == len(walk)
+    for q in walk:
         assert all(0 <= qi < big for qi in q) and (c.dim == 3 or q[2] == 0)
-        assert tuple(big * x for x in u) == tuple(
+        assert tuple(big * x for x in point(q)) == tuple(
             sum(qi * g[i] for qi, g in zip(q, gens)) for i in range(3)
         )
-    return tuple(sorted(u for u, _ in pairs))
+    return tuple(sorted(map(point, walk)))
 
 
 def box_half_open_points(gens):
@@ -548,6 +551,21 @@ def test_walked_basis_keeps_the_piece_minima_irreducible_in_the_cone():
             assert (v in basis) == box_is_irreducible(c.generators, v), (c, v)
         dropped += len(minima) > len(basis)
     assert dropped >= 30
+
+
+def test_walked_basis_holds_one_copy_of_the_walk():
+    # a lattice point is built only for each piece minimum, and the walk's
+    # coordinate list is sorted in place: about 2.1 MB here, while building
+    # every walked point and sorting a copy of the walk takes 4.5 MB
+    c = parse_cone("<(1,0,0),(0,1,0),(100,101,10007)>")
+    tracemalloc.start()
+    try:
+        basis = hilbert_basis(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 210
+    assert peak < 3_000_000, peak
 
 
 def _height_one_cones(count: int, seed: int, low: int = 0) -> list[Cone]:

@@ -99,7 +99,7 @@ def test_round_trip_property(terms, data):
     """The printed form and a random valid spelling both parse back to p."""
     p = Polynomial.from_dict(terms)
     assert parse_polynomial(str(p)) == p
-    assert len(p.support()) == len(p.terms)
+    assert len(p.support()) == len(p)
 
     def pick(*options):
         return data.draw(st.sampled_from(options))

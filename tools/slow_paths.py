@@ -44,6 +44,7 @@ WITNESSES = {
     "a2-2000": ["verify", "A2", "--k", "1", "--m", "2000"],
     "hilbert-100003": ["hilbert", "<(1,0,0),(0,1,0),(1000,1001,100003)>"],
     "hilbert-1000003": ["hilbert", "<(1,0,0),(0,1,0),(1000,1001,1000003)>"],
+    "profile-100003": ["profile", "<(1,0,0),(0,1,0),(1000,1001,100003)>"],
     "resolve-101": ["resolve", "x^101+y^103+z^107"],
     "a2-100000": ["verify", "A2", "--k", "1", "--m", "100000"],
     "resolve-1000": ["resolve", "x^1000+y^1001+z^1003"],
