@@ -10,15 +10,16 @@ Cones handed to the semigroup routines (irreducibility, Hilbert bases) must
 live in the non-negative octant, where the coordinate sum is a positive
 grading that orders the reduction of a non-simplicial cone's candidates.
 
-Hilbert bases and profile points read one of two enumerations.  On a
+Hilbert bases and profile points read one enumeration, the half-open
+parallelepiped walk of each simplicial piece (``_half_open_points``),
+which only this module reads: a lattice point u + sum n_i g_i (u
+half-open, n_i >= 0) that is irreducible, or has l <= 1, is a generator or
+u itself.  The walk gives each u as its integer coordinates q,
+u = sum (q_i/D) g_i, and a reader builds u only for the q it keeps.  The
+points with l <= 1 (``_low_points``) are the profile's, and on a
 height-one octant cone, whose generators lie on one integral plane l = 1
-(``_height_one``), both are the lattice points of that polygon, scanned row
-by row (``_polygon_points``).  Every other cone is read from the half-open
-parallelepiped walk of each simplicial piece (``_half_open_points``): a
-lattice point u + sum n_i g_i (u half-open, n_i >= 0) that is irreducible,
-or has l <= 1, is a generator or u itself.  The walk gives each u as its
-integer coordinates q, u = sum (q_i/D) g_i, and a reader builds u only for
-the q it keeps.  The walked basis is reduced in two stages
+(``_height_one``), they are the whole Hilbert basis besides the
+generators.  Every other basis is reduced in two stages
 (``_walked_basis``).  In a piece, a half-open point is reducible exactly
 when another is no larger in every coordinate q_i, so each piece is
 reduced by comparing those (``_piece_minima``).  A Hilbert element of the
@@ -365,43 +366,6 @@ def _height_one(c: Cone) -> Vec | None:
     return l if all(dot(l, g) == 1 for g in c.generators[3:]) else None
 
 
-def _polygon_points(c: Cone, l: Vec) -> list[Vec]:
-    """The lattice points of the polygon c ∩ {l = 1}, sorted, for the l of
-    ``_height_one``, scanned in rows along one of its edges.
-
-    For an edge (a, b) in ``c.facets``, e2 = the primitive b - a and
-    e1 = ``_unit_dual(e2)`` x l have e1 x e2 = l, so they are a lattice
-    basis of ker l, and with w = ``_unit_dual(l)`` every lattice point of
-    the plane is w + s*e1 + t*e2, with s = (e2 x w).v since
-    det(e1, e2, w) = l.w = 1.  The polygon is the hull of the generators,
-    so each integer s between their extremes is a row that meets it: a
-    facet normal n with n.e2 = 0 holds on the whole row, and any other
-    bounds t on it by n.w + s*n.e1 + t*n.e2 >= 0, in exact floor division.
-    The rows number h + 1, h the lattice distance of the farthest vertex
-    from the edge; its triangle on the edge has area at least h/2, so by
-    Pick's theorem h is less than twice the polygon's point count.  The
-    edge with the fewest rows is scanned.
-    """
-    w = _unit_dual(l)
-    scans = []
-    for a, b in c.facets:
-        e2 = _primitive((b[0] - a[0], b[1] - a[1], b[2] - a[2]))
-        f1 = cross(e2, w)
-        s_values = [dot(f1, v) for v in c.generators]
-        scans.append((max(s_values) - min(s_values), e2, s_values))
-    _, e2, s_values = min(scans, key=lambda scan: scan[0])
-    e1 = cross(_unit_dual(e2), l)
-    rows = [(dot(n, w), dot(n, e1), dot(n, e2)) for n in c.facet_normals if dot(n, e2)]
-    out: list[Vec] = []
-    for s in range(min(s_values), max(s_values) + 1):
-        lo = max(-((p + s * q) // d) for p, q, d in rows if d > 0)
-        hi = min((p + s * q) // -d for p, q, d in rows if d < 0)
-        x0, y0, z0 = w[0] + s * e1[0], w[1] + s * e1[1], w[2] + s * e1[2]
-        out += [(x0 + t * e2[0], y0 + t * e2[1], z0 + t * e2[2]) for t in range(lo, hi + 1)]
-    out.sort()
-    return out
-
-
 def _half_open_points(c: Cone) -> tuple[int, list[Vec], Callable[[Vec], Vec]]:
     """The half-open parallelepiped {sum t_i g_i : 0 <= t_i < 1} of a 2- or
     3-dimensional simplicial cone, as ``(D, walk, point)``: ``walk`` lists
@@ -413,7 +377,7 @@ def _half_open_points(c: Cone) -> tuple[int, list[Vec], Callable[[Vec], Vec]]:
     every q3 is 0.  The adjugate rows (times sign(det)) send a point to D*t,
     so the residues of e1, e2, e3 under them generate the group; it is
     walked as a chain of cyclic subgroups, so the cost is D, not the volume
-    of a box.
+    of a box, and the chain stops once it holds all D points.
     """
     gens = c.generators
     g1, g2, g3 = gens if c.dim == 3 else (*gens, _unit_dual(c.plane_normal))
@@ -426,6 +390,8 @@ def _half_open_points(c: Cone) -> tuple[int, list[Vec], Callable[[Vec], Vec]]:
     )
     group = [ZERO]
     for j in range(3):
+        if len(group) == big:
+            break
         r0, r1, r2 = (row[j] % big for row in rows)
         members = set(group)
         order, step = 1, (r0, r1, r2)
@@ -449,6 +415,18 @@ def _half_open_points(c: Cone) -> tuple[int, list[Vec], Callable[[Vec], Vec]]:
         )
 
     return big, group, point
+
+
+def _low_points(pieces: Iterable[Cone]) -> Iterator[Vec]:
+    """The nonzero half-open points u = sum (q_i/D) g_i of each simplicial
+    piece with q1 + q2 + q3 <= D, that is l(u) <= 1 for the piece's
+    l-functional; a point on a facet shared by two pieces comes once from
+    each."""
+    for piece in pieces:
+        big, walk, point = _half_open_points(piece)
+        for q in islice(walk, 1, None):  # walk[0] is the zero point
+            if q[0] + q[1] + q[2] <= big:
+                yield point(q)
 
 
 def _require_octant_semigroup(c: Cone) -> None:
@@ -506,15 +484,24 @@ def _hilbert_basis(c: Cone) -> HilbertBasis:
     """The computation behind ``Cone.hilbert``.
 
     On a height-one cone (``_height_one``) the basis is the lattice points
-    of the polygon P = c ∩ {l = 1} (``_polygon_points``).  A nonzero lattice
-    point of c has integral l >= 1, so the points of P are irreducible, and
-    every lattice polygon is normal: its cone's lattice points are sums of
-    points of P (Bruns-Gubeladze, *Polytopes, Rings, and K-Theory*, 2009).
-    Every other cone is walked and reduced (``_walked_basis``).
+    of the polygon P = c ∩ {l = 1}.  A nonzero lattice point of c has
+    integral l >= 1, so the points of P are irreducible, and every lattice
+    polygon is normal: its cone's lattice points are sums of points of P
+    (Bruns-Gubeladze, *Polytopes, Rings, and K-Theory*, 2009).  Each piece
+    of ``triangulate(c)`` has l = 1 on its generators, so a lattice point
+    u + sum n_i g_i of it lies on P exactly when it is a generator or a
+    nonzero half-open u with q1 + q2 + q3 <= D (``_low_points``), and no
+    reduction is needed.  A nonzero half-open u has integral
+    l(u) = (q1 + q2 + q3)/D below 3, so the walk's points lie at level 1
+    or 2, and those kept at level 1.  A piece's D is twice its lattice
+    area, less than twice its lattice points by Pick's theorem, so the
+    walk follows the answer.  Every other cone is walked and reduced
+    (``_walked_basis``).
     """
     _require_octant_semigroup(c)
-    l = _height_one(c)
-    return HilbertBasis(_walked_basis(c) if l is None else _polygon_points(c, l))
+    if _height_one(c) is None:
+        return HilbertBasis(_walked_basis(c))
+    return HilbertBasis(sorted({*c.generators, *_low_points(triangulate(c))}))
 
 
 def _piece_minima(piece: Cone) -> list[Vec]:

@@ -11,10 +11,11 @@ Each functional is five ints, (a·x + b·y + c·z + d)/q in lowest terms, and
 every decision reads the sign of the numerator; a ``Fraction`` is built
 only to evaluate, print or level a point.
 
-The profile's lattice points are read by one path: the half-open walk
-(``cones._half_open_points``) of each simplex over an off-origin bounding
-face, which is the cone itself when it is simplicial.  A height-one octant
-cone reads its Hilbert basis instead, which holds the same points.
+The profile's lattice points come from the one enumeration of ``cones``:
+the half-open points of l <= 1 (``cones._low_points``) of each simplex over
+an off-origin bounding face, which is the cone itself when it is
+simplicial.  A height-one octant cone reads its Hilbert basis instead,
+which holds the same points.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .cones import (
     Cone,
     Vec,
     ZERO,
-    _half_open_points,
     _height_one,
     _l_form,
+    _low_points,
     _supporting_planes,
     dot,
     triangulate,
@@ -161,11 +162,12 @@ def profile_lattice_points(p: Profile) -> list[Vec]:
     such facet, through all its generators, and is its own triangulation.
     A point u + sum n_i g_i of a simplex, with u = sum (q_i/D) g_i
     half-open and n_i >= 0, has l = (q_1 + q_2 + q_3)/D + sum n_i, so it is
-    a generator or a nonzero u with q_1 + q_2 + q_3 <= D, and only those u
-    are built.  On a height-one octant cone (``_height_one``) the profile
-    is {v in c : l(v) <= 1}, and a nonzero lattice point of c has integral
-    l >= 1, so its points are those of the polygon c ∩ {l = 1}, which the
-    Hilbert basis ``c.hilbert`` already holds.
+    a generator or a nonzero u with q_1 + q_2 + q_3 <= D
+    (``cones._low_points``), and only those u are built.  On a height-one
+    octant cone (``_height_one``) the profile is {v in c : l(v) <= 1}, and
+    a nonzero lattice point of c has integral l >= 1, so its points are
+    those of the polygon c ∩ {l = 1}, which the Hilbert basis ``c.hilbert``
+    already holds.
     """
     c = p.cone
     if c.in_octant() and _height_one(c) is not None:
@@ -175,7 +177,6 @@ def profile_lattice_points(p: Profile) -> list[Vec]:
         face = c if c.is_simplicial() else Cone.from_generators(
             [g for g in c.generators if dot((a, b, e), g) == -d]
         )
-        for sigma in triangulate(face) if face.dim > 1 else ():
-            big, walk, point = _half_open_points(sigma)
-            out.update(point(q) for q in walk if 0 < sum(q) <= big)
+        if face.dim > 1:
+            out.update(_low_points(triangulate(face)))
     return sorted(out)

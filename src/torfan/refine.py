@@ -16,10 +16,9 @@ ray it holds and its children handed the later rays they hold, and a
 piece left with no rays triangulated.  The Hilbert-driven refinement then
 splits each non-regular piece by one rule, at the point of its pool of
 least value of that piece's l-functional.  The pool is the source-basis
-elements the piece holds or, when it holds none, its half-open points of
-least coordinate sum q1 + q2 + q3, among which lies its least-l Hilbert
-element that is not a generator, so only the source cone's Hilbert basis
-is ever computed.
+elements the piece holds or, when it holds none, the piece's own Hilbert
+elements other than its rays (``cones._piece_minima``), so such a piece is
+split at its least-l Hilbert element that is not a generator.
 Each split pulls only the star of the new ray, found through
 the facets of the non-regular pieces (``_hilbert_pieces``).
 Every report carries exact certificates (per-piece multiplicities), the
@@ -35,16 +34,15 @@ correct.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import islice
 from typing import NamedTuple
 
 from .cones import (
     Cone,
     Vec,
-    _half_open_points,
     _integer_vector,
     _l_form,
     _lists,
+    _piece_minima,
     _primitive,
     dot,
     triangulate,
@@ -162,24 +160,10 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
     adjacency.  Each step splits tau, the least piece of the table, at the
     point v of its pool of least (l, v), l = u.v / q its l-functional
     (``_l_form``).  When the pool is empty (the fallback) the pool for that
-    split is tau's half-open points of least q1 + q2 + q3 (walked by
-    ``_half_open_points``, and only those built), and tau's children
-    inherit the empty pool.  With D the multiplicity, a half-open point
-    h = sum (q_i/D) g_i has l(h) = (q1 + q2 + q3)/D.  On a 3-dimensional tau
-    u.g_i = q = D, so u.h = q1 + q2 + q3; on a planar tau q3 = 0 and u.h is
-    the positive multiple q/D of q1 + q2.  So the nonzero half-open point
-    of least (u.h, h) is among those of least q1 + q2 + q3.  Then v is
-    tau's least-l Hilbert element that is not a generator, so no piece
-    gets a Hilbert basis of its own.  A nonzero non-generator lattice
-    point of tau is h + sum n_i g_i: either h != 0 and l >= m, the least l
-    of a nonzero half-open point, or sum n_i >= 2 and l >= 2.  The map
-    q_i -> D - q_i (q_i != 0) pairs nonzero half-open points with
-    l(h) + l(h*) <= 3, so m <= 3/2, and a point at level m that splits as
-    a + b would need m >= 2*min(m, 1), impossible for 0 < m < 2.  The
-    planar clause covers a case that never runs: consecutive basis
-    elements of a planar c span a unimodular cone, so a non-regular planar
-    piece always holds one.  It goes when a proof that the pool is never
-    empty replaces the fallback.
+    split is tau's piece minima (``_piece_minima``): its Hilbert elements
+    other than its rays, of which a non-regular tau has at least one.  So v
+    is tau's least-l Hilbert element that is not a generator, and tau's
+    children inherit the empty pool.
 
     v lies off tau's rays, so inside tau or inside one facet of it, and the
     pieces that hold v are tau and the other owner of that facet in the
@@ -220,9 +204,7 @@ def _hilbert_pieces(c: Cone) -> tuple[list[Cone], bool]:
         key = min(table)
         tau, pool = table[key]
         if not pool:
-            _, walk, point = _half_open_points(tau)
-            least = min(map(sum, islice(walk, 1, None)))
-            pool = [point(q) for q in walk if sum(q) == least]
+            pool = _piece_minima(tau)
             used_fallback = True
         u, _ = _l_form(tau)
         chosen = min(pool, key=lambda h: (dot(u, h), h))

@@ -433,8 +433,8 @@ def test_jets_past_the_printable_digits_are_an_input_error(capsys):
 
 def test_thin_height_one_cones_answer_at_once():
     # unimodular height-one simplices 10^8 wide across x: their polygon
-    # holds three lattice points, and a row scan across that width would
-    # not finish
+    # holds three lattice points, and the walk of a unimodular simplex has
+    # D = 1 point, so the cost follows the points, not the width
     code = (
         "import contextlib, io, json\n"
         "from torfan import cli\n"

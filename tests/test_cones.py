@@ -321,6 +321,29 @@ def test_parallelepiped_matches_box_oracle_with_negative_entries():
     assert negative >= 30
 
 
+def test_parallelepiped_walk_of_a_non_cyclic_group_stops_at_d_points():
+    # Z^3/<g1,g2,g3> is cyclic exactly when the 2x2 minors of the generators
+    # (the adjugate entries) are coprime.  On a non-cyclic group no residue
+    # of e1, e2 or e3 has order D, so the walk needs a second or third
+    # residue, and it must stop with each of the D points listed once.
+    rng = random.Random(37)
+    seen = 0
+    while seen < 24:
+        vectors = [tuple(rng.randint(-5, 7) for _ in range(3)) for _ in range(3)]
+        if unimodular_det(*vectors) == 0:
+            continue
+        c = Cone.from_generators(vectors)
+        g1, g2, g3 = c.generators
+        rows = (cross(g2, g3), cross(g3, g1), cross(g1, g2))
+        if gcd(*(x for row in rows for x in row)) == 1:
+            continue
+        seen += 1
+        big, walk, _ = _half_open_points(c)
+        assert big == c.multiplicity and len(walk) == big, c
+        assert all(big // gcd(big, *(row[j] for row in rows)) < big for j in range(3)), c
+        assert half_open(c) == box_half_open_points(c.generators), c
+
+
 def test_is_irreducible():
     assert is_irreducible(SIGMA3, (1, 2, 2))
     assert not is_irreducible(SIGMA3, (2, 4, 4))
@@ -620,12 +643,31 @@ def test_height_one_needs_one_integral_plane():
     assert _height_one(Cone.from_generators([E1, E2])) is None
 
 
-def test_height_one_a2_bases_match_the_group_walk():
+def test_height_one_a2_bases_match_the_group_walk(monkeypatch):
     for m in (50, 120, 200):
         for c, _ in dual_newton_cones(instance("A2", {"k": 1, "m": m}).poly):
             assert _height_one(c) is not None, (m, c)
             assert hilbert_basis(c) == tuple(_walked_basis(c)), (m, c)
             assert profile_lattice_points(profile(c)) == list(c.hilbert), (m, c)
+
+    # A height-one basis is read off the walk at l = 1, with no dominance
+    # pass: that pass is quadratic on a polygon, seconds at M = 1000.  Each
+    # basis is the polygon's lattice points, counted by Pick's theorem: twice
+    # the lattice area is the sum of |det| over a triangulation, and each
+    # edge (a, b) holds gcd(b - a) boundary steps.
+    def no_dominance_pass(piece):
+        raise AssertionError(f"the dominance pass ran on {piece}")
+
+    monkeypatch.setattr("torfan.cones._piece_minima", no_dominance_pass)
+    cs = [c for c, _ in dual_newton_cones(instance("A2", {"k": 1, "m": 1000}).poly)]
+    assert len(cs) == 5
+    for c in cs:
+        l = _height_one(c)
+        basis = hilbert_basis(c)
+        assert set(c.generators) <= set(basis) and all(dot(l, h) == 1 for h in basis), c
+        area2 = sum(p.multiplicity for p in triangulate(c))
+        boundary = sum(gcd(*map(sub, b, a)) for a, b in c.facets)
+        assert len(basis) == (area2 + boundary + 2) // 2, c
 
 
 def test_parse_cone_round_trip():

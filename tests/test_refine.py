@@ -468,7 +468,8 @@ def test_regular_refinement_reuses_the_cone_basis(hilbert_calls):
         hilbert_calls.clear()
         rep = regular_refinement(c)
         assert c.hilbert is basis
-        # the fallback reads the half-open walk, so no piece gets a basis
+        # the fallback reads a piece's minima (cones._piece_minima), not
+        # Cone.hilbert, so no piece gets a cached basis of its own
         assert hilbert_calls == [], c
         fallback += rep.used_fallback
         plain += not rep.used_fallback
